@@ -6,8 +6,8 @@ integrality, and an exhaustive GF(2) code engine for cross-checking
 against real codes."""
 
 from .exact import (AffineForm, LinearSystemError, SingularMatrixError,
-                    binomial, format_exact, matrix_inverse,
-                    parametric_linear_solve, poly_product)
+                    VerificationFailure, binomial, format_exact,
+                    matrix_inverse, parametric_linear_solve, poly_product)
 from .gf2 import (BinaryCode, NEIGHBOR_TABLE, ShadowPartition, circulant,
                   dual, extract_beta, is_minimal_shadow, is_self_dual,
                   macwilliams_fixed_point, min_weight, neighbor, parity_class,

@@ -5,8 +5,8 @@ keys, all numbers serialized as decimal or "p/q" strings so nothing is
 ever truncated); --format text gives a human-readable summary whose
 enumerator lines show the first few nonzero terms.
 
-Exit codes: 0 success, 1 a verification failed to reproduce, 2 usage or
-parse errors.
+Exit codes: 0 success, 1 a verification failed to reproduce, 2 usage,
+parse or input-domain errors.
 """
 
 from __future__ import annotations
@@ -15,22 +15,18 @@ import argparse
 import json
 import sys
 
-from .exact import AffineForm, format_exact
+from .exact import AffineForm, VerificationFailure, format_exact
 from .gf2 import (BetaMismatchError, GeneratorFileError, extract_beta,
-                  format_generator_file, is_self_dual, min_weight, neighbor,
-                  parity_class, parse_generator_file, reference_code_46,
-                  shadow, verify_neighbor_table)
+                  format_generator_file, is_minimal_shadow, is_self_dual,
+                  min_weight, neighbor, parity_class, parse_generator_file,
+                  reference_code_46, shadow, verify_neighbor_table)
 from .gleason import (FamilyParams, ParametricEnumerator,
                       build_transform_tables, code_inverse_col0,
                       shadow_inverse_entry)
-from .solver import (BETA, FAMILY_CASES, UNIQUE_FAMILIES, EmptyBetaRangeError,
+from .solver import (BETA, FAMILY_CASES, UNIQUE_FAMILIES,
                      beta_family_for_length, beta_range, family_case,
                      max_admissible, minimal_shadow_r, nonexistence_scan,
                      rains_bound, solve)
-
-
-class VerificationFailure(Exception):
-    """A recorded value failed to reproduce; exits with status 1."""
 
 
 def _fmt(x) -> str:
@@ -267,7 +263,7 @@ def cmd_code(args) -> int:
     if args.subcommand == "shadow":
         part = shadow(code)
         dist = [[str(w), str(c)] for w, c in enumerate(part.shadow_weights) if c]
-        minimal = part.min_weight == minimal_shadow_r(code.n)
+        minimal = is_minimal_shadow(code)
         doc = {"command": "code shadow", "file": args.gen_file,
                "shadow_min_weight": str(part.min_weight),
                "minimal_shadow": minimal,
@@ -288,7 +284,7 @@ def cmd_code(args) -> int:
         doc = {"command": "code neighbor", "file": args.gen_file,
                "support": [str(p) for p in support],
                "beta": str(beta), **_code_summary(nb),
-               "minimal_shadow": shadow(nb).min_weight == minimal_shadow_r(nb.n),
+               "minimal_shadow": is_minimal_shadow(nb),
                "written_to": args.out}
         lines = [f"neighbor: [{nb.n}, {nb.k}, {min_weight(nb)}] "
                  f"{parity_class(nb)}, beta = {beta}"]
@@ -401,15 +397,12 @@ def main(argv: list[str] | None = None) -> int:
                      "--beta does not apply")
     try:
         return args.func(args)
-    except (GeneratorFileError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (BetaMismatchError, VerificationFailure) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, EmptyBetaRangeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

@@ -25,6 +25,11 @@ class LinearSystemError(ValueError):
     """Raised when a linear system has no solution."""
 
 
+class VerificationFailure(Exception):
+    """An identity the library checks, or a recorded value, failed to
+    hold; the command line exits with status 1."""
+
+
 def binomial(n: int, k: int) -> int:
     """C(n, k) with the out-of-range convention C(n, k) = 0 for k < 0 or k > n.
 

@@ -21,7 +21,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exact import poly_add, poly_product, poly_scale, poly_trim
+from .exact import (VerificationFailure, poly_add, poly_product, poly_scale,
+                    poly_trim)
 from .gleason import FamilyParams
 from .solver import FAMILY_CASES, FamilyCase, minimal_shadow_r, solve
 
@@ -262,7 +263,9 @@ def shadow(code: BinaryCode) -> ShadowPartition:
     g = code.rows[par.index(1)]
     c0 = BinaryCode([r ^ g if p else r
                      for r, p in zip(code.rows, par) if r != g], code.n)
-    assert c0.k == code.k - 1
+    if c0.k != code.k - 1:
+        raise VerificationFailure(f"doubly even subcode has dimension {c0.k}, "
+                                  f"expected {code.k - 1}")
     t = next(v for v in dual(c0).rows if not code.contains(v))
     weights = weight_distribution(code, offset=t)
     code._shadow = ShadowPartition(c0, (t, t ^ g), weights)
@@ -427,7 +430,7 @@ def verify_neighbor_table() -> list[NeighborCheck]:
     base = reference_code_46()
     if not (is_self_dual(base) and parity_class(base) == "singly even"
             and min_weight(base) == 8):
-        raise ValueError("bundled length-46 code failed validation")
+        raise VerificationFailure("bundled length-46 code failed validation")
     case = FAMILY_CASES["24m+22"]
     out = []
     for idx, (supp, beta_expect) in enumerate(NEIGHBOR_TABLE, start=1):
@@ -440,10 +443,10 @@ def verify_neighbor_table() -> list[NeighborCheck]:
             singly_even=parity_class(nb) == "singly even",
             min_weight=min_weight(nb),
             shadow_min_weight=sh.min_weight,
-            minimal_shadow=sh.min_weight == minimal_shadow_r(46),
+            minimal_shadow=is_minimal_shadow(nb),
         )
         if not check.ok or beta != beta_expect:
-            raise ValueError(
+            raise VerificationFailure(
                 f"neighbor {idx} failed verification: beta={beta} "
                 f"(expected {beta_expect}), flags={check}")
         out.append(check)

@@ -22,16 +22,20 @@ This module builds the four blocks, provides closed forms for the
 inverse entries that the solver needs in bulk, and converts between
 (a, b) coefficient vectors and Gleason coefficients.  Coefficient
 vectors are affine forms so that one-parameter enumerator families flow
-through unchanged.
+through unchanged.  Every expansion of Gleason coefficients into
+enumerator vectors goes through expand_scaled, which clears
+denominators and runs both Horner passes on plain integers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import AffineForm, Matrix, Scalar, as_affine, binomial
+from .exact import (AffineForm, Matrix, Scalar, VerificationFailure, as_affine,
+                    binomial)
 
 
 @dataclass(frozen=True)
@@ -182,41 +186,33 @@ class TransformTables:
     shadow_inverse: Matrix
 
 
-def build_transform_tables(fam: FamilyParams) -> TransformTables:
-    k = fam.c_count
-    cols = _code_basis_block(fam)
-    code_basis = [[Fraction(cols[j][i]) for j in range(k)] for i in range(k)]
-
-    # forward substitution on the unitriangular block
-    code_inv = [[Fraction(0)] * k for _ in range(k)]
+def _lower_inverse(low: Matrix) -> Matrix:
+    """Exact inverse of an invertible lower-triangular matrix, by forward
+    substitution."""
+    k = len(low)
+    inv = [[Fraction(0)] * k for _ in range(k)]
     for j in range(k):
-        code_inv[j][j] = Fraction(1)
-        for i in range(j + 1, k):
-            s = Fraction(0)
-            for t in range(j, i):
-                if code_basis[i][t]:
-                    s += code_basis[i][t] * code_inv[t][j]
-            code_inv[i][j] = -s
-
-    shadow_cols = [shadow_basis_column(j, fam) for j in range(k)]
-    shadow_basis = [[shadow_cols[j][i] for j in range(k)] for i in range(k)]
-
-    # reversing the columns of the shadow block gives a lower-triangular
-    # matrix; invert that by forward substitution and reverse the rows back
-    k_top = k - 1
-    low = [[shadow_basis[i][k_top - j] for j in range(k)] for i in range(k)]
-    low_inv = [[Fraction(0)] * k for _ in range(k)]
-    for j in range(k):
-        low_inv[j][j] = Fraction(1) / low[j][j]
+        inv[j][j] = 1 / low[j][j]
         for i in range(j + 1, k):
             s = Fraction(0)
             for t in range(j, i):
                 if low[i][t]:
-                    s += low[i][t] * low_inv[t][j]
-            low_inv[i][j] = -s / low[i][i]
-    shadow_inv = [[low_inv[k_top - i][j] for j in range(k)] for i in range(k)]
+                    s += low[i][t] * inv[t][j]
+            inv[i][j] = -s / low[i][i]
+    return inv
 
-    return TransformTables(fam, code_basis, code_inv, shadow_basis, shadow_inv)
+
+def build_transform_tables(fam: FamilyParams) -> TransformTables:
+    k = fam.c_count
+    cols = _code_basis_block(fam)
+    code_basis = [[Fraction(cols[j][i]) for j in range(k)] for i in range(k)]
+    shadow_cols = [shadow_basis_column(j, fam) for j in range(k)]
+    shadow_basis = [[shadow_cols[j][i] for j in range(k)] for i in range(k)]
+    # reversing the columns of the shadow block gives a lower-triangular
+    # matrix L; the inverse of the shadow block is L^-1 with its rows reversed
+    low_inv = _lower_inverse([row[::-1] for row in shadow_basis])
+    return TransformTables(fam, code_basis, _lower_inverse(code_basis),
+                           shadow_basis, low_inv[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -265,42 +261,36 @@ def shadow_inverse_entry(i: int, j: int, fam: FamilyParams) -> Fraction:
 # coefficient conversions
 
 
+def _gleason_from(values: Sequence[AffineForm | Scalar], inverse: Matrix,
+                  side: str) -> list[AffineForm]:
+    """c_i = sum_j inverse[i][j] * values[j], skipping the zero entries
+    outside the support of the inverse block."""
+    k = len(inverse)
+    if len(values) < k:
+        raise ValueError(f"need at least {k} {side} coefficients, got {len(values)}")
+    vv = [as_affine(x) for x in values[:k]]
+    out = []
+    for row in inverse:
+        c = AffineForm(0)
+        for v, e in zip(vv, row):
+            if e:
+                c = c + v * e
+        out.append(c)
+    return out
+
+
 def gleason_from_code(a: Sequence[AffineForm | Scalar],
                       tables: TransformTables) -> list[AffineForm]:
     """Gleason coefficients from the leading code coefficients:
     c_i = sum_{j<=i} code_inverse[i][j] * a_j."""
-    k = tables.fam.c_count
-    if len(a) < k:
-        raise ValueError(f"need at least {k} code coefficients, got {len(a)}")
-    av = [as_affine(x) for x in a[:k]]
-    inv = tables.code_inverse
-    out = []
-    for i in range(k):
-        c = AffineForm(0)
-        for j in range(i + 1):
-            if inv[i][j]:
-                c = c + av[j] * inv[i][j]
-        out.append(c)
-    return out
+    return _gleason_from(a, tables.code_inverse, "code")
 
 
 def gleason_from_shadow(b: Sequence[AffineForm | Scalar],
                         tables: TransformTables) -> list[AffineForm]:
     """Gleason coefficients from the leading shadow coefficients:
     c_i = sum_{j<=K-i} shadow_inverse[i][j] * b_j."""
-    k = tables.fam.c_count
-    if len(b) < k:
-        raise ValueError(f"need at least {k} shadow coefficients, got {len(b)}")
-    bv = [as_affine(x) for x in b[:k]]
-    inv = tables.shadow_inverse
-    out = []
-    for i in range(k):
-        c = AffineForm(0)
-        for j in range(k - i):
-            if inv[i][j]:
-                c = c + bv[j] * inv[i][j]
-        out.append(c)
-    return out
+    return _gleason_from(b, tables.shadow_inverse, "shadow")
 
 
 @dataclass(frozen=True)
@@ -327,13 +317,13 @@ class ParametricEnumerator:
         return not self.free
 
 
-def horner_code_side(coeffs: Sequence[Scalar], fam: FamilyParams) -> list:
+def horner_code_side(coeffs: Sequence[int], fam: FamilyParams) -> list[int]:
     """Expand sum_j coeffs[j] (1+z)^(n/2-4j) (z(1-z)^2)^j to full degree.
 
-    Works for any exact scalar type (int or Fraction).  Writing
-    u = (1+z)^4 and v = z(1-z)^2 the sum equals
-    (1+z)^r * sum_j coeffs[j] u^(K-j) v^j, evaluated Horner-style so the
-    cost is one small-kernel pass per term.
+    Takes integer Gleason coefficients (expand_scaled clears the
+    denominators first).  Writing u = (1+z)^4 and v = z(1-z)^2 the sum
+    equals (1+z)^r * sum_j coeffs[j] u^(K-j) v^j, evaluated Horner-style
+    so the cost is one small-kernel pass per term.
     """
     k_top = fam.c_count - 1
     x = [coeffs[k_top]]
@@ -350,26 +340,49 @@ def horner_code_side(coeffs: Sequence[Scalar], fam: FamilyParams) -> list:
                     x[i] += c * ui
     for _ in range(fam.r):
         x = _mul_taps(x, ((0, 1), (1, 1)))
-    if len(x) < fam.half + 1:
-        x = x + [0] * (fam.half + 1 - len(x))
-    assert len(x) == fam.half + 1
+    if len(x) != fam.half + 1:
+        raise VerificationFailure(
+            f"code expansion has {len(x)} coefficients, expected {fam.half + 1}")
     return x
 
 
-def horner_shadow_side(coeffs: Sequence[Scalar], fam: FamilyParams) -> list:
-    """Expand sum_j (-1)^j coeffs[j] 2^(n/2-6j) y^(n/2-4j) (1-y^4)^(2j)
-    to the full shadow coefficient vector (indexed by i, exponent 4i+r)."""
+def _shadow_shift(fam: FamilyParams) -> int:
+    """The s of the 2^s scaling that makes every shadow term an integer."""
+    return max(0, 6 * (fam.c_count - 1) - fam.half)
+
+
+def horner_shadow_side(coeffs: Sequence[int], fam: FamilyParams) -> list[int]:
+    """Expand sum_j (-1)^j coeffs[j] 2^(n/2-6j) y^(n/2-4j) (1-y^4)^(2j),
+    scaled by 2^s with s = max(0, 6K - n/2), for integer Gleason
+    coefficients: the full shadow coefficient vector (indexed by i,
+    exponent 4i+r) times 2^s, all integers."""
     k_top = fam.c_count - 1
-    d = [Fraction(2) ** (fam.half - 6 * j) * (-1) ** j * coeffs[j]
-         for j in range(k_top + 1)]
+    top = fam.half + _shadow_shift(fam)
+    d = [(-1) ** j * coeffs[j] * (1 << (top - 6 * j)) for j in range(k_top + 1)]
     x = [d[k_top]]
     for j in range(k_top - 1, -1, -1):
         x = _mul_taps(x, _Q_TAPS)
         x[k_top - j] += d[j]
-    if len(x) < fam.b_count:
-        x = x + [0] * (fam.b_count - len(x))
-    assert len(x) == fam.b_count
+    if len(x) != fam.b_count:
+        raise VerificationFailure(
+            f"shadow expansion has {len(x)} coefficients, expected {fam.b_count}")
     return x
+
+
+def expand_scaled(c: Sequence[Scalar],
+                  fam: FamilyParams) -> tuple[list[int], int, list[int], int]:
+    """Code and shadow vectors of exact Gleason coefficients, as scaled
+    integers (a_hat, Da, b_hat, Db) with a_i = a_hat[i]/Da and
+    b_i = b_hat[i]/Db exactly.
+
+    The coefficients are scaled by the lcm Da of their denominators, so
+    both Horner passes run on plain ints; the code side runs first.
+    """
+    da = math.lcm(*(x.denominator for x in c))
+    ch = [int(x * da) for x in c]
+    a_hat = horner_code_side(ch, fam)
+    b_hat = horner_shadow_side(ch, fam)
+    return a_hat, da, b_hat, da << _shadow_shift(fam)
 
 
 def enumerators_from_gleason(c: Sequence[AffineForm | Scalar],
@@ -377,29 +390,24 @@ def enumerators_from_gleason(c: Sequence[AffineForm | Scalar],
     """Expand Gleason coefficients into the full a and b vectors.
 
     Affine inputs are split into a constant component plus one component
-    per parameter, each expanded separately, so the heavy polynomial work
-    happens on plain rationals.
+    per parameter; each component goes through expand_scaled once, and
+    every entry is divided back exactly once.
     """
     k = fam.c_count
     if len(c) != k:
         raise ValueError(f"need exactly {k} Gleason coefficients, got {len(c)}")
     cv = [as_affine(x) for x in c]
     names = sorted({n for form in cv for n in form.terms})
-    components: dict[str | None, list[Fraction]] = {
-        None: [form.constant for form in cv]}
-    for name in names:
-        components[name] = [form.terms.get(name, Fraction(0)) for form in cv]
+    const = expand_scaled([form.constant for form in cv], fam)
+    parts = [(name, expand_scaled([form.terms.get(name, 0) for form in cv], fam))
+             for name in names]
 
-    a_parts = {key: horner_code_side(vec, fam) for key, vec in components.items()}
-    b_parts = {key: horner_shadow_side(vec, fam) for key, vec in components.items()}
-
-    def combine(parts, count):
+    def combine(side):  # 0 picks (a_hat, Da), 2 picks (b_hat, Db)
         out = []
-        for i in range(count):
-            terms = {name: parts[name][i] for name in names if parts[name][i]}
-            out.append(AffineForm(parts[None][i], terms))
+        for i, v in enumerate(const[side]):
+            terms = {name: Fraction(p[side][i], p[side + 1])
+                     for name, p in parts if p[side][i]}
+            out.append(AffineForm(Fraction(v, const[side + 1]), terms))
         return tuple(out)
 
-    a = combine(a_parts, fam.half + 1)
-    b = combine(b_parts, fam.b_count)
-    return ParametricEnumerator(fam, a, b, tuple(names))
+    return ParametricEnumerator(fam, combine(0), combine(2), tuple(names))

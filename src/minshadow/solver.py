@@ -11,26 +11,28 @@ and d = 2 (mod 4), determine the Gleason coefficients uniquely for the
 families 24m+2, 24m+4 and 24m+10, and up to one integer parameter beta
 for 24m+6 and 24m+22.
 
-The scan path expands the forced enumerators with scaled integer
-arithmetic and tests that every coefficient is a nonnegative integer;
-the closed forms for b_m, b_{m+1} and the degree-five/six integer
+solve() finds the Gleason coefficients from the linear system; the scan
+path takes them from the closed forms instead.  Both expand them with
+the one scaled-integer kernel gleason.expand_scaled, and one loop
+certifies the result by its first negative or non-integer coefficient.
+The closed forms for b_m, b_{m+1} and the degree-five/six integer
 polynomials f(m) controlling the sign of b_{m+1} are provided alongside.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exact import (AffineForm, LinearSystemError, binomial,
-                    parametric_linear_solve, poly_eval)
+from .exact import (AffineForm, LinearSystemError, VerificationFailure,
+                    binomial, parametric_linear_solve, poly_eval)
 from .gleason import (FamilyParams, ParametricEnumerator, _code_basis_block,
                       code_inverse_col0, enumerators_from_gleason,
-                      horner_code_side, shadow_basis_column,
-                      shadow_inverse_entry)
+                      expand_scaled, shadow_basis_column, shadow_inverse_entry)
 
 BETA = "beta"
 
@@ -218,12 +220,13 @@ def solve(case: FamilyCase, m: int) -> ParametricEnumerator:
     c = [solution[name] for name in unknowns]
     enum = enumerators_from_gleason(c, fam)
 
-    for i, v in cs.pinned_a.items():
-        assert enum.a[i] == AffineForm(v)
-    for i, v in cs.pinned_b.items():
-        assert enum.b[i] == AffineForm(v)
-    for ai, bi in cs.equalities:
-        assert enum.a[ai] == enum.b[bi]
+    checks = [(f"a[{i}]", enum.a[i], v) for i, v in cs.pinned_a.items()]
+    checks += [(f"b[{i}]", enum.b[i], v) for i, v in cs.pinned_b.items()]
+    checks += [(f"a[{ai}]", enum.a[ai], enum.b[bi]) for ai, bi in cs.equalities]
+    for label, got, want in checks:
+        if got != want:
+            raise VerificationFailure(
+                f"{case.tag}, m={m}: {label} = {got}, expected {want}")
     return enum
 
 
@@ -352,6 +355,16 @@ class Admissibility(NamedTuple):
         return self.ok
 
 
+def _certify(sides) -> Admissibility:
+    """The first coefficient that is negative or not an integer, over
+    (side, numerators, denominator) triples."""
+    for side, values, den in sides:
+        for i, v in enumerate(values):
+            if v < 0 or v % den:
+                return Admissibility(False, side, i, Fraction(v, den))
+    return Admissibility(True, None, None, None)
+
+
 def admissible(enum: ParametricEnumerator) -> Admissibility:
     """Whether every coefficient is a nonnegative integer.
 
@@ -362,12 +375,8 @@ def admissible(enum: ParametricEnumerator) -> Admissibility:
         raise FreeParameterError(
             f"enumerator has free parameters {enum.free}; substitute beta "
             "first (beta_range gives the admissible interval)")
-    for side, vec in (("a", enum.a), ("b", enum.b)):
-        for i, form in enumerate(vec):
-            v = form.as_fraction()
-            if v < 0 or v.denominator != 1:
-                return Admissibility(False, side, i, v)
-    return Admissibility(True, None, None, None)
+    return _certify((side, (form.as_fraction() for form in vec), 1)
+                    for side, vec in (("a", enum.a), ("b", enum.b)))
 
 
 def _forced_gleason(case: FamilyCase, m: int) -> list[Fraction]:
@@ -385,52 +394,21 @@ def _forced_gleason(case: FamilyCase, m: int) -> list[Fraction]:
         c[i] = shadow_inverse_entry(i, 0, fam)
     if case.l == 1:
         i = 2 * m + 1
-        col0 = code_inverse_col0(i, fam.n)
-        a_mid = (shadow_inverse_entry(i, 0, fam) - col0) / 3
-        c[i] = col0 + a_mid
+        c[i] = code_inverse_col0(i, fam.n) + closed_form_a2m1(m)
     return c
 
 
-def _scan_vectors(case: FamilyCase, m: int) -> tuple[list[int], int, list[int], int]:
-    """Scaled-integer enumerator vectors: (a_hat, Da, b_hat, Db) with
-    a_i = a_hat[i]/Da and b_i = b_hat[i]/Db exactly."""
-    fam = case.params(m)
-    k_top = fam.c_count - 1
-    c = _forced_gleason(case, m)
-    da = math.lcm(*(x.denominator for x in c))
-    ch = [int(x * da) for x in c]
-    a_hat = horner_code_side(ch, fam)
-
-    shift = max(0, 6 * k_top - fam.half)
-    d = [(-1) ** j * ch[j] * (1 << (fam.half - 6 * j + shift))
-         for j in range(k_top + 1)]
-    x = [d[k_top]]
-    for j in range(k_top - 1, -1, -1):
-        nxt = [0] * (len(x) + 2)
-        for i, v in enumerate(x):
-            nxt[i] += v
-            nxt[i + 1] -= 2 * v
-            nxt[i + 2] += v
-        nxt[k_top - j] += d[j]
-        x = nxt
-    if len(x) < fam.b_count:
-        x = x + [0] * (fam.b_count - len(x))
-    return a_hat, da, x, da << shift
-
-
 def admissible_at(case: FamilyCase, m: int) -> Admissibility:
-    """Admissibility of the unique minimal-shadow enumerator at (case, m),
-    via the scaled-integer path (no Fraction normalization per entry)."""
+    """Admissibility of the unique minimal-shadow enumerator at (case, m).
+
+    The Gleason coefficients come from the closed forms, and one
+    scaled-integer expansion (gleason.expand_scaled) gives both vectors,
+    so no entry is normalized as a Fraction unless it fails.
+    """
     if case.tag not in UNIQUE_FAMILIES:
         raise ValueError(f"scan applies to unique-enumerator families, not {case.tag}")
-    a_hat, da, b_hat, db = _scan_vectors(case, m)
-    for i, v in enumerate(a_hat):
-        if v < 0 or v % da:
-            return Admissibility(False, "a", i, Fraction(v, da))
-    for i, v in enumerate(b_hat):
-        if v < 0 or v % db:
-            return Admissibility(False, "b", i, Fraction(v, db))
-    return Admissibility(True, None, None, None)
+    a_hat, da, b_hat, db = expand_scaled(_forced_gleason(case, m), case.params(m))
+    return _certify((("a", a_hat, da), ("b", b_hat, db)))
 
 
 def _scan_worker(args: tuple[str, int]) -> tuple[int, bool]:
@@ -442,15 +420,17 @@ def nonexistence_scan(case: FamilyCase, m_max: int,
                       jobs: int | None = None) -> list[tuple[int, bool]]:
     """Admissibility of every m in 1..m_max, evaluated independently per m.
 
-    Results are merged by m, so they do not depend on the worker count.
+    At most min(jobs, cpu count, m_max) worker processes run.  Results
+    are merged by m, so they do not depend on the worker count.
     """
     if case.tag not in UNIQUE_FAMILIES:
         raise ValueError(f"scan applies to unique-enumerator families, not {case.tag}")
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     ms = list(range(1, m_max + 1))
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs or 1, os.cpu_count() or 1, len(ms))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_worker, [(case.tag, m) for m in ms],
                                     chunksize=4))
     else:
@@ -502,7 +482,8 @@ def beta_range(case: FamilyCase, m: int) -> tuple[int, int]:
             else:
                 b = math.floor(bound)
                 hi = b if hi is None else min(hi, b)
-    assert lo is not None and hi is not None
+    if lo is None or hi is None:
+        raise VerificationFailure(f"beta is unbounded for {case.tag}, m={m}")
     if lo > hi:
         raise EmptyBetaRangeError(f"empty beta interval for {case.tag}, m={m}")
     return lo, hi

@@ -185,6 +185,27 @@ class TestCodeCommands:
         assert "verification failure" in err
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--family", "24m+2", "--m", "0"),
+        ("beta-range", "--family", "24m+6", "--m", "0"),
+        ("bounds", "--n", "7"),
+    ], ids=["solve-m0", "beta-range-m0", "bounds-odd"])
+    def test_domain_errors_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_failed_neighbor_table_exits_1(self, capsys, monkeypatch):
+        from minshadow import gf2
+        supp, beta = gf2.NEIGHBOR_TABLE[1]
+        monkeypatch.setattr(gf2, "NEIGHBOR_TABLE", ((supp, beta + 1),))
+        code, out, err = run(capsys, "code", "table1")
+        assert code == 1
+        assert "verification failure: neighbor 1 failed verification" in err
+
+
 class TestDeterminism:
     def test_byte_identical_runs(self, capsys):
         _, out1, _ = run(capsys, "solve", "--family", "24m+22", "--m", "1")

@@ -231,3 +231,50 @@ class TestConversions:
         t = build_transform_tables(fam)
         assert gleason_from_code(list(enum.a), t) == c
         assert gleason_from_shadow(list(enum.b), t) == c
+
+
+# every decomposition with m <= 4; most have 6K > n/2, so the shadow
+# expansion is scaled by 2^(6K - n/2), while m = l = 0 needs no scaling
+KERNEL_FAMILIES = [FamilyParams(m, l, r)
+                   for m in range(5) for l in range(3) for r in range(4)
+                   if 24 * m + 8 * l + 2 * r > 0]
+ODD_DENOMINATORS = (1, 3, 5, 7, 9, 15, 49)
+POWER_OF_TWO_DENOMINATORS = (2, 4, 8, 64, 1024)
+
+
+class TestExpansionKernel:
+    """enumerators_from_gleason against the basis-polynomial oracles on
+    rational and affine Gleason vectors."""
+
+    def test_families_cover_both_scalings(self):
+        shifts = {6 * (f.c_count - 1) > f.half for f in KERNEL_FAMILIES}
+        assert shifts == {True, False}
+
+    @staticmethod
+    def _rational_vector(rng, k):
+        dens = [rng.choice(ODD_DENOMINATORS + POWER_OF_TWO_DENOMINATORS)
+                for _ in range(k)]
+        dens[0] = rng.choice(ODD_DENOMINATORS[1:])
+        dens[-1] = rng.choice(POWER_OF_TWO_DENOMINATORS)
+        return [Fraction(rng.randrange(-999, 1000), d) for d in dens]
+
+    @pytest.mark.parametrize("fam", KERNEL_FAMILIES, ids=lambda f: f"n{f.n}")
+    def test_matches_basis_oracles(self, fam):
+        rng = random.Random(fam.n)
+        k = fam.c_count
+        beta = AffineForm.parameter("beta")
+        rational = self._rational_vector(rng, k)
+        affine = [p + beta * q for p, q in zip(self._rational_vector(rng, k),
+                                               self._rational_vector(rng, k))]
+        for c in (rational, affine):
+            enum = enumerators_from_gleason(c, fam)
+            want_a = [AffineForm(0)] * (fam.half + 1)
+            want_b = [AffineForm(0)] * fam.b_count
+            for j, cj in enumerate(c):
+                for i, x in enumerate(code_basis_poly(j, fam)):
+                    want_a[i] = want_a[i] + cj * x
+                for i, x in enumerate(shadow_basis_column(j, fam)):
+                    want_b[i] = want_b[i] + cj * x
+            assert list(enum.a) == want_a
+            assert list(enum.b) == want_b
+        assert enum.free == ("beta",)

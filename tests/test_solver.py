@@ -1,9 +1,16 @@
 """Minimal-shadow solver, closed forms, scans, and beta ranges."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import minshadow
+from minshadow import solver
 from minshadow.exact import AffineForm
 from minshadow.solver import (FAMILY_CASES, FreeParameterError, admissible,
                               admissible_at, beta_family_for_length, beta_range,
@@ -274,6 +281,63 @@ class TestAdmissibility:
 
     def test_scan_jobs_deterministic(self):
         assert nonexistence_scan(C4, 4, jobs=2) == nonexistence_scan(C4, 4)
+
+    @pytest.mark.parametrize("jobs,cpus,m_max,workers", [
+        (1000, 4, 3, 3), (1000, 4, 10, 4), (2, 4, 10, 2), (1000, None, 10, None),
+        (1, 4, 10, None),
+    ])
+    def test_scan_workers_bounded(self, monkeypatch, jobs, cpus, m_max, workers):
+        started = []
+
+        class StubPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(solver, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(solver.os, "cpu_count", lambda: cpus)
+        scan = nonexistence_scan(C4, m_max, jobs=jobs)
+        assert scan == [(m, True) for m in range(1, m_max + 1)]
+        assert started == ([] if workers is None else [workers])
+
+
+SRC = Path(minshadow.__file__).resolve().parents[1]
+
+
+def test_solve_verification_survives_optimize_flag():
+    # under python -O asserts vanish; a perturbed expansion must still be
+    # caught by solve's own pin check
+    script = textwrap.dedent("""
+        import dataclasses, sys
+        from minshadow import solver
+        from minshadow.exact import VerificationFailure
+        if not sys.flags.optimize:
+            sys.exit("asserts are still enabled")
+        expand = solver.enumerators_from_gleason
+        def perturbed(c, fam):
+            enum = expand(c, fam)
+            return dataclasses.replace(enum, a=(enum.a[0], enum.a[1] + 1) + enum.a[2:])
+        solver.enumerators_from_gleason = perturbed
+        try:
+            solver.solve(solver.family_case("24m+2"), 1)
+        except VerificationFailure as exc:
+            print("raised:", exc)
+        else:
+            sys.exit("solve accepted a perturbed enumerator")
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "raised: 24m+2, m=1: a[1] = 1, expected 0" in proc.stdout
 
 
 class TestFamilyLookup:
