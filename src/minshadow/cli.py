@@ -125,9 +125,6 @@ def cmd_solve(args) -> int:
 
 def cmd_beta_range(args) -> int:
     case = family_case(args.family)
-    if not case.parametrized:
-        raise VerificationFailure(
-            f"family {case.tag} has a unique enumerator; use scan/solve")
     lo, hi = beta_range(case, args.m)
     n = case.n(args.m)
     doc = {"command": "beta-range", "family": case.tag, "m": str(args.m),
@@ -141,7 +138,7 @@ def cmd_tables(args) -> int:
     fam = case.params(args.m) if args.m >= case.min_m else FamilyParams(
         args.m, case.l, case.r)
     if fam.c_count > args.print_cap:
-        raise VerificationFailure(
+        raise ValueError(
             f"c_count {fam.c_count} exceeds the print cap {args.print_cap}; "
             "raise --print-cap to dump larger tables")
     tables = build_transform_tables(fam)

@@ -131,37 +131,25 @@ def matrix_product(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]])
     return out
 
 
-def _pivot_size(x: Fraction) -> int:
-    return x.numerator.bit_length() + x.denominator.bit_length()
-
-
 def matrix_inverse(m: Sequence[Sequence[Scalar]]) -> Matrix:
-    """Exact inverse by rational Gauss-Jordan elimination.
+    """Exact inverse, read off the parametric solution of m x = e.
 
-    The pivot in each column is the nonzero candidate of smallest
-    numerator-times-denominator size, which keeps intermediate entries
-    from blowing up on the structured matrices seen here.
+    The right-hand side is e_i = parameter "e{i}", so entry (j, i) of the
+    inverse is the coefficient of e_i in x_j.  A singular matrix leaves
+    some row 0 = (a nonzero combination of the e_i) and raises
+    SingularMatrixError.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix_inverse requires a square matrix")
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        cand = [i for i in range(col, n) if aug[i][col]]
-        if not cand:
-            raise SingularMatrixError(f"matrix is singular (no pivot in column {col})")
-        piv = min(cand, key=lambda i: _pivot_size(aug[i][col]))
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        if pv != 1:
-            aug[col] = [x / pv for x in aug[col]]
-        prow = aug[col]
-        for i in range(n):
-            f = aug[i][col]
-            if i != col and f:
-                aug[i] = [x - f * y for x, y in zip(aug[i], prow)]
-    return [row[n:] for row in aug]
+    unknowns = [f"x{j}" for j in range(n)]
+    rhs = [AffineForm.parameter(f"e{i}") for i in range(n)]
+    try:
+        x, _ = parametric_linear_solve(m, rhs, unknowns)
+    except LinearSystemError as exc:
+        raise SingularMatrixError(f"matrix is singular ({exc})") from exc
+    return [[x[u].terms.get(f"e{i}", Fraction(0)) for i in range(n)]
+            for u in unknowns]
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +304,13 @@ def parametric_linear_solve(
     pivot is reported as a free parameter under its own name rather than
     being silently resolved; an inconsistent system raises
     LinearSystemError.
+
+    Sparse row echelon: each row, in the given order, is cleared of the
+    stored pivot columns in ascending lead order (a stored row with lead
+    t has entries only right of t, so one pass suffices) and stored with
+    a unit lead; stored rows are never rewritten.  One back-substitution
+    in descending lead order follows.  The triangular minimal-shadow
+    systems see no fill-in, so they cost O(K^2).
     """
     ncols = len(unknowns)
     if any(len(row) != ncols for row in a):
@@ -323,46 +318,40 @@ def parametric_linear_solve(
     if len(a) != len(rhs):
         raise ValueError("matrix and right-hand side sizes differ")
 
-    # pivots: column -> (row coefficients, affine rhs), kept fully reduced
-    pivots: dict[int, tuple[list[Fraction], AffineForm]] = {}
+    # pivots: lead column -> (sparse row right of the unit lead, affine rhs)
+    pivots: dict[int, tuple[dict[int, Fraction], AffineForm]] = {}
     for row, r in zip(a, rhs):
-        coeffs = [Fraction(x) for x in row]
+        coeffs = {c: Fraction(x) for c, x in enumerate(row) if x}
         form = as_affine(r)
-        for col, (prow, pform) in pivots.items():
-            f = coeffs[col]
-            if f:
-                coeffs = [x - f * y for x, y in zip(coeffs, prow)]
+        for t in sorted(pivots):
+            f = coeffs.pop(t, None)
+            if f is not None:
+                prow, pform = pivots[t]
+                for c, y in prow.items():
+                    v = coeffs.pop(c, 0) - f * y
+                    if v:
+                        coeffs[c] = v
                 form = form - pform * f
-        lead = next((c for c in range(ncols) if coeffs[c]), None)
-        if lead is None:
+        if not coeffs:
             if form:
                 raise LinearSystemError(f"no solution: 0 = {form}")
             continue
-        f = coeffs[lead]
+        lead = min(coeffs)
+        f = coeffs.pop(lead)
         if f != 1:
-            coeffs = [x / f for x in coeffs]
+            coeffs = {c: x / f for c, x in coeffs.items()}
             form = form / f
-        for col, (prow, pform) in list(pivots.items()):
-            g = prow[lead]
-            if g:
-                pivots[col] = ([x - g * y for x, y in zip(prow, coeffs)],
-                               pform - form * g)
         pivots[lead] = (coeffs, form)
 
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    solution: dict[str, AffineForm] = {}
-    for c in free_cols:
-        solution[unknowns[c]] = AffineForm.parameter(unknowns[c])
-    for c, (prow, pform) in pivots.items():
-        expr = pform
-        for fc in free_cols:
-            if prow[fc]:
-                expr = expr - AffineForm.parameter(unknowns[fc], prow[fc])
-        solution[unknowns[c]] = expr
+    solution = {unknowns[c]: AffineForm.parameter(unknowns[c])
+                for c in range(ncols) if c not in pivots}
+    for t in sorted(pivots, reverse=True):
+        prow, expr = pivots[t]
+        for c, y in prow.items():
+            expr = expr - solution[unknowns[c]] * y
+        solution[unknowns[t]] = expr
 
-    free_names: set[str] = {unknowns[c] for c in free_cols}
-    for form in list(solution.values()):
-        free_names.update(form.parameters())
+    free_names = set().union(*(form.parameters() for form in solution.values()))
     return solution, sorted(free_names)
 
 

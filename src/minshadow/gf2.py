@@ -293,23 +293,20 @@ def support_mask(support: Iterable[int], n: int) -> int:
     return x
 
 
-def mask_support(x: int) -> tuple[int, ...]:
-    return tuple(i + 1 for i in range(x.bit_length()) if (x >> i) & 1)
-
-
 def neighbor(code: BinaryCode, support: Iterable[int]) -> BinaryCode:
     """The self-dual neighbor spanned by (code restricted to x-orthogonal
-    words) together with x, for an even-weight x outside the code."""
+    words) together with x, for an even-weight x outside the code.
+    The input code must be self-dual."""
+    if not is_self_dual(code):
+        raise ValueError("neighbor requires a self-dual code")
     x = support_mask(support, code.n)
     if x.bit_count() % 2:
         raise ValueError("neighbor vector must have even weight")
     if code.contains(x):
         raise ValueError("neighbor vector lies in the code")
+    # x lies outside the code, which is its own dual, so some row has
+    # odd intersection with x
     flags = [(r & x).bit_count() % 2 for r in code.rows]
-    if 1 not in flags:
-        # x is orthogonal to all of the code; for self-dual inputs this
-        # cannot happen once x is outside the code
-        raise ValueError("neighbor vector is orthogonal to the whole code")
     i = flags.index(1)
     gi = code.rows[i]
     sub = [r ^ gi if f else r for r, f in zip(code.rows, flags)]

@@ -111,7 +111,7 @@ class TestTablesCommand:
 
     def test_print_cap(self, capsys):
         code, _, err = run(capsys, "tables", "--family", "24m+2", "--m", "30")
-        assert code == 1
+        assert code == 2
         assert "print cap" in err
 
 
@@ -170,6 +170,15 @@ class TestCodeCommands:
         with pytest.raises(SystemExit) as exc:
             main(["code", "neighbor", "--gen-file", gen_file])
         assert exc.value.code == 2
+
+    def test_neighbor_of_non_self_dual_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "half.txt"
+        path.write_text("1100\n")
+        code, out, err = run(capsys, "code", "neighbor", "--gen-file", str(path),
+                             "--support", "2,3")
+        assert code == 2
+        assert out == ""
+        assert "self-dual" in err
 
     def test_verification_failure_exit_1(self, capsys, tmp_path):
         # a singly even self-dual [22,11] code whose shadow is not minimal

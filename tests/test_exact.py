@@ -1,5 +1,6 @@
 """Exact arithmetic substrate tests."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minshadow.exact import (AffineForm, LinearSystemError,
-                             SingularMatrixError, binomial, format_exact,
-                             identity_matrix, matrix_inverse, matrix_product,
-                             parametric_linear_solve, poly_eval, poly_pow,
-                             poly_product, poly_trim)
+                             SingularMatrixError, as_affine, binomial,
+                             format_exact, identity_matrix, matrix_inverse,
+                             matrix_product, parametric_linear_solve,
+                             poly_eval, poly_pow, poly_product, poly_trim)
 
 
 class TestBinomial:
@@ -68,6 +69,58 @@ class TestPoly:
         assert poly_eval([1, -14, 46, 2812, -14816, 64], 1) == -11907
 
 
+def _rand_fraction(rng, nonzero=False):
+    while True:
+        x = Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
+        if x or not nonzero:
+            return x
+
+
+def _rhs_for(a, x_true):
+    rhs = []
+    for row in a:
+        acc = AffineForm(0)
+        for coef, x in zip(row, x_true):
+            acc = acc + x * coef
+        rhs.append(acc)
+    return rhs
+
+
+def _assert_solves(a, rhs, sol, free, unknowns):
+    """a * x == rhs under two different assignments to every free name."""
+    for shift in (0, 7):
+        vals = {name: i + shift for i, name in enumerate(free)}
+        xs = [sol[u].substitute(vals).as_fraction() for u in unknowns]
+        for row, want in zip(a, rhs):
+            got = sum(c * x for c, x in zip(row, xs))
+            assert got == as_affine(want).substitute(vals).as_fraction()
+
+
+def _solve_shuffled(rng, a, x_true):
+    """Solve the system built from x_true with its rows in random order,
+    check it, and return (solution, free names, unknowns)."""
+    rhs = _rhs_for(a, x_true)
+    order = list(range(len(a)))
+    rng.shuffle(order)
+    a = [a[i] for i in order]
+    rhs = [rhs[i] for i in order]
+    unknowns = [f"x{i}" for i in range(len(x_true))]
+    sol, free = parametric_linear_solve(a, rhs, unknowns)
+    _assert_solves(a, rhs, sol, free, unknowns)
+    return sol, free, unknowns
+
+
+def _affine_unknowns(rng, n):
+    return [AffineForm(rng.randrange(-3, 4),
+                       {"t": rng.randrange(-2, 3), "u": rng.randrange(-2, 3)})
+            for _ in range(n)]
+
+
+def _lower_triangular(rng, n):
+    return [[_rand_fraction(rng, nonzero=(j == i)) if j <= i else Fraction(0)
+             for j in range(n)] for i in range(n)]
+
+
 class TestMatrixInverse:
     def test_identity(self):
         eye = identity_matrix(4)
@@ -83,7 +136,6 @@ class TestMatrixInverse:
             matrix_inverse([[1, 1], [1, 1]])
 
     def test_random_inverses_exact(self):
-        import random
         rng = random.Random(7)
         for trial in range(25):
             n = rng.randrange(1, 5)
@@ -95,6 +147,50 @@ class TestMatrixInverse:
                 continue
             assert matrix_product(m, inv) == identity_matrix(n)
             assert matrix_product(inv, m) == identity_matrix(n)
+
+    def _check(self, m):
+        inv = matrix_inverse(m)
+        n = len(m)
+        assert matrix_product(m, inv) == identity_matrix(n)
+        assert matrix_product(inv, m) == identity_matrix(n)
+
+    def test_triangular(self):
+        rng = random.Random(41)
+        for n in range(1, 11):
+            low = _lower_triangular(rng, n)
+            self._check(low)
+            self._check([row[::-1] for row in low])
+            self._check([list(col) for col in zip(*low)])
+
+    def test_sparse(self):
+        rng = random.Random(42)
+        for trial in range(30):
+            n = rng.randrange(1, 11)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            # a permuted diagonal keeps the matrix invertible; sprinkle a few
+            # off-pattern entries and keep the ones that stay invertible
+            m = [[_rand_fraction(rng, nonzero=True) if perm[i] == j else Fraction(0)
+                  for j in range(n)] for i in range(n)]
+            for _ in range(n):
+                m[rng.randrange(n)][rng.randrange(n)] = _rand_fraction(rng)
+            try:
+                self._check(m)
+            except SingularMatrixError:
+                continue
+
+    def test_empty(self):
+        assert matrix_inverse([]) == []
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            matrix_inverse([[1, 2]])
+
+    def test_dependency_only_after_elimination(self):
+        # no zero row, no two rows proportional; row 3 = row 1 + row 2
+        m = [[1, 2, 0, 1], [0, 1, 3, 1], [1, 3, 3, 2], [2, 0, 1, 5]]
+        with pytest.raises(SingularMatrixError):
+            matrix_inverse(m)
 
 
 class TestAffineForm:
@@ -142,6 +238,12 @@ class TestParametricSolve:
         with pytest.raises(LinearSystemError):
             parametric_linear_solve([[1], [1]],
                                     [AffineForm(1), AffineForm(2)], ["x"])
+        # row 3 = row 1 + row 2 on the left only, seen after elimination
+        with pytest.raises(LinearSystemError, match="no solution: 0 = "):
+            parametric_linear_solve(
+                [[1, 2, 0], [0, 1, 1], [1, 3, 1]],
+                [AffineForm(1), AffineForm.parameter("t"), AffineForm(0)],
+                ["x", "y", "z"])
 
     def test_rank_deficiency_reported_as_free(self):
         sol, free = parametric_linear_solve(
@@ -157,7 +259,6 @@ class TestParametricSolve:
         assert sol["x"] == AffineForm(2) and sol["y"] == AffineForm(3)
 
     def test_substitution_satisfies_system(self):
-        import random
         rng = random.Random(13)
         for trial in range(20):
             n = rng.randrange(1, 5)
@@ -183,6 +284,71 @@ class TestParametricSolve:
             for row, want in zip(a, rhs):
                 got = sum(c * x for c, x in zip(row, xs))
                 assert got == want.substitute({"t": t_val}).as_fraction()
+
+
+class TestSparseSolveStructure:
+    """Systems shaped like the minimal-shadow constraints: triangular
+    blocks, anti-triangular blocks whose leads decrease, a dense coupling
+    row, parameters on the right-hand side, and rank deficiency."""
+
+    def test_lower_triangular_blocks(self):
+        rng = random.Random(31)
+        for n in range(1, 11):
+            x_true = _affine_unknowns(rng, n)
+            sol, free, unknowns = _solve_shuffled(rng, _lower_triangular(rng, n), x_true)
+            assert [sol[u] for u in unknowns] == x_true
+            assert set(free) == set().union(*(x.parameters() for x in x_true))
+
+    def test_anti_triangular_blocks_decreasing_leads(self):
+        rng = random.Random(32)
+        for n in range(1, 11):
+            # row i touches columns n-1-i .. n-1, so in the given order
+            # every new row has a smaller lead than all rows before it
+            a = [row[::-1] for row in _lower_triangular(rng, n)]
+            x_true = _affine_unknowns(rng, n)
+            rhs = _rhs_for(a, x_true)
+            unknowns = [f"x{i}" for i in range(n)]
+            sol, free = parametric_linear_solve(a, rhs, unknowns)
+            assert [sol[u] for u in unknowns] == x_true
+            sol, free, unknowns = _solve_shuffled(rng, a, x_true)
+            assert [sol[u] for u in unknowns] == x_true
+
+    def test_dense_coupling_row_last(self):
+        rng = random.Random(33)
+        for trial in range(30):
+            n = rng.randrange(2, 11)
+            p = rng.randrange(1, n)
+            low = _lower_triangular(rng, p)
+            anti = [row[::-1] for row in _lower_triangular(rng, n - p - 1)]
+            # columns 0..p-1: lower block; p: coupling slot; p+1..n-1: anti block
+            a = [row + [Fraction(0)] * (n - p) for row in low]
+            a += [[Fraction(0)] * (p + 1) + row for row in anti]
+            x_true = _affine_unknowns(rng, n)
+            dense = [_rand_fraction(rng) for _ in range(n)]
+            dense[p] = _rand_fraction(rng, nonzero=True)
+            a.append(dense)
+            rhs = _rhs_for(a, x_true)
+            unknowns = [f"x{i}" for i in range(n)]
+            sol, free = parametric_linear_solve(a, rhs, unknowns)
+            assert [sol[u] for u in unknowns] == x_true
+
+    def test_rank_deficient(self):
+        rng = random.Random(35)
+        for trial in range(40):
+            n = rng.randrange(2, 11)
+            rank = rng.randrange(1, n)
+            basis = [[_rand_fraction(rng) for _ in range(n)] for _ in range(rank)]
+            a = []
+            for _ in range(rng.randrange(1, n + 2)):
+                mix = [rng.randrange(-2, 3) for _ in basis]
+                a.append([sum(k * b[j] for k, b in zip(mix, basis))
+                          for j in range(n)])
+            x_true = _affine_unknowns(rng, n)
+            sol, free, unknowns = _solve_shuffled(rng, a, x_true)
+            free_unknowns = [name for name in free if name in unknowns]
+            assert len(free_unknowns) >= n - rank
+            for name in free_unknowns:
+                assert sol[name] == AffineForm.parameter(name)
 
 
 def test_format_exact():

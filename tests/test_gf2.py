@@ -137,6 +137,12 @@ class TestNeighbor:
         with pytest.raises(ValueError):
             neighbor(PAIR4, (1, 2, 3))
 
+    def test_non_self_dual_rejected(self):
+        # [1100] alone is self-orthogonal but not self-dual; a neighbor
+        # built from it would be the non-self-dual code [0110]
+        with pytest.raises(ValueError, match="self-dual"):
+            neighbor(build_code([[1, 1, 0, 0]]), (2, 3))
+
     def test_shares_codimension_one_subcode(self):
         nb = neighbor(PAIR4, (1, 3))
         # intersection dimension: rank(A) + rank(B) - rank(A stacked on B)
