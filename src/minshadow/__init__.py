@@ -5,19 +5,16 @@ families), nonexistence scans by coefficient nonnegativity and
 integrality, and an exhaustive GF(2) code engine for cross-checking
 against real codes."""
 
-from .exact import (AffineForm, LinearSystemError, SingularMatrixError,
-                    VerificationFailure, binomial, format_exact,
-                    matrix_inverse, parametric_linear_solve, poly_product)
+from .exact import (AffineForm, LinearSystemError, VerificationFailure,
+                    binomial, format_exact, parametric_linear_solve)
 from .gf2 import (BinaryCode, NEIGHBOR_TABLE, ShadowPartition, circulant,
-                  dual, extract_beta, is_minimal_shadow, is_self_dual,
-                  macwilliams_fixed_point, min_weight, neighbor, parity_class,
-                  reference_code_46, shadow, verify_neighbor_table,
-                  weight_distribution)
+                  extract_beta, is_minimal_shadow, is_self_dual, min_weight,
+                  neighbor, parity_class, reference_code_46, shadow,
+                  verify_neighbor_table, weight_distribution)
 from .gleason import (FamilyParams, ParametricEnumerator, TransformTables,
-                      build_transform_tables, code_basis_poly,
-                      code_inverse_col0, enumerators_from_gleason,
-                      gleason_from_code, gleason_from_shadow,
-                      shadow_basis_column, shadow_inverse_entry)
+                      build_transform_tables, code_inverse_col0,
+                      enumerators_from_gleason, shadow_basis_column,
+                      shadow_inverse_entry)
 from .solver import (FAMILY_CASES, Admissibility, ConstraintSet, FamilyCase,
                      NonexistencePolynomial, admissible, admissible_at,
                      beta_range, closed_form_a2m1, closed_form_bm,

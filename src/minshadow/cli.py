@@ -83,19 +83,37 @@ def _emit(doc: dict, text_lines: list[str], fmt: str) -> None:
 # commands
 
 
+def _scan_certificate(case, m, cert) -> dict:
+    """The first offending coefficient of an inadmissible scan row."""
+    weight = (2 * cert.index if cert.side == "a"
+              else case.params(m).shadow_exponent(cert.index))
+    return {"side": cert.side, "index": str(cert.index), "weight": str(weight),
+            "value": format_exact(cert.value),
+            "reason": "negative" if cert.value < 0 else "non-integer"}
+
+
 def cmd_scan(args) -> int:
     case = family_case(args.family)
     results = nonexistence_scan(case, args.m_max, jobs=args.jobs)
     top = max_admissible(results)
+    rows, lines = [], []
+    for m, cert in results:
+        row = {"m": str(m), "admissible": cert.ok}
+        line = f"{case.tag}: m={m} admissible"
+        if not cert:
+            why = row["certificate"] = _scan_certificate(case, m, cert)
+            line = (f"{case.tag}: m={m} not admissible ({why['side']}"
+                    f"[{why['index']}] at weight {why['weight']}, "
+                    f"{why['reason']})")
+        rows.append(row)
+        lines.append(line)
     doc = {
         "command": "scan",
         "family": case.tag,
         "m_max": str(args.m_max),
-        "results": [{"m": str(m), "admissible": ok} for m, ok in results],
+        "results": rows,
         "max_admissible": None if top is None else str(top),
     }
-    lines = [f"{case.tag}: m={m} {'admissible' if ok else 'not admissible'}"
-             for m, ok in results]
     lines.append(f"max admissible m = {top}")
     _emit(doc, lines, args.format)
     return 0

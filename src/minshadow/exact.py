@@ -1,11 +1,11 @@
-"""Exact arithmetic substrate: binomials, dense polynomials, rational
-matrices, and affine forms over named parameters.
+"""Exact arithmetic substrate: binomials, polynomial evaluation, affine
+forms over named parameters, and the parametric linear solve.
 
 Integers are Python ints, rationals are fractions.Fraction, a polynomial
-is a coefficient list indexed by exponent (trailing zeros trimmed, the
-zero polynomial is []), and a matrix is a rectangular list of rows.
-Every routine is a pure function over immutable-by-convention values;
-nothing here ever touches floating point.
+is a coefficient list indexed by exponent, and a matrix is a rectangular
+list of rows.  Every routine is a pure function over
+immutable-by-convention values; nothing here ever touches floating
+point.
 """
 
 from __future__ import annotations
@@ -15,10 +15,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 Scalar = int | Fraction
-
-
-class SingularMatrixError(ValueError):
-    """Raised when a matrix inverse is requested for a singular matrix."""
 
 
 class LinearSystemError(ValueError):
@@ -43,113 +39,11 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-# ---------------------------------------------------------------------------
-# dense univariate polynomials
-
-
-def poly_trim(p: Sequence[Scalar]) -> list[Scalar]:
-    """Strip trailing zero coefficients."""
-    n = len(p)
-    while n and not p[n - 1]:
-        n -= 1
-    return list(p[:n])
-
-
-def poly_add(p: Sequence[Scalar], q: Sequence[Scalar]) -> list[Scalar]:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] = out[i] + c
-    return poly_trim(out)
-
-
-def poly_scale(c: Scalar, p: Sequence[Scalar]) -> list[Scalar]:
-    if not c:
-        return []
-    return [c * x for x in p]
-
-
-def poly_product(p: Sequence[Scalar], q: Sequence[Scalar]) -> list[Scalar]:
-    """Exact convolution product."""
-    p = poly_trim(p)
-    q = poly_trim(q)
-    if not p or not q:
-        return []
-    out: list[Scalar] = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return poly_trim(out)
-
-
-def poly_pow(p: Sequence[Scalar], e: int) -> list[Scalar]:
-    if e < 0:
-        raise ValueError("negative polynomial power")
-    out: list[Scalar] = [1]
-    base = poly_trim(p)
-    while e:
-        if e & 1:
-            out = poly_product(out, base)
-        e >>= 1
-        if e:
-            base = poly_product(base, base)
-    return out
-
-
 def poly_eval(p: Sequence[Scalar], x: Scalar) -> Scalar:
     acc: Scalar = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-# ---------------------------------------------------------------------------
-# rational matrices
-
-Matrix = list[list[Fraction]]
-
-
-def identity_matrix(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def matrix_product(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            c = ai[k]
-            if c:
-                bk = b[k]
-                for j in range(cols):
-                    if bk[j]:
-                        oi[j] += c * bk[j]
-    return out
-
-
-def matrix_inverse(m: Sequence[Sequence[Scalar]]) -> Matrix:
-    """Exact inverse, read off the parametric solution of m x = e.
-
-    The right-hand side is e_i = parameter "e{i}", so entry (j, i) of the
-    inverse is the coefficient of e_i in x_j.  A singular matrix leaves
-    some row 0 = (a nonzero combination of the e_i) and raises
-    SingularMatrixError.
-    """
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix_inverse requires a square matrix")
-    unknowns = [f"x{j}" for j in range(n)]
-    rhs = [AffineForm.parameter(f"e{i}") for i in range(n)]
-    try:
-        x, _ = parametric_linear_solve(m, rhs, unknowns)
-    except LinearSystemError as exc:
-        raise SingularMatrixError(f"matrix is singular ({exc})") from exc
-    return [[x[u].terms.get(f"e{i}", Fraction(0)) for i in range(n)]
-            for u in unknowns]
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +77,6 @@ class AffineForm:
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("AffineForm is immutable")
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.terms
 
     def as_fraction(self) -> Fraction:
         if self.terms:

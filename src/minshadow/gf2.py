@@ -21,8 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exact import (VerificationFailure, poly_add, poly_product, poly_scale,
-                    poly_trim)
+from .exact import VerificationFailure
 from .gleason import FamilyParams
 from .solver import FAMILY_CASES, FamilyCase, minimal_shadow_r, solve
 
@@ -114,35 +113,12 @@ class BinaryCode:
         return f"BinaryCode(n={self.n}, k={self.k})"
 
 
-def build_code(rows: Sequence[Sequence[int]] | Sequence[int],
-               n: int | None = None) -> BinaryCode:
-    """Build a code from bit-vector rows, or from row ints when n is given."""
-    if n is not None:
-        return BinaryCode([int(r) for r in rows], n)
-    return BinaryCode.from_vectors(rows)  # type: ignore[arg-type]
-
-
 def circulant(first_row: Sequence[int]) -> list[list[int]]:
     """k x k circulant matrix: row i is first_row cyclically right-shifted by i."""
     k = len(first_row)
     if k < 1:
         raise ValueError("circulant needs a nonempty first row")
     return [[first_row[(j - i) % k] for j in range(k)] for i in range(k)]
-
-
-def dual(code: BinaryCode) -> BinaryCode:
-    """The dual code, from the standard nullspace construction on the RREF."""
-    pivset = set(code.pivots)
-    gens = []
-    for f in range(code.n):
-        if f in pivset:
-            continue
-        v = 1 << f
-        for r, p in zip(code.rows, code.pivots):
-            if r & (1 << f):
-                v |= 1 << p
-        gens.append(v)
-    return BinaryCode(gens, code.n)
 
 
 def is_self_orthogonal(code: BinaryCode) -> bool:
@@ -251,6 +227,9 @@ def shadow(code: BinaryCode) -> ShadowPartition:
     C0 splits into four cosets of C0, two of which form the code; the
     shadow is the other two, i.e. the coset t + C for any t in the dual
     of C0 outside C, so its distribution comes from one coset enumeration.
+    Such a t is read off the RREF: the sum of the pivot unit vectors of
+    the rows g_i with wt(g_i)/2 odd meets each g_i in wt(g_i)/2 (mod 2)
+    positions, so t is orthogonal to C0 but not to C = C^perp.
     """
     if code._shadow is not None:
         return code._shadow
@@ -266,7 +245,7 @@ def shadow(code: BinaryCode) -> ShadowPartition:
     if c0.k != code.k - 1:
         raise VerificationFailure(f"doubly even subcode has dimension {c0.k}, "
                                   f"expected {code.k - 1}")
-    t = next(v for v in dual(c0).rows if not code.contains(v))
+    t = sum(1 << p for p, f in zip(code.pivots, par) if f)
     weights = weight_distribution(code, offset=t)
     code._shadow = ShadowPartition(c0, (t, t ^ g), weights)
     return code._shadow
@@ -448,35 +427,6 @@ def verify_neighbor_table() -> list[NeighborCheck]:
                 f"(expected {beta_expect}), flags={check}")
         out.append(check)
     return out
-
-
-# ---------------------------------------------------------------------------
-# identities
-
-
-def macwilliams_fixed_point(code: BinaryCode) -> bool:
-    """Exact MacWilliams self-duality check on the weight distribution:
-    2^(n/2) W(y) = (1+y)^n W((1-y)/(1+y)) after clearing denominators."""
-    if 2 * code.k != code.n:
-        raise ValueError("MacWilliams fixed point applies to self-dual sizes")
-    dist = code_weight_distribution(code)
-    n = code.n
-    rhs: list = []
-    one_minus = [1, -1]
-    one_plus = [1, 1]
-    # sum_w A_w (1-y)^w (1+y)^(n-w)
-    pw_minus = [[1]]
-    for _ in range(n):
-        pw_minus.append(poly_product(pw_minus[-1], one_minus))
-    pw_plus = [[1]]
-    for _ in range(n):
-        pw_plus.append(poly_product(pw_plus[-1], one_plus))
-    for w, count in enumerate(dist):
-        if count:
-            rhs = poly_add(rhs, poly_scale(count, poly_product(pw_minus[w],
-                                                               pw_plus[n - w])))
-    lhs = poly_scale(1 << code.k, dist)
-    return poly_trim(lhs) == poly_trim(rhs)
 
 
 # ---------------------------------------------------------------------------

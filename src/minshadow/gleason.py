@@ -19,9 +19,9 @@ are therefore invertible, and their exact inverses convert low-order
 coefficient constraints on a and b into linear conditions on the c_j.
 
 This module builds the four blocks, provides closed forms for the
-inverse entries that the solver needs in bulk, and converts between
-(a, b) coefficient vectors and Gleason coefficients.  Coefficient
-vectors are affine forms so that one-parameter enumerator families flow
+inverse entries that the solver needs in bulk, and expands Gleason
+coefficients into (a, b) coefficient vectors.  Coefficient vectors are
+affine forms so that one-parameter enumerator families flow
 through unchanged.  Every expansion of Gleason coefficients into
 enumerator vectors goes through expand_scaled, which clears
 denominators and runs both Horner passes on plain integers.
@@ -34,8 +34,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import (AffineForm, Matrix, Scalar, VerificationFailure, as_affine,
+from .exact import (AffineForm, Scalar, VerificationFailure, as_affine,
                     binomial)
+
+Matrix = list[list[Fraction]]
 
 
 @dataclass(frozen=True)
@@ -101,29 +103,10 @@ def _mul_taps(p: list, taps) -> list:
         if c == 1:
             for i, x in enumerate(p):
                 out[i + shift] += x
-        elif c == -1:
-            for i, x in enumerate(p):
-                out[i + shift] -= x
         else:
             for i, x in enumerate(p):
                 out[i + shift] += c * x
     return out
-
-
-def code_basis_poly(j: int, fam: FamilyParams) -> list[int]:
-    """Full expansion of (1+z)^(n/2-4j) (z(1-z)^2)^j in z = y^2.
-
-    The truncation of column j to degree K is column j of the code-side
-    transform block; in particular the coefficient at z^j is 1 and all
-    lower coefficients vanish.
-    """
-    k_top = fam.c_count - 1
-    if not 0 <= j <= k_top:
-        raise ValueError(f"basis index {j} out of range 0..{k_top}")
-    p = [binomial(fam.half - 4 * j, i) for i in range(fam.half - 4 * j + 1)]
-    for _ in range(j):
-        p = _mul_taps(p, _V_TAPS)
-    return p
 
 
 def shadow_basis_column(j: int, fam: FamilyParams) -> list[Fraction]:
@@ -155,8 +138,6 @@ def _code_basis_block(fam: FamilyParams) -> list[list[int]]:
     cols = [col]
     for _ in range(k_top):
         nxt = _mul_taps(col, _V_TAPS)[: k_top + 1]
-        if len(nxt) < k_top + 1:
-            nxt += [0] * (k_top + 1 - len(nxt))
         for _ in range(4):  # divide by (1+z)
             out = [0] * (k_top + 1)
             prev = 0
@@ -258,39 +239,7 @@ def shadow_inverse_entry(i: int, j: int, fam: FamilyParams) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# coefficient conversions
-
-
-def _gleason_from(values: Sequence[AffineForm | Scalar], inverse: Matrix,
-                  side: str) -> list[AffineForm]:
-    """c_i = sum_j inverse[i][j] * values[j], skipping the zero entries
-    outside the support of the inverse block."""
-    k = len(inverse)
-    if len(values) < k:
-        raise ValueError(f"need at least {k} {side} coefficients, got {len(values)}")
-    vv = [as_affine(x) for x in values[:k]]
-    out = []
-    for row in inverse:
-        c = AffineForm(0)
-        for v, e in zip(vv, row):
-            if e:
-                c = c + v * e
-        out.append(c)
-    return out
-
-
-def gleason_from_code(a: Sequence[AffineForm | Scalar],
-                      tables: TransformTables) -> list[AffineForm]:
-    """Gleason coefficients from the leading code coefficients:
-    c_i = sum_{j<=i} code_inverse[i][j] * a_j."""
-    return _gleason_from(a, tables.code_inverse, "code")
-
-
-def gleason_from_shadow(b: Sequence[AffineForm | Scalar],
-                        tables: TransformTables) -> list[AffineForm]:
-    """Gleason coefficients from the leading shadow coefficients:
-    c_i = sum_{j<=K-i} shadow_inverse[i][j] * b_j."""
-    return _gleason_from(b, tables.shadow_inverse, "shadow")
+# expansion of Gleason coefficients
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ polynomials f(m) controlling the sign of b_{m+1} are provided alongside.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -411,34 +412,30 @@ def admissible_at(case: FamilyCase, m: int) -> Admissibility:
     return _certify((("a", a_hat, da), ("b", b_hat, db)))
 
 
-def _scan_worker(args: tuple[str, int]) -> tuple[int, bool]:
-    tag, m = args
-    return m, bool(admissible_at(FAMILY_CASES[tag], m))
-
-
 def nonexistence_scan(case: FamilyCase, m_max: int,
-                      jobs: int | None = None) -> list[tuple[int, bool]]:
-    """Admissibility of every m in 1..m_max, evaluated independently per m.
+                      jobs: int | None = None) -> list[tuple[int, Admissibility]]:
+    """Admissibility certificate of every m in 1..m_max, in m order,
+    each m evaluated independently.
 
-    At most min(jobs, cpu count, m_max) worker processes run.  Results
-    are merged by m, so they do not depend on the worker count.
+    At most min(jobs, cpu count, m_max) worker processes run; the
+    results do not depend on the worker count.
     """
     if case.tag not in UNIQUE_FAMILIES:
         raise ValueError(f"scan applies to unique-enumerator families, not {case.tag}")
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    ms = list(range(1, m_max + 1))
+    ms = range(1, m_max + 1)
+    check = functools.partial(admissible_at, case)
     workers = min(jobs or 1, os.cpu_count() or 1, len(ms))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_worker, [(case.tag, m) for m in ms],
-                                    chunksize=4))
+            results = list(pool.map(check, ms, chunksize=4))
     else:
-        results = [_scan_worker((case.tag, m)) for m in ms]
-    return sorted(results)
+        results = list(map(check, ms))
+    return list(zip(ms, results))
 
 
-def max_admissible(scan: Sequence[tuple[int, bool]]) -> int | None:
+def max_admissible(scan: Sequence[tuple[int, Admissibility]]) -> int | None:
     hits = [m for m, ok in scan if ok]
     return max(hits) if hits else None
 

@@ -11,18 +11,18 @@ import random
 import pytest
 
 from minshadow.exact import AffineForm
-from minshadow.gf2 import (NEIGHBOR_TABLE, build_code, enumerator_vectors,
-                           extract_beta, is_self_dual, macwilliams_fixed_point,
-                           min_weight, neighbor, parity_class,
+from minshadow.gf2 import (NEIGHBOR_TABLE, enumerator_vectors, extract_beta,
+                           is_self_dual, min_weight, neighbor, parity_class,
                            reference_code_46, shadow)
 from minshadow.gleason import (FamilyParams, build_transform_tables,
                                code_inverse_col0, enumerators_from_gleason,
-                               gleason_from_code, gleason_from_shadow,
                                shadow_inverse_entry)
 from minshadow.solver import (admissible_at, beta_range, closed_form_a2m1,
                               closed_form_bm, closed_form_bm1, family_case,
                               largest_root_bracket, max_admissible,
                               minimal_shadow_r, nonexistence_scan, solve)
+from oracles import (build_code, gleason_from_code, gleason_from_shadow,
+                     macwilliams_fixed_point)
 
 C2, C4, C6, C10, C22 = (family_case(t) for t in
                         ("24m+2", "24m+4", "24m+6", "24m+10", "24m+22"))

@@ -1,11 +1,14 @@
 """CLI behavior: output contracts, determinism, exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from minshadow import solver
 from minshadow.cli import main
 from minshadow.gf2 import format_generator_file, reference_code_46
+from minshadow.solver import Admissibility
 
 
 def run(capsys, *argv):
@@ -84,6 +87,36 @@ class TestScanCommand:
         _, out2, _ = run(capsys, "scan", "--family", "24m+2", "--m-max", "3",
                          "--jobs", "2")
         assert out1 == out2
+
+    # a code-side failure (weight 2i) and a shadow-side one (weight 4i + r)
+    @pytest.mark.parametrize("family,cert,row,line", [
+        ("24m+4", Admissibility(False, "a", 9, Fraction(-12)),
+         {"side": "a", "index": "9", "weight": "18", "value": "-12",
+          "reason": "negative"},
+         "24m+4: m=2 not admissible (a[9] at weight 18, negative)"),
+        ("24m+10", Admissibility(False, "b", 5, Fraction(7, 2)),
+         {"side": "b", "index": "5", "weight": "21", "value": "7/2",
+          "reason": "non-integer"},
+         "24m+10: m=2 not admissible (b[5] at weight 21, non-integer)"),
+    ])
+    def test_inadmissible_rows_carry_certificate(self, capsys, monkeypatch,
+                                                 family, cert, row, line):
+        real = solver.admissible_at
+        monkeypatch.setattr(solver, "admissible_at",
+                            lambda case, m: cert if m == 2 else real(case, m))
+        argv = ("scan", "--family", family, "--m-max", "3", "--jobs", "1")
+        doc = run_json(capsys, *argv)
+        assert doc["results"] == [
+            {"m": "1", "admissible": True},
+            {"m": "2", "admissible": False, "certificate": row},
+            {"m": "3", "admissible": True},
+        ]
+        assert doc["max_admissible"] == "3"
+        code, out, _ = run(capsys, *argv, "--format", "text")
+        assert code == 0
+        assert out.splitlines() == [f"{family}: m=1 admissible", line,
+                                    f"{family}: m=3 admissible",
+                                    "max admissible m = 3"]
 
 
 class TestBetaRangeCommand:

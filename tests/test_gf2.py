@@ -4,16 +4,17 @@ length-46 code."""
 import pytest
 
 from minshadow.gf2 import (BetaMismatchError, BinaryCode, EnumerationCapError,
-                           GeneratorFileError, NEIGHBOR_TABLE, build_code,
-                           circulant, dual, enumerator_vectors, extract_beta,
+                           GeneratorFileError, NEIGHBOR_TABLE, circulant,
+                           enumerator_vectors, extract_beta,
                            format_generator_file, is_minimal_shadow,
-                           is_self_dual, macwilliams_fixed_point, min_weight,
-                           neighbor, parity_class, parse_generator_file,
-                           reference_code_46, shadow, support_mask,
-                           weight_distribution)
+                           is_self_dual, min_weight, neighbor, parity_class,
+                           parse_generator_file, reference_code_46, shadow,
+                           support_mask, weight_distribution)
 from minshadow.gleason import (FamilyParams, build_transform_tables,
-                               enumerators_from_gleason, gleason_from_code)
+                               enumerators_from_gleason)
 from minshadow.solver import family_case, minimal_shadow_r
+from oracles import (build_code, dual, gleason_from_code,
+                     macwilliams_fixed_point)
 
 REP2 = build_code([[1, 1]])                       # the [2,1,2] code
 PAIR4 = build_code([[1, 1, 0, 0], [0, 0, 1, 1]])  # two copies side by side
@@ -113,14 +114,23 @@ class TestShadow:
 
     def test_shadow_and_code_partition_c0_dual(self):
         # the shadow cosets and the code together fill the dual of C0
-        part = shadow(PAIR4)
-        c0_dual = dual(part.c0)
-        assert c0_dual.k == PAIR4.n // 2 + 1
-        for rep in part.shadow_reps:
-            assert c0_dual.contains(rep)
-            assert not PAIR4.contains(rep)
-        for row in PAIR4.rows:
-            assert c0_dual.contains(row)
+        c46 = reference_code_46()
+        codes = [REP2, PAIR4, c46] + [neighbor(c46, supp)
+                                      for supp, _ in NEIGHBOR_TABLE]
+        for code in codes:
+            part = shadow(code)
+            c0_dual = dual(part.c0)
+            assert c0_dual.k == code.n // 2 + 1
+            for rep in part.shadow_reps:
+                assert c0_dual.contains(rep)
+                assert not code.contains(rep)
+            for row in code.rows:
+                assert c0_dual.contains(row)
+            # the representative meets each generator g in wt(g)/2
+            # positions, mod 2
+            t = part.shadow_reps[0]
+            for g in code.rows:
+                assert (t & g).bit_count() % 2 == (g.bit_count() // 2) % 2
 
 
 class TestNeighbor:
@@ -210,7 +220,7 @@ class TestReferenceCode:
         assert [x.as_fraction() for x in enum.a] == a_obs
         assert [x.as_fraction() for x in enum.b] == b_obs
         # the same Gleason coefficients arise from the shadow side
-        from minshadow.gleason import gleason_from_shadow
+        from oracles import gleason_from_shadow
         assert gleason_from_shadow(b_obs, tables) == c
 
 

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from minshadow.exact import AffineForm, binomial, identity_matrix, matrix_product
+from minshadow.exact import AffineForm, binomial
 from minshadow.gleason import (FamilyParams, build_transform_tables,
-                               code_basis_poly, code_inverse_col0,
-                               enumerators_from_gleason, gleason_from_code,
-                               gleason_from_shadow, shadow_basis_column,
-                               shadow_inverse_entry)
+                               code_inverse_col0, enumerators_from_gleason,
+                               shadow_basis_column, shadow_inverse_entry)
+from oracles import (code_basis_poly, gleason_from_code, gleason_from_shadow,
+                     identity_matrix, matrix_product)
 
 # every decomposition with m <= 3 (the m <= 8 sweep lives in the
 # acceptance suite); n = 0 is excluded by validity

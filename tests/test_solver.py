@@ -12,9 +12,9 @@ import pytest
 import minshadow
 from minshadow import solver
 from minshadow.exact import AffineForm
-from minshadow.solver import (FAMILY_CASES, FreeParameterError, admissible,
-                              admissible_at, beta_family_for_length, beta_range,
-                              closed_form_a2m1, closed_form_bm,
+from minshadow.solver import (FAMILY_CASES, Admissibility, FreeParameterError,
+                              admissible, admissible_at, beta_family_for_length,
+                              beta_range, closed_form_a2m1, closed_form_bm,
                               closed_form_bm1, evaluate_f, f_poly, family_case,
                               largest_root_bracket, max_admissible,
                               minimal_shadow_constraints, minimal_shadow_r,
@@ -268,7 +268,7 @@ class TestAdmissibility:
 
     def test_small_scan(self):
         scan = nonexistence_scan(C2, 5)
-        assert scan == [(m, True) for m in range(1, 6)]
+        assert [(m, a.ok) for m, a in scan] == [(m, True) for m in range(1, 6)]
         assert max_admissible(scan) == 5
 
     def test_scan_24m4_to_ten(self):
@@ -281,6 +281,18 @@ class TestAdmissibility:
 
     def test_scan_jobs_deterministic(self):
         assert nonexistence_scan(C4, 4, jobs=2) == nonexistence_scan(C4, 4)
+
+    def test_scan_keeps_certificates(self, monkeypatch):
+        real = solver.admissible_at
+        bad = Admissibility(False, "b", 5, Fraction(7, 2))
+        monkeypatch.setattr(solver, "admissible_at",
+                            lambda case, m: bad if m == 3 else real(case, m))
+        scan = nonexistence_scan(C4, 4)
+        assert [m for m, _ in scan] == [1, 2, 3, 4]
+        assert scan[2] == (3, bad)
+        assert all(a.ok and a.side is None for m, a in scan if m != 3)
+        assert max_admissible(scan) == 4
+        assert max_admissible(scan[:3]) == 2
 
     @pytest.mark.parametrize("jobs,cpus,m_max,workers", [
         (1000, 4, 3, 3), (1000, 4, 10, 4), (2, 4, 10, 2), (1000, None, 10, None),
@@ -305,7 +317,8 @@ class TestAdmissibility:
         monkeypatch.setattr(solver, "ProcessPoolExecutor", StubPool)
         monkeypatch.setattr(solver.os, "cpu_count", lambda: cpus)
         scan = nonexistence_scan(C4, m_max, jobs=jobs)
-        assert scan == [(m, True) for m in range(1, m_max + 1)]
+        assert ([(m, a.ok) for m, a in scan]
+                == [(m, True) for m in range(1, m_max + 1)])
         assert started == ([] if workers is None else [workers])
 
 
