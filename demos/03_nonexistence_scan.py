@@ -18,10 +18,9 @@ from minshadow import (admissible_at, evaluate_f, f_poly, family_case,
 
 for tag, boundary in (("24m+2", 154), ("24m+4", 155), ("24m+10", 159)):
     case = family_case(tag)
-    poly = f_poly(case)
     lo, hi = largest_root_bracket(case)
     print(f"family {tag}")
-    print(f"   f coefficients (ascending): {poly.coeffs}")
+    print(f"   f coefficients (ascending): {f_poly(case)}")
     print(f"   largest root of f in ({lo}, {hi}); "
           f"f({lo}) = {evaluate_f(case, lo)}, f({hi}) = {evaluate_f(case, hi)}")
     for m in (boundary - 1, boundary, boundary + 1, boundary + 2):

@@ -23,7 +23,7 @@ from .gf2 import (BetaMismatchError, GeneratorFileError, extract_beta,
 from .gleason import (FamilyParams, ParametricEnumerator,
                       build_transform_tables, code_inverse_col0,
                       shadow_inverse_entry)
-from .solver import (BETA, FAMILY_CASES, UNIQUE_FAMILIES,
+from .solver import (BETA, BETA_FAMILIES, FAMILY_CASES, UNIQUE_FAMILIES,
                      beta_family_for_length, beta_range, family_case,
                      max_admissible, minimal_shadow_r, nonexistence_scan,
                      rains_bound, solve)
@@ -47,7 +47,7 @@ def _enumerator_doc(enum: ParametricEnumerator) -> dict:
     }
 
 
-def _enumerator_text(enum: ParametricEnumerator, terms: int = 5) -> list[str]:
+def _enumerator_text(enum: ParametricEnumerator) -> list[str]:
     def series(pairs):
         shown = []
         for exp, v in pairs:
@@ -59,7 +59,7 @@ def _enumerator_text(enum: ParametricEnumerator, terms: int = 5) -> list[str]:
             shown.append("1" if (body == "1" and exp == 0)
                          else (body if exp == 0 else
                                (f"y^{exp}" if body == "1" else f"{body} y^{exp}")))
-            if len(shown) == terms:
+            if len(shown) == 5:
                 shown.append("...")
                 break
         return " + ".join(shown) if shown else "0"
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("beta-range", parents=[common],
                        help="admissible beta interval for a parametrized family")
-    p.add_argument("--family", required=True, choices=("24m+6", "24m+22"))
+    p.add_argument("--family", required=True, choices=BETA_FAMILIES)
     p.add_argument("--m", type=_nonnegative_int, required=True)
     p.set_defaults(func=cmd_beta_range)
 

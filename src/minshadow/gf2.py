@@ -169,20 +169,19 @@ def _combos(packed: np.ndarray) -> np.ndarray:
     return acc
 
 
-def weight_distribution(code: BinaryCode, offset: int = 0,
-                        cap: int = ENUMERATION_CAP) -> list[int]:
+def weight_distribution(code: BinaryCode, offset: int = 0) -> list[int]:
     """Exact weight counts of the coset offset + C over all 2^k codewords."""
-    if code.k > cap:
+    if code.k > ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"dimension {code.k} exceeds the enumeration cap {cap}")
+            f"dimension {code.k} exceeds the enumeration cap {ENUMERATION_CAP}")
     ka = code.k // 2
     a = _combos(_pack(code.rows[:ka], code.n)) ^ _pack([offset], code.n)[0]
     b = _combos(_pack(code.rows[ka:], code.n))
     counts = np.zeros(code.n + 1, dtype=np.int64)
-    chunk = max(1, (1 << 22) // max(1, b.shape[0]))
+    chunk = max(1, (1 << 22) // b.size)  # each XOR block holds ~2^22 words
     for s in range(0, a.shape[0], chunk):
-        block = a[s:s + chunk, None, :] ^ b[None, :, :]
-        w = np.bitwise_count(block).sum(axis=2, dtype=np.int64)
+        w = np.bitwise_count(a[s:s + chunk, None, :] ^ b[None, :, :]).sum(
+            axis=2, dtype=np.int64)
         counts += np.bincount(w.ravel(), minlength=code.n + 1)
     return [int(x) for x in counts]
 
@@ -474,10 +473,8 @@ def parse_generator_file(text: str) -> BinaryCode:
     return code
 
 
-def format_generator_file(code: BinaryCode, header: bool = True) -> str:
-    lines = []
-    if header:
-        lines.append(f"{code.n} {code.k}")
+def format_generator_file(code: BinaryCode) -> str:
+    lines = [f"{code.n} {code.k}"]
     for row in code.row_vectors():
         lines.append("".join(str(b) for b in row))
     return "\n".join(lines) + "\n"

@@ -92,7 +92,8 @@ class FamilyParams:
 
 # small expansion kernels, as (shift, coefficient) taps
 _V_TAPS = ((1, 1), (2, -2), (3, 1))            # z(1-z)^2
-_U_TAPS = ((0, 1), (1, 4), (2, 6), (3, 4), (4, 1))   # (1+z)^4
+_S_TAPS = ((1, 1), (2, -4))                    # s - 4s^2
+_W_TAPS = ((0, 1), (1, 2), (2, 1))             # (1+z)^2
 _Q_TAPS = ((0, 1), (1, -2), (2, 1))            # (1-w)^2
 
 
@@ -270,23 +271,23 @@ def horner_code_side(coeffs: Sequence[int], fam: FamilyParams) -> list[int]:
     """Expand sum_j coeffs[j] (1+z)^(n/2-4j) (z(1-z)^2)^j to full degree.
 
     Takes integer Gleason coefficients (expand_scaled clears the
-    denominators first).  Writing u = (1+z)^4 and v = z(1-z)^2 the sum
-    equals (1+z)^r * sum_j coeffs[j] u^(K-j) v^j, evaluated Horner-style
-    so the cost is one small-kernel pass per term.
+    denominators first).  With s = z/(1+z)^2 one has
+    ((1-z)/(1+z))^2 = 1 - 4s, so each term equals
+    (1+z)^(n/2) coeffs[j] (s - 4s^2)^j.  Pass 1 expands
+    P(s) = sum_j coeffs[j] (s - 4s^2)^j = sum_k p_k s^k, of degree 2K;
+    pass 2 expands sum_k p_k z^k (1+z)^(4K-2k), and the remaining
+    factor (1+z)^r, r = n/2 - 4K, follows.  Both passes are Horner
+    over fixed taps and only shift upward.
     """
     k_top = fam.c_count - 1
-    x = [coeffs[k_top]]
-    u = [1]
+    p = [coeffs[k_top]]
     for j in range(k_top - 1, -1, -1):
-        x = _mul_taps(x, _V_TAPS)
-        u = _mul_taps(u, _U_TAPS)
-        if len(x) < len(u):
-            x = x + [0] * (len(u) - len(x))
-        c = coeffs[j]
-        if c:
-            for i, ui in enumerate(u):
-                if ui:
-                    x[i] += c * ui
+        p = _mul_taps(p, _S_TAPS)
+        p[0] += coeffs[j]
+    x = [p[0]]
+    for k in range(1, 2 * k_top + 1):
+        x = _mul_taps(x, _W_TAPS)
+        x[k] += p[k]
     for _ in range(fam.r):
         x = _mul_taps(x, ((0, 1), (1, 1)))
     if len(x) != fam.half + 1:

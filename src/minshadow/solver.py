@@ -94,7 +94,8 @@ FAMILY_CASES: dict[str, FamilyCase] = {
     "24m+22": FamilyCase("24m+22", 2, 3, 4, 0, True),
 }
 
-UNIQUE_FAMILIES = ("24m+2", "24m+4", "24m+10")
+UNIQUE_FAMILIES = tuple(t for t, c in FAMILY_CASES.items() if not c.parametrized)
+BETA_FAMILIES = tuple(t for t, c in FAMILY_CASES.items() if c.parametrized)
 
 
 def family_case(tag: str) -> FamilyCase:
@@ -108,7 +109,7 @@ def family_case(tag: str) -> FamilyCase:
 
 def beta_family_for_length(n: int) -> tuple[FamilyCase, int]:
     """The parametrized family case and m for a length n = 22, 30, 46, ..."""
-    for tag in ("24m+6", "24m+22"):
+    for tag in BETA_FAMILIES:
         case = FAMILY_CASES[tag]
         base = 8 * case.l + 2 * case.r
         if (n - base) % 24 == 0 and (n - base) // 24 >= case.min_m:
@@ -197,9 +198,7 @@ def solve(case: FamilyCase, m: int) -> ParametricEnumerator:
         rows.append([Fraction(code_cols[j][ai]) - shadow_cols[j][bi]
                      for j in range(k)])
         rhs.append(AffineForm(0))
-    for name, side, slot in cs.free:
-        if side != "b":
-            raise ValueError("free parameters are declared on shadow slots")
+    for name, _, slot in cs.free:
         istar = k_top - slot
         row = [Fraction(0)] * k
         row[istar] = Fraction(1)
@@ -286,58 +285,44 @@ def closed_form_a2m1(m: int) -> Fraction:
 # nonexistence polynomials
 
 
-@dataclass(frozen=True)
-class NonexistencePolynomial:
-    """Integer polynomial f with sign(b_{m+1}) = -sign(f(m)), plus the
-    (negative) prefactor description."""
-
-    tag: str
-    coeffs: tuple[int, ...]   # ascending powers of m
-    prefactor: str
-
-
 _F_POLYS = {
-    "24m+2": NonexistencePolynomial(
-        "24m+2", (1, -14, 46, 2812, -14816, 64),
-        "-64(24m+1) C(5m,m-1) / ((5m-1)(4m+2)(4m+3)(4m+4)(4m+5))"),
-    "24m+4": NonexistencePolynomial(
-        "24m+4", (6, 88, 1171, 5440, -33020, -212096, 1216),
-        "-128(12m+1) C(5m,m-1) / ((5m-1)(4m+2)(4m+3)(4m+4)(4m+5)(4m+6))"),
-    "24m+10": NonexistencePolynomial(
-        "24m+10", (-105, -1511, -7924, -18036, -15040, 64),
-        "-16(5m+2) C(5m,m) / ((4m+1)(4m+2)(4m+3)(4m+4)(4m+5))"),
+    "24m+2": (1, -14, 46, 2812, -14816, 64),
+    "24m+4": (6, 88, 1171, 5440, -33020, -212096, 1216),
+    "24m+10": (-105, -1511, -7924, -18036, -15040, 64),
 }
 
 
-def f_poly(case: FamilyCase) -> NonexistencePolynomial:
+def f_poly(case: FamilyCase) -> tuple[int, ...]:
+    """Coefficients, in ascending powers of m, of the integer polynomial f
+    with sign(b_{m+1}) = -sign(f(m)) (see closed_form_bm1)."""
     if case.tag not in _F_POLYS:
         raise ValueError(f"no nonexistence polynomial for family {case.tag}")
     return _F_POLYS[case.tag]
 
 
 def evaluate_f(case: FamilyCase, m: int) -> int:
-    return poly_eval(f_poly(case).coeffs, m)
+    return poly_eval(f_poly(case), m)
 
 
-def largest_root_bracket(case: FamilyCase, search_to: int = 2000) -> tuple[int, int]:
+def largest_root_bracket(case: FamilyCase) -> tuple[int, int]:
     """The unit interval (k, k+1) around the largest real root of f.
 
     Found by exact integer sign evaluation: k is the last sign change up
-    to search_to, and f is checked positive at every integer in
-    (k, 10k] so the sign is genuinely settled beyond the bracket.
+    to m = 2000, and f is checked positive at every integer in (k, 10k]
+    so the sign is genuinely settled beyond the bracket.
     """
     poly = f_poly(case)
     k = None
-    prev = poly_eval(poly.coeffs, 1)
-    for x in range(2, search_to + 1):
-        cur = poly_eval(poly.coeffs, x)
+    prev = poly_eval(poly, 1)
+    for x in range(2, 2001):
+        cur = poly_eval(poly, x)
         if prev < 0 < cur or cur < 0 < prev:
             k = x - 1
         prev = cur
     if k is None:
-        raise ValueError(f"no sign change of f up to {search_to} for {case.tag}")
+        raise ValueError(f"no sign change of f up to 2000 for {case.tag}")
     for x in range(k + 1, 10 * k + 1):
-        if poly_eval(poly.coeffs, x) <= 0:
+        if poly_eval(poly, x) <= 0:
             raise ValueError(f"sign of f not settled at {x} for {case.tag}")
     return (k, k + 1)
 

@@ -1,6 +1,9 @@
 """GF(2) code engine: duals, parity, shadows, neighbors, and the bundled
 length-46 code."""
 
+import random
+import tracemalloc
+
 import pytest
 
 from minshadow.gf2 import (BetaMismatchError, BinaryCode, EnumerationCapError,
@@ -75,6 +78,20 @@ class TestBasics:
         big = BinaryCode([1 << i for i in range(29)], 40)
         with pytest.raises(EnumerationCapError):
             weight_distribution(big)
+
+    def test_distribution_memory_bounded_on_wide_codes(self):
+        # the XOR blocks are sized in uint64 words, not codeword pairs
+        rng = random.Random(20)
+        code = BinaryCode([rng.getrandbits(1280) for _ in range(20)], 1280)
+        assert code.k == 20
+        tracemalloc.start()
+        try:
+            dist = weight_distribution(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(dist) == 1 << 20
+        assert peak < 100 * 2**20
 
 
 class TestShadow:

@@ -8,7 +8,8 @@ import pytest
 from minshadow.exact import AffineForm, binomial
 from minshadow.gleason import (FamilyParams, build_transform_tables,
                                code_inverse_col0, enumerators_from_gleason,
-                               shadow_basis_column, shadow_inverse_entry)
+                               horner_code_side, shadow_basis_column,
+                               shadow_inverse_entry)
 from oracles import (code_basis_poly, gleason_from_code, gleason_from_shadow,
                      identity_matrix, matrix_product)
 
@@ -278,3 +279,17 @@ class TestExpansionKernel:
             assert list(enum.a) == want_a
             assert list(enum.b) == want_b
         assert enum.free == ("beta",)
+
+    @pytest.mark.parametrize("fam", [FamilyParams(40, l, r)
+                                     for l in range(3) for r in range(4)],
+                             ids=lambda f: f"n{f.n}")
+    def test_code_side_at_large_k(self, fam):
+        # unit Gleason vectors at K = 120..122; the oracle stops at
+        # degree n/2 - j
+        k_top = fam.c_count - 1
+        for j in sorted({0, 1, k_top // 2, k_top}):
+            unit = [0] * (k_top + 1)
+            unit[j] = 1
+            want = code_basis_poly(j, fam)
+            want += [0] * (fam.half + 1 - len(want))
+            assert horner_code_side(unit, fam) == want
