@@ -27,8 +27,9 @@ for name, mat in (("code basis (columns = basis polynomials)", tables.code_basis
     print()
 
 print("closed forms for the inverse entries:")
+col0 = code_inverse_col0(fam)
 for i in range(1, fam.c_count):
-    v = code_inverse_col0(i, fam.n)
+    v = col0[i]
     assert v == tables.code_inverse[i][0]
     print(f"   code_inverse[{i}][0]  = {format_exact(v)}")
 for i in range(1, fam.c_count):

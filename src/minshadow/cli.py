@@ -162,8 +162,7 @@ def cmd_tables(args) -> int:
     tables = build_transform_tables(fam)
     k = fam.c_count
 
-    col0_ok = all(code_inverse_col0(i, fam.n) == tables.code_inverse[i][0]
-                  for i in range(1, k))
+    col0_ok = code_inverse_col0(fam) == [row[0] for row in tables.code_inverse]
     shadow_ok = all(shadow_inverse_entry(i, j, fam) == tables.shadow_inverse[i][j]
                     for i in range(1, k) for j in range(k - i))
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .exact import VerificationFailure
 from .gleason import FamilyParams
-from .solver import FAMILY_CASES, FamilyCase, minimal_shadow_r, solve
+from .solver import BETA, FAMILY_CASES, FamilyCase, minimal_shadow_r, solve
 
 ENUMERATION_CAP = 28
 
@@ -324,7 +324,7 @@ def extract_beta(code: BinaryCode, case: FamilyCase) -> int:
     a_obs, b_obs = enumerator_vectors(code)
     beta = None
     for form, obs in zip(list(enum.a) + list(enum.b), a_obs + b_obs):
-        q = form.terms.get("beta", Fraction(0))
+        q = form.terms.get(BETA, Fraction(0))
         if q:
             beta = Fraction(obs - form.constant, 1) / q
             break
@@ -333,7 +333,7 @@ def extract_beta(code: BinaryCode, case: FamilyCase) -> int:
     beta = int(beta)
     for side, forms, obs_vec in (("a", enum.a, a_obs), ("b", enum.b, b_obs)):
         for i, (form, obs) in enumerate(zip(forms, obs_vec)):
-            want = form.substitute({"beta": beta}).as_fraction()
+            want = form.substitute({BETA: beta}).as_fraction()
             if want != obs:
                 w = 2 * i if side == "a" else 4 * i + enum.fam.r
                 raise BetaMismatchError(

@@ -201,33 +201,28 @@ def build_transform_tables(fam: FamilyParams) -> TransformTables:
 # closed forms for the inverse entries needed in bulk
 
 
-def code_inverse_col0(i: int, n: int) -> Fraction:
-    """Entry (i, 0) of the inverse code-side block, for i >= 1.
+def code_inverse_col0(fam: FamilyParams) -> list[int]:
+    """Column 0 of the inverse code-side block, entries 0..K, as ints.
 
-    Evaluated as  -(n/2i) * sum_t (-1)^t C(n/2+1-6i, t) C((n-7i-t-1)/2, (i-t-1)/2)
-    over 0 <= t with t + i odd.  When n/2+1-6i is negative the first
-    factor is rewritten through the negative-upper-index identity
-    (-1)^t C(-N, t) = C(N+t-1, t), so every binomial actually evaluated
-    has a nonnegative top.
+    With s = z/(1+z)^2 (see horner_code_side) the column c solves
+    P(s) = sum_j c_j (s - 4s^2)^j = (1+z)^(-n/2) mod s^(K+1).  As 1+z = C(s),
+    C the Catalan series, p_k = [s^k] C(s)^(-n/2) = (-1)^k (n/2)/(n/2-k)
+    C(n/2-k, k), so p_(k+1)/p_k = -(n/2-2k)(n/2-2k-1)/((k+1)(n/2-k-1)).
+    The Catalan peel reads c_j = p_0, then divides P - p_0 by s(1 - 4s):
+    drop p_0, then x_i += 4 x_(i-1).
     """
-    fam = FamilyParams.from_length(n)
-    if not 1 <= i <= fam.c_count - 1:
-        raise ValueError(f"index {i} out of range 1..{fam.c_count - 1} for n={n}")
-    top1 = fam.half + 1 - 6 * i
-    total = 0
-    if top1 >= 0:
-        c1 = 1  # C(top1, t), updated incrementally
-        for t in range(min(top1, i - 1) + 1):
-            if (t + i) % 2 == 1:
-                total += (-1) ** t * c1 * binomial((n - 7 * i - t - 1) // 2,
-                                                   (i - t - 1) // 2)
-            c1 = c1 * (top1 - t) // (t + 1)
-    else:
-        for t in range(i):
-            if (t + i) % 2 == 1:
-                total += binomial(t - top1 - 1, t) * binomial(
-                    (n - 7 * i - t - 1) // 2, (i - t - 1) // 2)
-    return Fraction(-n, 2 * i) * total
+    k_top = fam.c_count - 1
+    h = fam.half
+    p = [1]
+    for k in range(k_top):
+        p.append(-p[k] * (h - 2 * k) * (h - 2 * k - 1) // ((k + 1) * (h - k - 1)))
+    col = []
+    for _ in range(k_top + 1):
+        col.append(p[0])
+        p = p[1:]
+        for i in range(1, len(p)):
+            p[i] += 4 * p[i - 1]
+    return col
 
 
 def shadow_inverse_entry(i: int, j: int, fam: FamilyParams) -> Fraction:

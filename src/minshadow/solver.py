@@ -13,8 +13,8 @@ for 24m+6 and 24m+22.
 
 solve() finds the Gleason coefficients from the linear system; the scan
 path takes them from the closed forms instead.  Both expand them with
-the one scaled-integer kernel gleason.expand_scaled, and one loop
-certifies the result by its first negative or non-integer coefficient.
+the one kernel gleason.expand_scaled and verify the pins with one check;
+one loop certifies it by its first negative or non-integer coefficient.
 The closed forms for b_m, b_{m+1} and the degree-five/six integer
 polynomials f(m) controlling the sign of b_{m+1} are provided alongside.
 """
@@ -27,7 +27,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .exact import (AffineForm, LinearSystemError, VerificationFailure,
                     binomial, parametric_linear_solve, poly_eval)
@@ -219,15 +219,21 @@ def solve(case: FamilyCase, m: int) -> ParametricEnumerator:
 
     c = [solution[name] for name in unknowns]
     enum = enumerators_from_gleason(c, fam)
+    _check_pins(case, m, enum.a.__getitem__, enum.b.__getitem__)
+    return enum
 
-    checks = [(f"a[{i}]", enum.a[i], v) for i, v in cs.pinned_a.items()]
-    checks += [(f"b[{i}]", enum.b[i], v) for i, v in cs.pinned_b.items()]
-    checks += [(f"a[{ai}]", enum.a[ai], enum.b[bi]) for ai, bi in cs.equalities]
+
+def _check_pins(case: FamilyCase, m: int, a: Callable, b: Callable) -> None:
+    """Raise VerificationFailure unless the coefficients a(i) and b(i)
+    meet every pin and coincidence of minimal_shadow_constraints(case, m)."""
+    cs = minimal_shadow_constraints(case, m)
+    checks = [(f"a[{i}]", a(i), v) for i, v in cs.pinned_a.items()]
+    checks += [(f"b[{i}]", b(i), v) for i, v in cs.pinned_b.items()]
+    checks += [(f"a[{ai}]", a(ai), b(bi)) for ai, bi in cs.equalities]
     for label, got, want in checks:
         if got != want:
             raise VerificationFailure(
                 f"{case.tag}, m={m}: {label} = {got}, expected {want}")
-    return enum
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +278,13 @@ def closed_form_bm1(case: FamilyCase, m: int) -> Fraction:
 
 
 def closed_form_a2m1(m: int) -> Fraction:
-    """The forced code coefficient a_{2m+1} in the 24m+10 family,
-    (shadow_col0 - code_col0) / 3 at index 2m+1; equals b_m."""
+    """The forced code coefficient a_{2m+1} = b_m in the 24m+10 family:
+    (shadow_col0 - code_inverse_col0(fam)) / 3 at index 2m+1."""
     if m < 1:
         raise ValueError(f"requires m >= 1, got {m}")
     fam = FamilyParams(m, 1, 1)
     i = 2 * m + 1
-    return (shadow_inverse_entry(i, 0, fam) - code_inverse_col0(i, fam.n)) / 3
+    return (shadow_inverse_entry(i, 0, fam) - code_inverse_col0(fam)[i]) / 3
 
 
 # ---------------------------------------------------------------------------
@@ -365,22 +371,17 @@ def admissible(enum: ParametricEnumerator) -> Admissibility:
                     for side, vec in (("a", enum.a), ("b", enum.b)))
 
 
-def _forced_gleason(case: FamilyCase, m: int) -> list[Fraction]:
+def _forced_gleason(case: FamilyCase, m: int) -> list[int | Fraction]:
     """Gleason coefficients of the unique families via the closed forms:
-    the first column of the inverse code block up to index 2m, the first
-    column of the inverse shadow block from index 2m+l+1 on, and for
-    l = 1 the middle slot from the coefficient coincidence."""
+    entries 0..2m of one code_inverse_col0 column, the first column of
+    the inverse shadow block from index 2m+1 on, and for l = 1 the slot
+    2m+1 from the coincidence, col + a_{2m+1} (see closed_form_a2m1)."""
     fam = case.params(m)
-    k_top = fam.c_count - 1
-    c: list[Fraction] = [Fraction(0)] * (k_top + 1)
-    c[0] = Fraction(1)
-    for i in range(1, 2 * m + 1):
-        c[i] = code_inverse_col0(i, fam.n)
-    for i in range(2 * m + case.l + 1, k_top + 1):
-        c[i] = shadow_inverse_entry(i, 0, fam)
+    col = code_inverse_col0(fam)
+    i = 2 * m + 1
+    c = col[:i] + [shadow_inverse_entry(j, 0, fam) for j in range(i, fam.c_count)]
     if case.l == 1:
-        i = 2 * m + 1
-        c[i] = code_inverse_col0(i, fam.n) + closed_form_a2m1(m)
+        c[i] = col[i] + (c[i] - col[i]) / 3
     return c
 
 
@@ -388,12 +389,15 @@ def admissible_at(case: FamilyCase, m: int) -> Admissibility:
     """Admissibility of the unique minimal-shadow enumerator at (case, m).
 
     The Gleason coefficients come from the closed forms, and one
-    scaled-integer expansion (gleason.expand_scaled) gives both vectors,
-    so no entry is normalized as a Fraction unless it fails.
+    scaled-integer expansion (gleason.expand_scaled) gives both vectors.
+    Its pins are checked as in solve, so a wrong closed form raises
+    VerificationFailure; no other entry becomes a Fraction unless it fails.
     """
     if case.tag not in UNIQUE_FAMILIES:
         raise ValueError(f"scan applies to unique-enumerator families, not {case.tag}")
     a_hat, da, b_hat, db = expand_scaled(_forced_gleason(case, m), case.params(m))
+    _check_pins(case, m, lambda i: Fraction(a_hat[i], da),
+                lambda i: Fraction(b_hat[i], db))
     return _certify((("a", a_hat, da), ("b", b_hat, db)))
 
 

@@ -3,7 +3,8 @@
 None of these is on a library path.  Dense polynomial arithmetic and
 dense rational matrices check the transform blocks and the solver; the
 full code-side basis polynomials, built by repeated multiplication,
-check the Horner expansion kernel; Gleason coefficients read back
+check the Horner expansion kernel; a binomial double sum checks the
+Catalan peel of the inverse code column; Gleason coefficients read back
 through the inverse blocks check the enumerators; the dual code and the
 MacWilliams fixed-point identity check the GF(2) engine.
 """
@@ -127,6 +128,35 @@ def code_basis_poly(j: int, fam: FamilyParams) -> list[int]:
     for _ in range(j):
         p = poly_product(p, [0, 1, -2, 1])
     return p
+
+
+def code_inverse_col0_sum(i: int, n: int) -> Fraction:
+    """Entry (i, 0) of the inverse code-side block, for i >= 1.
+
+    Evaluated as  -(n/2i) * sum_t (-1)^t C(n/2+1-6i, t) C((n-7i-t-1)/2, (i-t-1)/2)
+    over 0 <= t with t + i odd.  When n/2+1-6i is negative the first
+    factor is rewritten through the negative-upper-index identity
+    (-1)^t C(-N, t) = C(N+t-1, t), so every binomial actually evaluated
+    has a nonnegative top.
+    """
+    fam = FamilyParams.from_length(n)
+    if not 1 <= i <= fam.c_count - 1:
+        raise ValueError(f"index {i} out of range 1..{fam.c_count - 1} for n={n}")
+    top1 = fam.half + 1 - 6 * i
+    total = 0
+    if top1 >= 0:
+        c1 = 1  # C(top1, t), updated incrementally
+        for t in range(min(top1, i - 1) + 1):
+            if (t + i) % 2 == 1:
+                total += (-1) ** t * c1 * binomial((n - 7 * i - t - 1) // 2,
+                                                   (i - t - 1) // 2)
+            c1 = c1 * (top1 - t) // (t + 1)
+    else:
+        for t in range(i):
+            if (t + i) % 2 == 1:
+                total += binomial(t - top1 - 1, t) * binomial(
+                    (n - 7 * i - t - 1) // 2, (i - t - 1) // 2)
+    return Fraction(-n, 2 * i) * total
 
 
 def _gleason_from(values: Sequence[AffineForm | Scalar], inverse: Matrix,

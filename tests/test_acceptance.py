@@ -144,8 +144,9 @@ def test_criterion_6_closed_form_oracles():
     for fam in fams:
         t = build_transform_tables(fam)
         k_top = fam.c_count - 1
+        col = code_inverse_col0(fam)
         for i in range(1, k_top + 1):
-            assert code_inverse_col0(i, fam.n) == t.code_inverse[i][0], fam
+            assert col[i] == t.code_inverse[i][0], fam
             for j in range(k_top + 1 - i):
                 assert shadow_inverse_entry(i, j, fam) == \
                     t.shadow_inverse[i][j], fam

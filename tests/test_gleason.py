@@ -10,8 +10,8 @@ from minshadow.gleason import (FamilyParams, build_transform_tables,
                                code_inverse_col0, enumerators_from_gleason,
                                horner_code_side, shadow_basis_column,
                                shadow_inverse_entry)
-from oracles import (code_basis_poly, gleason_from_code, gleason_from_shadow,
-                     identity_matrix, matrix_product)
+from oracles import (code_basis_poly, code_inverse_col0_sum, gleason_from_code,
+                     gleason_from_shadow, identity_matrix, matrix_product)
 
 # every decomposition with m <= 3 (the m <= 8 sweep lives in the
 # acceptance suite); n = 0 is excluded by validity
@@ -110,8 +110,9 @@ class TestTransformTables:
     def test_closed_forms_match_matrices(self, fam):
         t = build_transform_tables(fam)
         k_top = fam.c_count - 1
+        col = code_inverse_col0(fam)
         for i in range(1, k_top + 1):
-            assert code_inverse_col0(i, fam.n) == t.code_inverse[i][0]
+            assert col[i] == t.code_inverse[i][0]
             for j in range(k_top + 1 - i):
                 assert shadow_inverse_entry(i, j, fam) == t.shadow_inverse[i][j]
 
@@ -135,25 +136,33 @@ class TestTransformTables:
                 assert shadow_inverse_entry(i, j, fam) == want
 
 
+def col0(n):
+    return code_inverse_col0(FamilyParams.from_length(n))
+
+
 class TestClosedFormDisplays:
     def test_negative_exponent_branch(self):
-        # at n = 26, i = 3 the first binomial's top goes negative and the
-        # rewritten branch must still match the matrix inverse
-        assert code_inverse_col0(3, 26) == -52
+        # at n = 26, i = 3 the binomial double sum's first top goes
+        # negative; the entry must still match the matrix inverse
+        assert col0(26)[3] == -52
 
     def test_family_24m2_display_at_m1(self):
         # (12m+1)/m * C(5m, m-1) at m = 1
-        assert code_inverse_col0(2, 26) == Fraction(13, 1) * binomial(5, 0) == 13
+        assert col0(26)[2] == Fraction(13, 1) * binomial(5, 0) == 13
 
     def test_family_24m10_display_at_m1(self):
         # -(12m+5)/(2m+1) * C(5m+1, m) at m = 1
-        assert code_inverse_col0(3, 34) == -Fraction(17, 3) * binomial(6, 1) == -34
+        assert col0(34)[3] == -Fraction(17, 3) * binomial(6, 1) == -34
 
-    def test_index_zero_rejected(self):
-        with pytest.raises(ValueError):
-            code_inverse_col0(0, 26)
-        with pytest.raises(ValueError):
-            code_inverse_col0(4, 26)
+    def test_column_shape(self):
+        # entries 0..K, all ints, entry 0 = 1
+        for n in range(2, 200, 2):
+            col = col0(n)
+            assert len(col) == FamilyParams.from_length(n).c_count, n
+            assert all(type(x) is int for x in col), n
+            assert col[0] == 1
+        assert col0(2) == [1]
+        assert col0(26) == [1, -13, 13, -52]
 
     def test_shadow_entry_examples(self):
         fam = FamilyParams.from_length(26)
@@ -169,6 +178,25 @@ class TestClosedFormDisplays:
             shadow_inverse_entry(0, 0, fam)
         with pytest.raises(ValueError):
             shadow_inverse_entry(2, 2, fam)
+
+
+class TestCatalanPeelOracle:
+    """The Catalan peel against the binomial double sum of the oracles."""
+
+    def test_every_entry_to_n722(self):
+        for n in range(2, 723, 2):
+            fam = FamilyParams.from_length(n)
+            want = [1] + [code_inverse_col0_sum(i, n) for i in range(1, fam.c_count)]
+            assert code_inverse_col0(fam) == want, n
+
+    @pytest.mark.parametrize("fam", [FamilyParams(155, 0, 1), FamilyParams(156, 0, 2),
+                                     FamilyParams(160, 1, 1)],
+                             ids=lambda f: f"n{f.n}")
+    def test_forced_entries_at_thresholds(self, fam):
+        # entries 1..2m+1: the a pins and the 24m+10 coincidence slot
+        col = code_inverse_col0(fam)
+        for i in range(1, 2 * fam.m + 2):
+            assert col[i] == code_inverse_col0_sum(i, fam.n), i
 
 
 class TestConversions:

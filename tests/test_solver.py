@@ -243,7 +243,7 @@ class TestClosedFormValues:
                                        shadow_inverse_entry)
         fam = FamilyParams.from_length(34)
         assert shadow_inverse_entry(3, 0, fam) == -16
-        assert code_inverse_col0(3, 34) == -34
+        assert code_inverse_col0(fam)[3] == -34
 
     def test_a2m1_equals_bm(self):
         for m in range(1, 41):
@@ -351,6 +351,34 @@ def test_solve_verification_survives_optimize_flag():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "raised: 24m+2, m=1: a[1] = 1, expected 0" in proc.stdout
+
+
+def test_admissible_at_verification_survives_optimize_flag():
+    # a wrong closed form must not pass as "admissible": admissible_at
+    # runs solve's pin check on its forced coefficients, also under -O
+    script = textwrap.dedent("""
+        import sys
+        from minshadow import solver
+        from minshadow.exact import VerificationFailure
+        if not sys.flags.optimize:
+            sys.exit("asserts are still enabled")
+        column = solver.code_inverse_col0
+        def perturbed(fam):
+            col = column(fam)
+            return [col[0], col[1] + 1] + col[2:]
+        solver.code_inverse_col0 = perturbed
+        try:
+            solver.admissible_at(solver.family_case("24m+10"), 3)
+        except VerificationFailure as exc:
+            print("raised:", exc)
+        else:
+            sys.exit("admissible_at accepted a perturbed closed form")
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "raised: 24m+10, m=3: a[1] = 1, expected 0" in proc.stdout
 
 
 class TestFamilyLookup:
