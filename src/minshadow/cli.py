@@ -6,7 +6,8 @@ ever truncated); --format text gives a human-readable summary whose
 enumerator lines show the first few nonzero terms.
 
 Exit codes: 0 success, 1 a verification failed to reproduce, 2 usage,
-parse or input-domain errors.
+parse or input-domain errors, including an input above one of the caps
+M_CAP and PRINT_CAP.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from .solver import (BETA, BETA_FAMILIES, FAMILY_CASES, UNIQUE_FAMILIES,
                      beta_family_for_length, beta_range, family_case,
                      max_admissible, minimal_shadow_r, nonexistence_scan,
                      rains_bound, solve)
+
+M_CAP = 400      # solve and beta-range --m, scan --m-max; the paper needs m <= 240
+PRINT_CAP = 64   # tables grid side K + 1; its Fraction inverses cost O(K^3)
 
 
 def _fmt(x) -> str:
@@ -153,12 +157,9 @@ def cmd_beta_range(args) -> int:
 
 def cmd_tables(args) -> int:
     case = family_case(args.family)
-    fam = case.params(args.m) if args.m >= case.min_m else FamilyParams(
-        args.m, case.l, case.r)
-    if fam.c_count > args.print_cap:
-        raise ValueError(
-            f"c_count {fam.c_count} exceeds the print cap {args.print_cap}; "
-            "raise --print-cap to dump larger tables")
+    fam = FamilyParams(args.m, case.l, case.r)
+    if fam.c_count > PRINT_CAP:
+        raise ValueError(f"c_count {fam.c_count} exceeds the print cap {PRINT_CAP}")
     tables = build_transform_tables(fam)
     k = fam.c_count
 
@@ -188,10 +189,9 @@ def cmd_tables(args) -> int:
         lines.extend("  [" + ", ".join(_fmt(x) for x in row) + "]" for row in mat)
     lines.append(f"closed-form checks: col0 {'OK' if col0_ok else 'MISMATCH'}, "
                  f"shadow {'OK' if shadow_ok else 'MISMATCH'}")
-    if not (col0_ok and shadow_ok):
-        _emit(doc, lines, args.format)
-        raise VerificationFailure("closed forms disagree with matrix inverses")
     _emit(doc, lines, args.format)
+    if not (col0_ok and shadow_ok):
+        raise VerificationFailure("closed forms disagree with matrix inverses")
     return 0
 
 
@@ -376,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "closed forms against them")
     p.add_argument("--family", required=True, choices=tuple(FAMILY_CASES))
     p.add_argument("--m", type=_nonnegative_int, required=True)
-    p.add_argument("--print-cap", type=int, default=64)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("bounds", parents=[common],
@@ -405,6 +404,9 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"code {args.subcommand} requires --gen-file")
         if args.subcommand == "neighbor" and not args.support:
             parser.error("code neighbor requires --support")
+    if args.command in ("solve", "beta-range", "scan") and \
+            max(getattr(args, "m", 0), getattr(args, "m_max", 0)) > M_CAP:
+        parser.error(f"--m and --m-max must be <= {M_CAP}")
     if getattr(args, "command", None) == "solve" and args.beta is not None \
             and not family_case(args.family).parametrized:
         parser.error(f"family {args.family} has a unique enumerator; "

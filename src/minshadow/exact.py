@@ -1,5 +1,6 @@
-"""Exact arithmetic substrate: binomials, polynomial evaluation, affine
-forms over named parameters, and the parametric linear solve.
+"""Exact arithmetic substrate: binomials, polynomial evaluation and
+Taylor shifts, affine forms over named parameters, and the parametric
+linear solve.
 
 Integers are Python ints, rationals are fractions.Fraction, a polynomial
 is a coefficient list indexed by exponent, and a matrix is a rectangular
@@ -44,6 +45,16 @@ def poly_eval(p: Sequence[Scalar], x: Scalar) -> Scalar:
     for c in reversed(p):
         acc = acc * x + c
     return acc
+
+
+def taylor_shift(p: Sequence[Scalar], t: Scalar) -> list[Scalar]:
+    """Coefficients of p(t + x) in ascending powers of x, by Horner's rule
+    with x + t in place of x."""
+    q: list[Scalar] = []
+    for c in reversed(p):
+        q = [t * u + v for u, v in zip(q + [0], [0] + q)]
+        q[0] += c
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +164,9 @@ class AffineForm:
             return NotImplemented
         return self.constant == o.constant and self.terms == o.terms
 
-    def __hash__(self):
+    def __hash__(self):  # a form without terms hashes as its constant
+        if not self.terms:
+            return hash(self.constant)
         return hash((self.constant, tuple(sorted(self.terms.items()))))
 
     def __str__(self):

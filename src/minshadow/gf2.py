@@ -25,11 +25,12 @@ from .exact import VerificationFailure
 from .gleason import FamilyParams
 from .solver import BETA, FAMILY_CASES, FamilyCase, minimal_shadow_r, solve
 
-ENUMERATION_CAP = 28
+ENUMERATION_CAP = 28    # dimension k: 2^k codewords
+LENGTH_CAP = 4096       # length n: each half of the XOR table is <= 8 MB
 
 
 class EnumerationCapError(ValueError):
-    """Raised when an exhaustive enumeration would exceed the dimension cap."""
+    """Raised when an exhaustive enumeration would exceed a cap."""
 
 
 class GeneratorFileError(ValueError):
@@ -174,6 +175,9 @@ def weight_distribution(code: BinaryCode, offset: int = 0) -> list[int]:
     if code.k > ENUMERATION_CAP:
         raise EnumerationCapError(
             f"dimension {code.k} exceeds the enumeration cap {ENUMERATION_CAP}")
+    if code.n > LENGTH_CAP:
+        raise EnumerationCapError(
+            f"length {code.n} exceeds the enumeration cap {LENGTH_CAP}")
     ka = code.k // 2
     a = _combos(_pack(code.rows[:ka], code.n)) ^ _pack([offset], code.n)[0]
     b = _combos(_pack(code.rows[ka:], code.n))

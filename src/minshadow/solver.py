@@ -11,10 +11,12 @@ and d = 2 (mod 4), determine the Gleason coefficients uniquely for the
 families 24m+2, 24m+4 and 24m+10, and up to one integer parameter beta
 for 24m+6 and 24m+22.
 
-solve() finds the Gleason coefficients from the linear system; the scan
-path takes them from the closed forms instead.  Both expand them with
-the one kernel gleason.expand_scaled and verify the pins with one check;
-one loop certifies it by its first negative or non-integer coefficient.
+solve() and the scan path take the Gleason coefficients from one
+derivation, _gleason: closed forms for the unique families, and a linear
+solve of the shadow pins alone for the two beta families.  Both expand
+them with the one kernel gleason.expand_scaled and verify the pins with
+one check; one loop certifies the scan by its first negative or
+non-integer coefficient.
 The closed forms for b_m, b_{m+1} and the degree-five/six integer
 polynomials f(m) controlling the sign of b_{m+1} are provided alongside.
 """
@@ -30,10 +32,10 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .exact import (AffineForm, LinearSystemError, VerificationFailure,
-                    binomial, parametric_linear_solve, poly_eval)
-from .gleason import (FamilyParams, ParametricEnumerator, _code_basis_block,
-                      code_inverse_col0, enumerators_from_gleason,
-                      expand_scaled, shadow_basis_column, shadow_inverse_entry)
+                    binomial, parametric_linear_solve, poly_eval, taylor_shift)
+from .gleason import (FamilyParams, ParametricEnumerator, code_inverse_col0,
+                      enumerators_from_gleason, expand_scaled,
+                      shadow_basis_column, shadow_inverse_entry)
 
 BETA = "beta"
 
@@ -166,59 +168,51 @@ def minimal_shadow_constraints(case: FamilyCase, m: int) -> ConstraintSet:
     return ConstraintSet(pinned_a, pinned_b, equalities, free)
 
 
-def solve(case: FamilyCase, m: int) -> ParametricEnumerator:
-    """Exact minimal-shadow enumerator for (case, m).
+def _gleason(case: FamilyCase, m: int) -> list:
+    """Gleason coefficients c_0..c_K of the minimal-shadow enumerator.
 
-    Assembles the pinned-coefficient equations in the Gleason
-    coefficients and solves them with the parametric linear solver; the
-    result has no free parameters for 24m+2, 24m+4 and 24m+10 and
-    exactly the parameter beta for 24m+6 and 24m+22.  For the
-    parametrized families beta is normalized so that the single
-    undetermined Gleason coefficient c_{K-s} equals beta times the
-    anti-diagonal entry of the inverse shadow block, s being the free
-    shadow slot; this reproduces the conventional printed parametrizations.
+    The code pins fix c_0..c_{d/2-1}: the first d/2 entries of
+    code_inverse_col0.  The shadow block is anti-triangular, so every
+    pinned shadow row and the beta slot touch only c_{d/2}..c_K.  The
+    unique families read those off column 0 of the inverse shadow block,
+    and for l = 1 slot d/2 comes from the coincidence (closed_form_a2m1).
+    The beta families solve the shadow pins and the beta row in
+    c_{d/2}..c_K, with c_{K-s} = beta times entry (K-s, s) of the inverse
+    shadow block, s the free shadow slot.
     """
     fam = case.params(m)
+    col = code_inverse_col0(fam)
+    h = case.d(m) // 2
+    tail = range(h, fam.c_count)
+    if not case.parametrized:
+        c = col[:h] + [shadow_inverse_entry(j, 0, fam) for j in tail]
+        if case.l == 1:
+            c[h] = col[h] + (c[h] - col[h]) / 3
+        return c
     cs = minimal_shadow_constraints(case, m)
-    k = fam.c_count
-    k_top = k - 1
-
-    code_cols = _code_basis_block(fam)
-    shadow_cols = [shadow_basis_column(j, fam) for j in range(k)]
-
-    rows: list[list[Fraction]] = []
-    rhs: list[AffineForm] = []
-    for i, v in sorted(cs.pinned_a.items()):
-        rows.append([Fraction(code_cols[j][i]) for j in range(k)])
-        rhs.append(AffineForm(v))
-    for i, v in sorted(cs.pinned_b.items()):
-        rows.append([shadow_cols[j][i] for j in range(k)])
-        rhs.append(AffineForm(v))
-    for ai, bi in cs.equalities:
-        rows.append([Fraction(code_cols[j][ai]) - shadow_cols[j][bi]
-                     for j in range(k)])
-        rhs.append(AffineForm(0))
-    for name, _, slot in cs.free:
-        istar = k_top - slot
-        row = [Fraction(0)] * k
-        row[istar] = Fraction(1)
-        rows.append(row)
-        rhs.append(AffineForm.parameter(name, shadow_inverse_entry(istar, slot, fam)))
-
-    unknowns = [f"c{i}" for i in range(k)]
-    try:
-        solution, free_names = parametric_linear_solve(rows, rhs, unknowns)
-    except LinearSystemError as exc:  # pragma: no cover - implementation fault
+    shadow_cols = [shadow_basis_column(j, fam) for j in tail]
+    rows = [[sc[i] for sc in shadow_cols] for i in cs.pinned_b]
+    rhs = [AffineForm(v) for v in cs.pinned_b.values()]
+    [(name, _, slot)] = cs.free
+    istar = fam.c_count - 1 - slot
+    rows.append([int(j == istar) for j in tail])
+    rhs.append(AffineForm.parameter(name, shadow_inverse_entry(istar, slot, fam)))
+    unknowns = [f"c{j}" for j in tail]
+    solution, free_names = parametric_linear_solve(rows, rhs, unknowns)
+    if free_names != [name]:  # pragma: no cover - implementation fault
         raise LinearSystemError(
-            f"inconsistent minimal-shadow constraints for {case.tag}, m={m}: {exc}"
-        ) from exc
-    leftover = [n for n in free_names if n.startswith("c")]
-    if leftover:  # pragma: no cover - implementation fault
-        raise LinearSystemError(
-            f"underdetermined system for {case.tag}, m={m}: {leftover} free")
+            f"underdetermined system for {case.tag}, m={m}: {free_names} free")
+    return col[:h] + [solution[u] for u in unknowns]
 
-    c = [solution[name] for name in unknowns]
-    enum = enumerators_from_gleason(c, fam)
+
+def solve(case: FamilyCase, m: int) -> ParametricEnumerator:
+    """Exact minimal-shadow enumerator for (case, m): the expansion of
+    _gleason(case, m), which admissible_at uses too, with every pin and
+    coincidence checked.  It keeps exactly the parameter beta for 24m+6
+    and 24m+22, normalized as in _gleason to reproduce the conventional
+    printed parametrizations, and none for the other families.
+    """
+    enum = enumerators_from_gleason(_gleason(case, m), case.params(m))
     _check_pins(case, m, enum.a.__getitem__, enum.b.__getitem__)
     return enum
 
@@ -311,26 +305,22 @@ def evaluate_f(case: FamilyCase, m: int) -> int:
 
 
 def largest_root_bracket(case: FamilyCase) -> tuple[int, int]:
-    """The unit interval (k, k+1) around the largest real root of f.
+    """The unit interval (t-1, t) around the largest real root of f.
 
-    Found by exact integer sign evaluation: k is the last sign change up
-    to m = 2000, and f is checked positive at every integer in (k, 10k]
-    so the sign is genuinely settled beyond the bracket.
+    t is the least integer with every coefficient of f(t + x) positive,
+    so f(t + x) > 0 for every x >= 0, and f(t-1) < 0 is required: a root
+    lies in (t-1, t) and none beyond.  Both facts are exact integer
+    arithmetic; VerificationFailure if either fails.
     """
     poly = f_poly(case)
-    k = None
-    prev = poly_eval(poly, 1)
-    for x in range(2, 2001):
-        cur = poly_eval(poly, x)
-        if prev < 0 < cur or cur < 0 < prev:
-            k = x - 1
-        prev = cur
-    if k is None:
-        raise ValueError(f"no sign change of f up to 2000 for {case.tag}")
-    for x in range(k + 1, 10 * k + 1):
-        if poly_eval(poly, x) <= 0:
-            raise ValueError(f"sign of f not settled at {x} for {case.tag}")
-    return (k, k + 1)
+    if poly[-1] <= 0:
+        raise VerificationFailure(f"f has no positive leading coefficient for {case.tag}")
+    t = 0
+    while min(taylor_shift(poly, t)) <= 0:
+        t += 1
+    if poly_eval(poly, t - 1) >= 0:
+        raise VerificationFailure(f"f({t - 1}) is not negative for {case.tag}")
+    return (t - 1, t)
 
 
 # ---------------------------------------------------------------------------
@@ -371,31 +361,17 @@ def admissible(enum: ParametricEnumerator) -> Admissibility:
                     for side, vec in (("a", enum.a), ("b", enum.b)))
 
 
-def _forced_gleason(case: FamilyCase, m: int) -> list[int | Fraction]:
-    """Gleason coefficients of the unique families via the closed forms:
-    entries 0..2m of one code_inverse_col0 column, the first column of
-    the inverse shadow block from index 2m+1 on, and for l = 1 the slot
-    2m+1 from the coincidence, col + a_{2m+1} (see closed_form_a2m1)."""
-    fam = case.params(m)
-    col = code_inverse_col0(fam)
-    i = 2 * m + 1
-    c = col[:i] + [shadow_inverse_entry(j, 0, fam) for j in range(i, fam.c_count)]
-    if case.l == 1:
-        c[i] = col[i] + (c[i] - col[i]) / 3
-    return c
-
-
 def admissible_at(case: FamilyCase, m: int) -> Admissibility:
     """Admissibility of the unique minimal-shadow enumerator at (case, m).
 
-    The Gleason coefficients come from the closed forms, and one
+    The Gleason coefficients come from _gleason, as in solve, and one
     scaled-integer expansion (gleason.expand_scaled) gives both vectors.
     Its pins are checked as in solve, so a wrong closed form raises
     VerificationFailure; no other entry becomes a Fraction unless it fails.
     """
     if case.tag not in UNIQUE_FAMILIES:
         raise ValueError(f"scan applies to unique-enumerator families, not {case.tag}")
-    a_hat, da, b_hat, db = expand_scaled(_forced_gleason(case, m), case.params(m))
+    a_hat, da, b_hat, db = expand_scaled(_gleason(case, m), case.params(m))
     _check_pins(case, m, lambda i: Fraction(a_hat[i], da),
                 lambda i: Fraction(b_hat[i], db))
     return _certify((("a", a_hat, da), ("b", b_hat, db)))

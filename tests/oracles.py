@@ -5,8 +5,10 @@ dense rational matrices check the transform blocks and the solver; the
 full code-side basis polynomials, built by repeated multiplication,
 check the Horner expansion kernel; a binomial double sum checks the
 Catalan peel of the inverse code column; Gleason coefficients read back
-through the inverse blocks check the enumerators; the dual code and the
-MacWilliams fixed-point identity check the GF(2) engine.
+through the inverse blocks check the enumerators; the whole pinned
+linear system in all K + 1 Gleason coefficients checks the solver's
+derivation; the dual code and the MacWilliams fixed-point identity check
+the GF(2) engine.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ from typing import Sequence
 from minshadow.exact import (AffineForm, LinearSystemError, Scalar, as_affine,
                              binomial, parametric_linear_solve)
 from minshadow.gf2 import BinaryCode, code_weight_distribution
-from minshadow.gleason import FamilyParams, Matrix, TransformTables
+from minshadow.gleason import (FamilyParams, Matrix, TransformTables,
+                               _code_basis_block, shadow_basis_column,
+                               shadow_inverse_entry)
+from minshadow.solver import FamilyCase, minimal_shadow_constraints
 
 
 class SingularMatrixError(ValueError):
@@ -189,6 +194,39 @@ def gleason_from_shadow(b: Sequence[AffineForm | Scalar],
     """Gleason coefficients from the leading shadow coefficients:
     c_i = sum_{j<=K-i} shadow_inverse[i][j] * b_j."""
     return _gleason_from(b, tables.shadow_inverse, "shadow")
+
+
+def pinned_system_gleason(case: FamilyCase, m: int) -> list[AffineForm]:
+    """Gleason coefficients c_0..c_K from every pin at once: the code
+    rows, the shadow rows, the coincidence rows and the beta row, over the
+    full code block and all K + 1 shadow columns, through the parametric
+    linear solve.  Beta is normalized as in solver.solve: c_{K-s} equals
+    beta times entry (K-s, s) of the inverse shadow block."""
+    fam = case.params(m)
+    cs = minimal_shadow_constraints(case, m)
+    k = fam.c_count
+    code_cols = _code_basis_block(fam)
+    shadow_cols = [shadow_basis_column(j, fam) for j in range(k)]
+    rows: list[list[Scalar]] = []
+    rhs: list[AffineForm] = []
+    for i, v in sorted(cs.pinned_a.items()):
+        rows.append([code_cols[j][i] for j in range(k)])
+        rhs.append(AffineForm(v))
+    for i, v in sorted(cs.pinned_b.items()):
+        rows.append([shadow_cols[j][i] for j in range(k)])
+        rhs.append(AffineForm(v))
+    for ai, bi in cs.equalities:
+        rows.append([code_cols[j][ai] - shadow_cols[j][bi] for j in range(k)])
+        rhs.append(AffineForm(0))
+    for name, _, slot in cs.free:
+        istar = k - 1 - slot
+        rows.append([int(j == istar) for j in range(k)])
+        rhs.append(AffineForm.parameter(name, shadow_inverse_entry(istar, slot, fam)))
+    unknowns = [f"c{i}" for i in range(k)]
+    solution, free_names = parametric_linear_solve(rows, rhs, unknowns)
+    if any(name.startswith("c") for name in free_names):
+        raise LinearSystemError(f"underdetermined: {free_names} free")
+    return [solution[name] for name in unknowns]
 
 
 # ---------------------------------------------------------------------------

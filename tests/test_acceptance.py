@@ -22,7 +22,7 @@ from minshadow.solver import (admissible_at, beta_range, closed_form_a2m1,
                               largest_root_bracket, max_admissible,
                               minimal_shadow_r, nonexistence_scan, solve)
 from oracles import (build_code, gleason_from_code, gleason_from_shadow,
-                     macwilliams_fixed_point)
+                     macwilliams_fixed_point, pinned_system_gleason)
 
 C2, C4, C6, C10, C22 = (family_case(t) for t in
                         ("24m+2", "24m+4", "24m+6", "24m+10", "24m+22"))
@@ -154,7 +154,9 @@ def test_criterion_6_closed_form_oracles():
     # the independent linear-solve path reproduces the closed forms to m = 40
     for case in (C2, C4, C10):
         for m in range(1, 41):
-            e = solve(case, m)
+            e = enumerators_from_gleason(pinned_system_gleason(case, m),
+                                         case.params(m))
+            assert solve(case, m) == e, (case.tag, m)
             assert e.b[m].as_fraction() == closed_form_bm(case, m), (case.tag, m)
             assert e.b[m + 1].as_fraction() == closed_form_bm1(case, m), \
                 (case.tag, m)

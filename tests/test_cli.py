@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from minshadow import solver
+from minshadow import cli, solver
 from minshadow.cli import main
-from minshadow.gf2 import format_generator_file, reference_code_46
+from minshadow.gf2 import LENGTH_CAP, format_generator_file, reference_code_46
 from minshadow.solver import Admissibility
 
 
@@ -246,6 +246,64 @@ class TestExitCodes:
         code, out, err = run(capsys, "code", "table1")
         assert code == 1
         assert "verification failure: neighbor 1 failed verification" in err
+
+
+class TestInputCaps:
+    # every cap is probed by parsing or by a tiny input; nothing above a
+    # cap is ever run
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--family", "24m+2", "--m"),
+        ("solve", "--family", "24m+22", "--beta", "3", "--m"),
+        ("beta-range", "--family", "24m+6", "--m"),
+        ("scan", "--family", "24m+4", "--m-max"),
+    ], ids=["solve", "solve-beta", "beta-range", "scan"])
+    def test_m_cap_is_a_parse_error(self, capsys, monkeypatch, argv):
+        class Reached(Exception):
+            pass
+
+        def stub(*args, **kwargs):
+            raise Reached
+
+        for name in ("solve", "beta_range", "nonexistence_scan"):
+            monkeypatch.setattr(cli, name, stub)    # the work is stubbed out
+        assert cli.M_CAP == 400
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "401"])
+        assert exc.value.code == 2
+        assert "--m and --m-max must be <= 400" in capsys.readouterr().err
+        with pytest.raises(Reached):
+            main([*argv, "400"])
+
+    def test_print_cap_is_not_an_option(self, capsys):
+        assert cli.PRINT_CAP == 64
+        with pytest.raises(SystemExit) as exc:
+            main(["tables", "--family", "24m+2", "--m", "30",
+                  "--print-cap", "1000"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --print-cap" in capsys.readouterr().err
+
+    def test_tables_at_the_print_cap_boundary(self, capsys, monkeypatch):
+        # K + 1 = 64 reaches the (stubbed) table build, 65 does not
+        class Built(Exception):
+            pass
+
+        def stub(fam):
+            raise Built(fam.c_count)
+
+        monkeypatch.setattr(cli, "build_transform_tables", stub)
+        with pytest.raises(Built, match="64"):
+            main(["tables", "--family", "24m+2", "--m", "21"])
+        code, _, err = run(capsys, "tables", "--family", "24m+10", "--m", "21")
+        assert code == 2
+        assert "c_count 65 exceeds the print cap 64" in err
+
+    def test_enumeration_length_cap_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "wide.txt"
+        path.write_text("1" * (LENGTH_CAP + 1) + "\n")
+        code, out, err = run(capsys, "code", "verify", "--gen-file", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"length {LENGTH_CAP + 1} exceeds the enumeration cap" in err
 
 
 class TestDeterminism:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from minshadow.exact import (AffineForm, LinearSystemError, as_affine,
                              binomial, format_exact, parametric_linear_solve,
-                             poly_eval)
+                             poly_eval, taylor_shift)
 from oracles import (SingularMatrixError, identity_matrix, matrix_inverse,
                      matrix_product, poly_product, poly_trim)
 
@@ -193,6 +193,19 @@ class TestMatrixInverse:
             matrix_inverse(m)
 
 
+class TestTaylorShift:
+    @given(small_polys, st.integers(-50, 50), st.integers(-50, 50))
+    def test_matches_evaluation(self, p, t, x):
+        assert poly_eval(taylor_shift(p, t), x) == poly_eval(p, t + x)
+
+    def test_values(self):
+        # (1 + x)^3 shifted by -1 is x^3
+        assert taylor_shift([1, 3, 3, 1], -1) == [0, 0, 0, 1]
+        assert taylor_shift([5, 0, 1], 2) == [9, 4, 1]
+        assert taylor_shift([], 3) == []
+        assert taylor_shift([Fraction(1, 2), 1], Fraction(1, 2)) == [1, 1]
+
+
 class TestAffineForm:
     def test_str_forms(self):
         assert str(AffineForm(35, {"beta": -8})) == "35 - 8*beta"
@@ -206,6 +219,13 @@ class TestAffineForm:
         assert x == AffineForm(1, {"beta": 2})
         assert x != AffineForm(1)
         assert AffineForm(3, {"beta": 0}) == AffineForm(3) == 3
+
+    @pytest.mark.parametrize("value", [3, -7, Fraction(5, 2), Fraction(-1, 3)])
+    def test_constant_form_hashes_as_its_value(self, value):
+        assert AffineForm(value) == value
+        assert hash(AffineForm(value)) == hash(value)
+        assert len({AffineForm(value), value}) == 1
+        assert hash(AffineForm(value, {"beta": 0})) == hash(value)
 
     def test_substitute(self):
         x = AffineForm(35, {"beta": -8})

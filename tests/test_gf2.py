@@ -6,8 +6,9 @@ import tracemalloc
 
 import pytest
 
-from minshadow.gf2 import (BetaMismatchError, BinaryCode, EnumerationCapError,
-                           GeneratorFileError, NEIGHBOR_TABLE, circulant,
+from minshadow.gf2 import (LENGTH_CAP, BetaMismatchError, BinaryCode,
+                           EnumerationCapError, GeneratorFileError,
+                           NEIGHBOR_TABLE, circulant,
                            enumerator_vectors, extract_beta,
                            format_generator_file, is_minimal_shadow,
                            is_self_dual, min_weight, neighbor, parity_class,
@@ -78,6 +79,12 @@ class TestBasics:
         big = BinaryCode([1 << i for i in range(29)], 40)
         with pytest.raises(EnumerationCapError):
             weight_distribution(big)
+
+    def test_distribution_length_cap(self):
+        assert LENGTH_CAP == 4096
+        with pytest.raises(EnumerationCapError, match="length 4097"):
+            weight_distribution(BinaryCode([1], LENGTH_CAP + 1))
+        assert weight_distribution(BinaryCode([1], LENGTH_CAP))[:2] == [1, 1]
 
     def test_distribution_memory_bounded_on_wide_codes(self):
         # the XOR blocks are sized in uint64 words, not codeword pairs

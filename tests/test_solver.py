@@ -11,7 +11,8 @@ import pytest
 
 import minshadow
 from minshadow import solver
-from minshadow.exact import AffineForm
+from minshadow.exact import AffineForm, VerificationFailure, taylor_shift
+from minshadow.gleason import enumerators_from_gleason
 from minshadow.solver import (FAMILY_CASES, Admissibility, FreeParameterError,
                               admissible, admissible_at, beta_family_for_length,
                               beta_range, closed_form_a2m1, closed_form_bm,
@@ -19,6 +20,7 @@ from minshadow.solver import (FAMILY_CASES, Admissibility, FreeParameterError,
                               largest_root_bracket, max_admissible,
                               minimal_shadow_constraints, minimal_shadow_r,
                               nonexistence_scan, rains_bound, solve)
+from oracles import pinned_system_gleason
 
 C2 = family_case("24m+2")
 C4 = family_case("24m+4")
@@ -121,6 +123,18 @@ class TestSolveUniqueFamilies:
             assert sum(x.as_fraction() for x in e.b) == 2 ** half
 
 
+@pytest.mark.parametrize("case", list(FAMILY_CASES.values()), ids=lambda c: c.tag)
+def test_solve_equals_pinned_system_oracle(case):
+    # the closed forms and the beta families' shadow-pin solve against the
+    # whole pinned system in all K + 1 unknowns, beta terms included
+    for m in range(case.min_m, 13):
+        want = enumerators_from_gleason(pinned_system_gleason(case, m),
+                                        case.params(m))
+        got = solve(case, m)
+        assert got == want, (case.tag, m)
+        assert got.free == (("beta",) if case.parametrized else ())
+
+
 PRINTED_PARAMETRIZED = {
     # n: (case, m, {a-index: (const, beta coeff)}, {b-index: ...})
     30: (C6, 1, {3: (35, -8), 4: (345, 24), 5: (1848, 0)},
@@ -198,6 +212,28 @@ class TestNonexistencePolynomials:
         assert largest_root_bracket(C4) == (174, 175)
         assert largest_root_bracket(C10) == (236, 237)
 
+    @pytest.mark.parametrize("case,t,f_below", [
+        (C2, 232, -56452419407), (C4, 175, -111899916659934),
+        (C10, 237, -38980650397)], ids=lambda x: getattr(x, "tag", x))
+    def test_bracket_certificate(self, case, t, f_below):
+        # f(t + x) has only positive coefficients, so f > 0 on [t, oo);
+        # f(t-1) < 0, so t is least with that property and a root lies in
+        # (t-1, t)
+        poly = f_poly(case)
+        assert largest_root_bracket(case) == (t - 1, t)
+        assert all(c > 0 for c in taylor_shift(poly, t))
+        assert min(taylor_shift(poly, t - 1)) <= 0
+        assert evaluate_f(case, t - 1) == f_below < 0 < evaluate_f(case, t)
+
+    @pytest.mark.parametrize("poly,why", [
+        ((1, 1, 1), "f\\(-1\\) is not negative"),   # search stops at t = 0
+        ((1, 1, -1), "no positive leading coefficient"),
+    ])
+    def test_bracket_is_certified(self, monkeypatch, poly, why):
+        monkeypatch.setitem(solver._F_POLYS, "24m+2", poly)
+        with pytest.raises(VerificationFailure, match=why):
+            largest_root_bracket(C2)
+
     def test_no_poly_for_beta_families(self):
         with pytest.raises(ValueError):
             f_poly(C6)
@@ -264,7 +300,10 @@ class TestAdmissibility:
     @pytest.mark.parametrize("case", [C2, C4, C10], ids=lambda c: c.tag)
     @pytest.mark.parametrize("m", range(1, 7))
     def test_scan_path_agrees_with_solve_path(self, case, m):
-        assert admissible_at(case, m) == admissible(solve(case, m))
+        oracle = enumerators_from_gleason(pinned_system_gleason(case, m),
+                                          case.params(m))
+        assert admissible_at(case, m) == admissible(solve(case, m)) \
+            == admissible(oracle)
 
     def test_small_scan(self):
         scan = nonexistence_scan(C2, 5)
@@ -353,9 +392,9 @@ def test_solve_verification_survives_optimize_flag():
     assert "raised: 24m+2, m=1: a[1] = 1, expected 0" in proc.stdout
 
 
-def test_admissible_at_verification_survives_optimize_flag():
-    # a wrong closed form must not pass as "admissible": admissible_at
-    # runs solve's pin check on its forced coefficients, also under -O
+def _perturbed_column_run(call: str) -> subprocess.CompletedProcess:
+    """Run call under python -O with entry 1 of solver.code_inverse_col0
+    off by one; it prints "raised: <message>" on VerificationFailure."""
     script = textwrap.dedent("""
         import sys
         from minshadow import solver
@@ -368,17 +407,32 @@ def test_admissible_at_verification_survives_optimize_flag():
             return [col[0], col[1] + 1] + col[2:]
         solver.code_inverse_col0 = perturbed
         try:
-            solver.admissible_at(solver.family_case("24m+10"), 3)
+            %s
         except VerificationFailure as exc:
             print("raised:", exc)
         else:
-            sys.exit("admissible_at accepted a perturbed closed form")
-    """)
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
+            sys.exit("accepted a perturbed code column")
+    """) % call
+    return subprocess.run([sys.executable, "-O", "-c", script],
                           env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=120)
+
+
+def test_admissible_at_verification_survives_optimize_flag():
+    # a wrong closed form must not pass as "admissible": admissible_at
+    # runs solve's pin check on its forced coefficients, also under -O
+    proc = _perturbed_column_run(
+        'solver.admissible_at(solver.family_case("24m+10"), 3)')
     assert proc.returncode == 0, proc.stderr
     assert "raised: 24m+10, m=3: a[1] = 1, expected 0" in proc.stdout
+
+
+def test_solve_checks_its_code_column_under_optimize_flag():
+    # solve takes c_0..c_{d/2-1} from code_inverse_col0 for the beta
+    # families too, and its pin check catches a wrong column under -O
+    proc = _perturbed_column_run('solver.solve(solver.family_case("24m+22"), 2)')
+    assert proc.returncode == 0, proc.stderr
+    assert "raised: 24m+22, m=2: a[1] = 1, expected 0" in proc.stdout
 
 
 class TestFamilyLookup:
