@@ -90,25 +90,6 @@ class FamilyParams:
 # ---------------------------------------------------------------------------
 # basis expansions
 
-# small expansion kernels, as (shift, coefficient) taps
-_V_TAPS = ((1, 1), (2, -2), (3, 1))            # z(1-z)^2
-_S_TAPS = ((1, 1), (2, -4))                    # s - 4s^2
-_W_TAPS = ((0, 1), (1, 2), (2, 1))             # (1+z)^2
-_Q_TAPS = ((0, 1), (1, -2), (2, 1))            # (1-w)^2
-
-
-def _mul_taps(p: list, taps) -> list:
-    """Multiply a coefficient list by a fixed small polynomial."""
-    out = [0] * (len(p) + taps[-1][0])
-    for shift, c in taps:
-        if c == 1:
-            for i, x in enumerate(p):
-                out[i + shift] += x
-        else:
-            for i, x in enumerate(p):
-                out[i + shift] += c * x
-    return out
-
 
 def shadow_basis_column(j: int, fam: FamilyParams) -> list[Fraction]:
     """Coefficients of (-1)^j 2^(n/2-6j) y^(n/2-4j) (1-y^4)^(2j) at y^(4i+r).
@@ -135,19 +116,16 @@ def _code_basis_block(fam: FamilyParams) -> list[list[int]]:
     low-order dividend coefficients.
     """
     k_top = fam.c_count - 1
-    col = [binomial(fam.half, i) for i in range(k_top + 1)]
-    cols = [col]
+    cols = [[binomial(fam.half, i) for i in range(k_top + 1)]]
     for _ in range(k_top):
-        nxt = _mul_taps(col, _V_TAPS)[: k_top + 1]
-        for _ in range(4):  # divide by (1+z)
-            out = [0] * (k_top + 1)
-            prev = 0
-            for i in range(k_top + 1):
-                prev = nxt[i] - prev
-                out[i] = prev
-            nxt = out
-        cols.append(nxt)
-        col = nxt
+        x = [0] + cols[-1][:k_top]      # times z, truncated to degree K
+        for _ in range(2):              # times (1-z)
+            for i in range(k_top, 0, -1):
+                x[i] -= x[i - 1]
+        for _ in range(4):              # divided by (1+z)
+            for i in range(1, k_top + 1):
+                x[i] -= x[i - 1]
+        cols.append(x)
     return cols
 
 
@@ -262,6 +240,19 @@ class ParametricEnumerator:
         return not self.free
 
 
+def _palindromic_horner(p: list[int]) -> list[int]:
+    """sum_k p[k] z^k (1+z)^(2(D-k)), D = len(p) - 1, to full degree 2D,
+    from the lower halves of its Horner partial sums (see horner_code_side)."""
+    x = [p[0]]
+    for k in range(1, len(p)):
+        x.append(x[-2] if k > 1 else 0)
+        for _ in range(2):
+            for i in range(k, 0, -1):
+                x[i] += x[i - 1]
+        x[k] += p[k]
+    return x + x[-2::-1]
+
+
 def horner_code_side(coeffs: Sequence[int], fam: FamilyParams) -> list[int]:
     """Expand sum_j coeffs[j] (1+z)^(n/2-4j) (z(1-z)^2)^j to full degree.
 
@@ -269,22 +260,28 @@ def horner_code_side(coeffs: Sequence[int], fam: FamilyParams) -> list[int]:
     denominators first).  With s = z/(1+z)^2 one has
     ((1-z)/(1+z))^2 = 1 - 4s, so each term equals
     (1+z)^(n/2) coeffs[j] (s - 4s^2)^j.  Pass 1 expands
-    P(s) = sum_j coeffs[j] (s - 4s^2)^j = sum_k p_k s^k, of degree 2K;
-    pass 2 expands sum_k p_k z^k (1+z)^(4K-2k), and the remaining
-    factor (1+z)^r, r = n/2 - 4K, follows.  Both passes are Horner
-    over fixed taps and only shift upward.
+    P(s) = sum_j coeffs[j] (s - 4s^2)^j = sum_k p_k s^k, of degree 2K,
+    by Horner: p <- s(1 - 4s) p + coeffs[j], in place.  Pass 2 expands
+    x_k = sum_(i<=k) p_i z^i (1+z)^(2(k-i)) = (1+z)^2 x_(k-1) + p_k z^k
+    up to k = 2K.  Every term of x_k is palindromic about degree k, so
+    x_k(z) = z^(2k) x_k(1/z) for every input, and only the lower half
+    x_k[0..k] is kept: a step appends the mirrored entry
+    x_(k-1)[k] = x_(k-1)[k-2] (0 when k = 1), multiplies by (1+z) twice
+    in place and adds p_k at index k.  The last half is mirrored, and the
+    remaining factor (1+z)^r, r = n/2 - 4K, follows.
     """
     k_top = fam.c_count - 1
     p = [coeffs[k_top]]
     for j in range(k_top - 1, -1, -1):
-        p = _mul_taps(p, _S_TAPS)
-        p[0] += coeffs[j]
-    x = [p[0]]
-    for k in range(1, 2 * k_top + 1):
-        x = _mul_taps(x, _W_TAPS)
-        x[k] += p[k]
+        p.append(0)
+        for i in range(len(p) - 1, 0, -1):
+            p[i] -= 4 * p[i - 1]
+        p.insert(0, coeffs[j])
+    x = _palindromic_horner(p)
     for _ in range(fam.r):
-        x = _mul_taps(x, ((0, 1), (1, 1)))
+        x.append(0)
+        for i in range(len(x) - 1, 0, -1):
+            x[i] += x[i - 1]
     if len(x) != fam.half + 1:
         raise VerificationFailure(
             f"code expansion has {len(x)} coefficients, expected {fam.half + 1}")
@@ -300,14 +297,14 @@ def horner_shadow_side(coeffs: Sequence[int], fam: FamilyParams) -> list[int]:
     """Expand sum_j (-1)^j coeffs[j] 2^(n/2-6j) y^(n/2-4j) (1-y^4)^(2j),
     scaled by 2^s with s = max(0, 6K - n/2), for integer Gleason
     coefficients: the full shadow coefficient vector (indexed by i,
-    exponent 4i+r) times 2^s, all integers."""
+    exponent 4i+r) times 2^s, all integers.  In w = -y^4 and i = K - j
+    the sum is (-1)^K y^r sum_i q_i w^i (1+w)^(2(K-i)) with
+    q_i = coeffs[K-i] 2^(n/2+s-6(K-i)), as in pass 2 of horner_code_side."""
     k_top = fam.c_count - 1
     top = fam.half + _shadow_shift(fam)
-    d = [(-1) ** j * coeffs[j] * (1 << (top - 6 * j)) for j in range(k_top + 1)]
-    x = [d[k_top]]
-    for j in range(k_top - 1, -1, -1):
-        x = _mul_taps(x, _Q_TAPS)
-        x[k_top - j] += d[j]
+    x = _palindromic_horner([coeffs[k_top - i] * (1 << (top - 6 * (k_top - i)))
+                             for i in range(k_top + 1)])
+    x = [-v if (k_top + i) % 2 else v for i, v in enumerate(x)]
     if len(x) != fam.b_count:
         raise VerificationFailure(
             f"shadow expansion has {len(x)} coefficients, expected {fam.b_count}")

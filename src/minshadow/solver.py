@@ -383,13 +383,15 @@ def nonexistence_scan(case: FamilyCase, m_max: int,
     each m evaluated independently.
 
     At most min(jobs, cpu count, m_max) worker processes run; the
-    results do not depend on the worker count.
+    results do not depend on the worker count.  The cost of one m grows
+    steeply (about 3x from m = 155 to m = 231), so the m are submitted
+    largest first and the costliest chunks do not run last.
     """
     if case.tag not in UNIQUE_FAMILIES:
         raise ValueError(f"scan applies to unique-enumerator families, not {case.tag}")
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    ms = range(1, m_max + 1)
+    ms = range(m_max, 0, -1)
     check = functools.partial(admissible_at, case)
     workers = min(jobs or 1, os.cpu_count() or 1, len(ms))
     if workers > 1:
@@ -397,7 +399,7 @@ def nonexistence_scan(case: FamilyCase, m_max: int,
             results = list(pool.map(check, ms, chunksize=4))
     else:
         results = list(map(check, ms))
-    return list(zip(ms, results))
+    return list(zip(ms, results))[::-1]
 
 
 def max_admissible(scan: Sequence[tuple[int, Admissibility]]) -> int | None:

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from minshadow.exact import AffineForm, binomial
-from minshadow.gleason import (FamilyParams, build_transform_tables,
-                               code_inverse_col0, enumerators_from_gleason,
-                               horner_code_side, shadow_basis_column,
+from minshadow.gleason import (FamilyParams, _shadow_shift,
+                               build_transform_tables, code_inverse_col0,
+                               enumerators_from_gleason, horner_code_side,
+                               horner_shadow_side, shadow_basis_column,
                                shadow_inverse_entry)
 from oracles import (code_basis_poly, code_inverse_col0_sum, gleason_from_code,
                      gleason_from_shadow, identity_matrix, matrix_product)
@@ -267,6 +268,7 @@ class TestConversions:
 KERNEL_FAMILIES = [FamilyParams(m, l, r)
                    for m in range(5) for l in range(3) for r in range(4)
                    if 24 * m + 8 * l + 2 * r > 0]
+LARGE_K_FAMILIES = [FamilyParams(40, l, r) for l in range(3) for r in range(4)]
 ODD_DENOMINATORS = (1, 3, 5, 7, 9, 15, 49)
 POWER_OF_TWO_DENOMINATORS = (2, 4, 8, 64, 1024)
 
@@ -308,9 +310,7 @@ class TestExpansionKernel:
             assert list(enum.b) == want_b
         assert enum.free == ("beta",)
 
-    @pytest.mark.parametrize("fam", [FamilyParams(40, l, r)
-                                     for l in range(3) for r in range(4)],
-                             ids=lambda f: f"n{f.n}")
+    @pytest.mark.parametrize("fam", LARGE_K_FAMILIES, ids=lambda f: f"n{f.n}")
     def test_code_side_at_large_k(self, fam):
         # unit Gleason vectors at K = 120..122; the oracle stops at
         # degree n/2 - j
@@ -321,3 +321,39 @@ class TestExpansionKernel:
             want = code_basis_poly(j, fam)
             want += [0] * (fam.half + 1 - len(want))
             assert horner_code_side(unit, fam) == want
+
+    @pytest.mark.parametrize("fam", LARGE_K_FAMILIES, ids=lambda f: f"n{f.n}")
+    def test_shadow_side_at_large_k(self, fam):
+        # unit Gleason vectors at K = 120..122, against the shadow basis
+        # column scaled by the kernel's 2^s
+        k_top = fam.c_count - 1
+        scale = 2 ** _shadow_shift(fam)
+        for j in sorted({0, 1, k_top // 2, k_top}):
+            unit = [0] * (k_top + 1)
+            unit[j] = 1
+            want = [x * scale for x in shadow_basis_column(j, fam)]
+            assert horner_shadow_side(unit, fam) == want
+
+    # slow: the oracle builds all K + 1 basis polynomials, about 3 s per
+    # family on 2 cores with Python 3.11
+    @pytest.mark.slow
+    @pytest.mark.parametrize("fam", LARGE_K_FAMILIES, ids=lambda f: f"n{f.n}")
+    def test_dense_vector_and_palindromes(self, fam):
+        # unit vectors leave most Horner inputs zero; a dense vector makes
+        # every mirrored entry of the half-vector passes matter
+        rng = random.Random(fam.n)
+        c = [rng.randrange(-10 ** 6, 10 ** 6 + 1) for _ in range(fam.c_count)]
+        scale = 2 ** _shadow_shift(fam)
+        want_a = [0] * (fam.half + 1)
+        want_b = [0] * fam.b_count
+        for j, cj in enumerate(c):
+            for i, x in enumerate(code_basis_poly(j, fam)):
+                want_a[i] += cj * x
+            for i, x in enumerate(shadow_basis_column(j, fam)):
+                want_b[i] += cj * x * scale
+        a = horner_code_side(c, fam)
+        b = horner_shadow_side(c, fam)
+        assert a == want_a
+        assert b == want_b
+        assert all(a[i] == a[fam.half - i] for i in range(fam.half + 1))
+        assert all(b[i] == b[-1 - i] for i in range(fam.b_count))

@@ -339,6 +339,7 @@ class TestAdmissibility:
     ])
     def test_scan_workers_bounded(self, monkeypatch, jobs, cpus, m_max, workers):
         started = []
+        submitted = []
 
         class StubPool:
             def __init__(self, max_workers):
@@ -351,7 +352,8 @@ class TestAdmissibility:
                 return False
 
             def map(self, fn, items, chunksize=1):
-                return map(fn, items)
+                submitted.extend(items)
+                return map(fn, submitted)
 
         monkeypatch.setattr(solver, "ProcessPoolExecutor", StubPool)
         monkeypatch.setattr(solver.os, "cpu_count", lambda: cpus)
@@ -359,6 +361,9 @@ class TestAdmissibility:
         assert ([(m, a.ok) for m, a in scan]
                 == [(m, True) for m in range(1, m_max + 1)])
         assert started == ([] if workers is None else [workers])
+        # largest m first into the pool, results back in m order
+        assert submitted == ([] if workers is None
+                             else list(range(m_max, 0, -1)))
 
 
 SRC = Path(minshadow.__file__).resolve().parents[1]
