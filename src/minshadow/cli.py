@@ -167,26 +167,17 @@ def cmd_tables(args) -> int:
     shadow_ok = all(shadow_inverse_entry(i, j, fam) == tables.shadow_inverse[i][j]
                     for i in range(1, k) for j in range(k - i))
 
-    def grid(mat):
-        return [[_fmt(x) for x in row] for row in mat]
-
     doc = {
         "command": "tables", "family": case.tag, "m": str(args.m),
         "n": str(fam.n), "c_count": str(k),
-        "code_basis": grid(tables.code_basis),
-        "code_inverse": grid(tables.code_inverse),
-        "shadow_basis": grid(tables.shadow_basis),
-        "shadow_inverse": grid(tables.shadow_inverse),
         "closed_form_code_inverse_col0_ok": col0_ok,
         "closed_form_shadow_inverse_ok": shadow_ok,
     }
     lines = [f"n={fam.n}: {k}x{k} transform tables"]
-    for name, mat in (("code_basis", tables.code_basis),
-                      ("code_inverse", tables.code_inverse),
-                      ("shadow_basis", tables.shadow_basis),
-                      ("shadow_inverse", tables.shadow_inverse)):
+    for name in ("code_basis", "code_inverse", "shadow_basis", "shadow_inverse"):
+        doc[name] = [[_fmt(x) for x in row] for row in getattr(tables, name)]
         lines.append(f"{name}:")
-        lines.extend("  [" + ", ".join(_fmt(x) for x in row) + "]" for row in mat)
+        lines.extend("  [" + ", ".join(row) + "]" for row in doc[name])
     lines.append(f"closed-form checks: col0 {'OK' if col0_ok else 'MISMATCH'}, "
                  f"shadow {'OK' if shadow_ok else 'MISMATCH'}")
     _emit(doc, lines, args.format)
@@ -214,6 +205,14 @@ def _read_code(path: str):
             return parse_generator_file(fh.read())
     except OSError as exc:
         raise GeneratorFileError(f"cannot read {path}: {exc}") from exc
+
+
+def _write_code(path: str, code) -> None:
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(format_generator_file(code))
+    except OSError as exc:
+        raise GeneratorFileError(f"cannot write {path}: {exc}") from exc
 
 
 def _code_summary(code) -> dict:
@@ -249,10 +248,8 @@ def cmd_code(args) -> int:
 
     if args.subcommand == "c46":
         code = reference_code_46()
-        text = format_generator_file(code)
         if args.out:
-            with open(args.out, "w", encoding="ascii") as fh:
-                fh.write(text)
+            _write_code(args.out, code)
         doc = {"command": "code c46", **_code_summary(code),
                "written_to": args.out}
         lines = [f"[{code.n}, {code.k}, {min_weight(code)}] "
@@ -260,7 +257,7 @@ def cmd_code(args) -> int:
         if args.out:
             lines.append(f"generator matrix written to {args.out}")
         else:
-            lines.append(text.rstrip("\n"))
+            lines.append(format_generator_file(code).rstrip("\n"))
         _emit(doc, lines, args.format)
         return 0
 
@@ -293,8 +290,7 @@ def cmd_code(args) -> int:
         case, _ = beta_family_for_length(nb.n)
         beta = extract_beta(nb, case)
         if args.out:
-            with open(args.out, "w", encoding="ascii") as fh:
-                fh.write(format_generator_file(nb))
+            _write_code(args.out, nb)
         doc = {"command": "code neighbor", "file": args.gen_file,
                "support": [str(p) for p in support],
                "beta": str(beta), **_code_summary(nb),

@@ -18,13 +18,14 @@ column j starts at row K - j with entry (-1)^j 2^(n/2-6j).  Both blocks
 are therefore invertible, and their exact inverses convert low-order
 coefficient constraints on a and b into linear conditions on the c_j.
 
-This module builds the four blocks, provides closed forms for the
-inverse entries that the solver needs in bulk, and expands Gleason
-coefficients into (a, b) coefficient vectors.  Coefficient vectors are
-affine forms so that one-parameter enumerator families flow
+This module expands Gleason coefficients into (a, b) coefficient
+vectors, builds the four blocks and provides closed forms for the
+inverse entries that the solver needs in bulk.  Coefficient vectors
+are affine forms so that one-parameter enumerator families flow
 through unchanged.  Every expansion of Gleason coefficients into
 enumerator vectors goes through expand_scaled, which clears
-denominators and runs both Horner passes on plain integers.
+denominators and runs both Horner passes on plain integers; column j
+of both blocks is that kernel applied to the unit Gleason vector e_j.
 """
 
 from __future__ import annotations
@@ -107,28 +108,6 @@ def shadow_basis_column(j: int, fam: FamilyParams) -> list[Fraction]:
     return col
 
 
-def _code_basis_block(fam: FamilyParams) -> list[list[int]]:
-    """All code-side basis columns truncated to degree K, in O(K^2).
-
-    Column j is obtained from column j-1 by multiplying with z(1-z)^2 and
-    dividing out (1+z)^4; on truncated data the synthetic division is
-    still exact because low-order quotient coefficients only depend on
-    low-order dividend coefficients.
-    """
-    k_top = fam.c_count - 1
-    cols = [[binomial(fam.half, i) for i in range(k_top + 1)]]
-    for _ in range(k_top):
-        x = [0] + cols[-1][:k_top]      # times z, truncated to degree K
-        for _ in range(2):              # times (1-z)
-            for i in range(k_top, 0, -1):
-                x[i] -= x[i - 1]
-        for _ in range(4):              # divided by (1+z)
-            for i in range(1, k_top + 1):
-                x[i] -= x[i - 1]
-        cols.append(x)
-    return cols
-
-
 @dataclass(frozen=True)
 class TransformTables:
     """The four (K+1) x (K+1) transform blocks for one family.
@@ -163,11 +142,12 @@ def _lower_inverse(low: Matrix) -> Matrix:
 
 
 def build_transform_tables(fam: FamilyParams) -> TransformTables:
+    """Column j of both blocks is expand_scaled of the unit Gleason vector
+    e_j, truncated to its first K + 1 entries."""
     k = fam.c_count
-    cols = _code_basis_block(fam)
-    code_basis = [[Fraction(cols[j][i]) for j in range(k)] for i in range(k)]
-    shadow_cols = [shadow_basis_column(j, fam) for j in range(k)]
-    shadow_basis = [[shadow_cols[j][i] for j in range(k)] for i in range(k)]
+    cols = [expand_scaled([int(i == j) for i in range(k)], fam) for j in range(k)]
+    code_basis = [[Fraction(a[i], da) for a, da, _, _ in cols] for i in range(k)]
+    shadow_basis = [[Fraction(b[i], db) for _, _, b, db in cols] for i in range(k)]
     # reversing the columns of the shadow block gives a lower-triangular
     # matrix L; the inverse of the shadow block is L^-1 with its rows reversed
     low_inv = _lower_inverse([row[::-1] for row in shadow_basis])

@@ -3,12 +3,14 @@
 None of these is on a library path.  Dense polynomial arithmetic and
 dense rational matrices check the transform blocks and the solver; the
 full code-side basis polynomials, built by repeated multiplication,
-check the Horner expansion kernel; a binomial double sum checks the
-Catalan peel of the inverse code column; Gleason coefficients read back
-through the inverse blocks check the enumerators; the whole pinned
-linear system in all K + 1 Gleason coefficients checks the solver's
-derivation; the dual code and the MacWilliams fixed-point identity check
-the GF(2) engine.
+check the Horner expansion kernel; their truncations to degree K, built
+column by column by multiplying with z(1-z)^2 and dividing out (1+z)^4,
+check the code block that the kernel builds and feed the pinned system;
+a binomial double sum checks the Catalan peel of the inverse code
+column; Gleason coefficients read back through the inverse blocks check
+the enumerators; the whole pinned linear system in all K + 1 Gleason
+coefficients checks the solver's derivation; the dual code and the
+MacWilliams fixed-point identity check the GF(2) engine.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from minshadow.exact import (AffineForm, LinearSystemError, Scalar, as_affine,
                              binomial, parametric_linear_solve)
 from minshadow.gf2 import BinaryCode, code_weight_distribution
 from minshadow.gleason import (FamilyParams, Matrix, TransformTables,
-                               _code_basis_block, shadow_basis_column,
-                               shadow_inverse_entry)
+                               shadow_basis_column, shadow_inverse_entry)
 from minshadow.solver import FamilyCase, minimal_shadow_constraints
 
 
@@ -131,8 +132,30 @@ def code_basis_poly(j: int, fam: FamilyParams) -> list[int]:
         raise ValueError(f"basis index {j} out of range 0..{k_top}")
     p = [binomial(fam.half - 4 * j, i) for i in range(fam.half - 4 * j + 1)]
     for _ in range(j):
-        p = poly_product(p, [0, 1, -2, 1])
+        p = poly_product([0, 1, -2, 1], p)
     return p
+
+
+def code_basis_block(fam: FamilyParams) -> list[list[int]]:
+    """All code-side basis columns truncated to degree K, in O(K^2).
+
+    Column j is obtained from column j-1 by multiplying with z(1-z)^2 and
+    dividing out (1+z)^4; on truncated data the synthetic division is
+    still exact because low-order quotient coefficients only depend on
+    low-order dividend coefficients.
+    """
+    k_top = fam.c_count - 1
+    cols = [[binomial(fam.half, i) for i in range(k_top + 1)]]
+    for _ in range(k_top):
+        x = [0] + cols[-1][:k_top]      # times z, truncated to degree K
+        for _ in range(2):              # times (1-z)
+            for i in range(k_top, 0, -1):
+                x[i] -= x[i - 1]
+        for _ in range(4):              # divided by (1+z)
+            for i in range(1, k_top + 1):
+                x[i] -= x[i - 1]
+        cols.append(x)
+    return cols
 
 
 def code_inverse_col0_sum(i: int, n: int) -> Fraction:
@@ -205,7 +228,7 @@ def pinned_system_gleason(case: FamilyCase, m: int) -> list[AffineForm]:
     fam = case.params(m)
     cs = minimal_shadow_constraints(case, m)
     k = fam.c_count
-    code_cols = _code_basis_block(fam)
+    code_cols = code_basis_block(fam)
     shadow_cols = [shadow_basis_column(j, fam) for j in range(k)]
     rows: list[list[Scalar]] = []
     rhs: list[AffineForm] = []

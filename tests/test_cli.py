@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from minshadow import cli, solver
+from minshadow import cli, gleason, solver
 from minshadow.cli import main
 from minshadow.gf2 import LENGTH_CAP, format_generator_file, reference_code_46
 from minshadow.solver import Admissibility
@@ -147,6 +147,23 @@ class TestTablesCommand:
         assert code == 2
         assert "print cap" in err
 
+    @pytest.mark.parametrize("kernel", ["horner_code_side", "horner_shadow_side"])
+    def test_closed_forms_check_the_expansion_kernel(self, capsys, monkeypatch,
+                                                     kernel):
+        # the blocks come from the scans' own kernel, so a fault in it
+        # shows as a closed-form mismatch
+        real = getattr(gleason, kernel)
+
+        def perturbed(coeffs, fam):
+            x = real(coeffs, fam)
+            x[1] += 1
+            return x
+
+        monkeypatch.setattr(gleason, kernel, perturbed)
+        code, _, err = run(capsys, "tables", "--family", "24m+2", "--m", "1")
+        assert code == 1
+        assert "closed forms disagree" in err
+
 
 class TestBoundsCommand:
     def test_n22(self, capsys):
@@ -187,6 +204,22 @@ class TestCodeCommands:
         assert doc["beta"] == "42"
         assert doc["minimal_shadow"] is True
         assert out_path.exists()
+
+    @staticmethod
+    def _assert_cannot_write(capsys, tmp_path, *argv):
+        target = tmp_path / "no_such_dir" / "x.txt"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert f"error: cannot write {target}" in err
+
+    def test_c46_unwritable_out_exit_2(self, capsys, tmp_path):
+        self._assert_cannot_write(capsys, tmp_path, "code", "c46")
+
+    def test_neighbor_unwritable_out_exit_2(self, capsys, gen_file, tmp_path):
+        self._assert_cannot_write(capsys, tmp_path, "code", "neighbor",
+                                  "--gen-file", gen_file, "--support",
+                                  "1,27,28,31,33,35,36,37,42,43,45,46")
 
     def test_parse_error_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"

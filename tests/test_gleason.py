@@ -11,8 +11,9 @@ from minshadow.gleason import (FamilyParams, _shadow_shift,
                                enumerators_from_gleason, horner_code_side,
                                horner_shadow_side, shadow_basis_column,
                                shadow_inverse_entry)
-from oracles import (code_basis_poly, code_inverse_col0_sum, gleason_from_code,
-                     gleason_from_shadow, identity_matrix, matrix_product)
+from oracles import (code_basis_block, code_basis_poly, code_inverse_col0_sum,
+                     gleason_from_code, gleason_from_shadow, identity_matrix,
+                     matrix_product)
 
 # every decomposition with m <= 3 (the m <= 8 sweep lives in the
 # acceptance suite); n = 0 is excluded by validity
@@ -82,12 +83,15 @@ class TestBasisExpansions:
 
     @pytest.mark.parametrize("fam", ALL_SMALL_FAMILIES, ids=lambda f: f"n{f.n}")
     def test_incremental_block_matches_full_columns(self, fam):
-        from minshadow.gleason import _code_basis_block
-        block = _code_basis_block(fam)
+        # the kernel-built block and the oracle's recurrence both equal
+        # the truncated full basis polynomials
+        code_basis = build_transform_tables(fam).code_basis
+        block = code_basis_block(fam)
         k = fam.c_count
         for j in range(k):
             full = code_basis_poly(j, fam)
             want = [full[i] if i < len(full) else 0 for i in range(k)]
+            assert [row[j] for row in code_basis] == want
             assert block[j] == want
 
 
