@@ -145,7 +145,8 @@ def build_transform_tables(fam: FamilyParams) -> TransformTables:
     """Column j of both blocks is expand_scaled of the unit Gleason vector
     e_j, truncated to its first K + 1 entries."""
     k = fam.c_count
-    cols = [expand_scaled([int(i == j) for i in range(k)], fam) for j in range(k)]
+    cols = [expand_scaled([int(i == j) for i in range(k)], fam, k - 1)
+            for j in range(k)]
     code_basis = [[Fraction(a[i], da) for a, da, _, _ in cols] for i in range(k)]
     shadow_basis = [[Fraction(b[i], db) for _, _, b, db in cols] for i in range(k)]
     # reversing the columns of the shadow block gives a lower-triangular
@@ -159,23 +160,28 @@ def build_transform_tables(fam: FamilyParams) -> TransformTables:
 # closed forms for the inverse entries needed in bulk
 
 
-def code_inverse_col0(fam: FamilyParams) -> list[int]:
-    """Column 0 of the inverse code-side block, entries 0..K, as ints.
+def code_inverse_col0(fam: FamilyParams, top: int | None = None) -> list[int]:
+    """Column 0 of the inverse code-side block, entries 0..top (default
+    K), as ints.
 
     With s = z/(1+z)^2 (see horner_code_side) the column c solves
     P(s) = sum_j c_j (s - 4s^2)^j = (1+z)^(-n/2) mod s^(K+1).  As 1+z = C(s),
     C the Catalan series, p_k = [s^k] C(s)^(-n/2) = (-1)^k (n/2)/(n/2-k)
     C(n/2-k, k), so p_(k+1)/p_k = -(n/2-2k)(n/2-2k-1)/((k+1)(n/2-k-1)).
     The Catalan peel reads c_j = p_0, then divides P - p_0 by s(1 - 4s):
-    drop p_0, then x_i += 4 x_(i-1).
+    drop p_0, then x_i += 4 x_(i-1).  Entry j needs only p_0..p_j, so the
+    peel stops at degree top.
     """
     k_top = fam.c_count - 1
+    top = k_top if top is None else top
+    if not 0 <= top <= k_top:
+        raise ValueError(f"top entry {top} out of range 0..{k_top}")
     h = fam.half
     p = [1]
-    for k in range(k_top):
+    for k in range(top):
         p.append(-p[k] * (h - 2 * k) * (h - 2 * k - 1) // ((k + 1) * (h - k - 1)))
     col = []
-    for _ in range(k_top + 1):
+    for _ in range(top + 1):
         col.append(p[0])
         p = p[1:]
         for i in range(1, len(p)):
@@ -220,21 +226,26 @@ class ParametricEnumerator:
         return not self.free
 
 
-def _palindromic_horner(p: list[int]) -> list[int]:
-    """sum_k p[k] z^k (1+z)^(2(D-k)), D = len(p) - 1, to full degree 2D,
-    from the lower halves of its Horner partial sums (see horner_code_side)."""
+def _palindromic_horner(p: list[int], top: int) -> list[int]:
+    """Entries 0..top (top <= 2L) of sum_k p[k] z^k (1+z)^(2(L-k)),
+    L = len(p) - 1, from the lower halves of its Horner partial sums (see
+    horner_code_side); a partial sum past degree top keeps x[0..top]."""
     x = [p[0]]
     for k in range(1, len(p)):
-        x.append(x[-2] if k > 1 else 0)
+        if k <= top:
+            x.append(x[-2] if k > 1 else 0)
         for _ in range(2):
-            for i in range(k, 0, -1):
+            for i in range(len(x) - 1, 0, -1):
                 x[i] += x[i - 1]
-        x[k] += p[k]
-    return x + x[-2::-1]
+        if k <= top:
+            x[k] += p[k]
+    return x + x[-2::-1][:top + 1 - len(x)]
 
 
-def horner_code_side(coeffs: Sequence[int], fam: FamilyParams) -> list[int]:
-    """Expand sum_j coeffs[j] (1+z)^(n/2-4j) (z(1-z)^2)^j to full degree.
+def horner_code_side(coeffs: Sequence[int], fam: FamilyParams,
+                     top: int | None = None) -> list[int]:
+    """Expand sum_j coeffs[j] (1+z)^(n/2-4j) (z(1-z)^2)^j up to degree
+    top (default n/2, the full vector).
 
     Takes integer Gleason coefficients (expand_scaled clears the
     denominators first).  With s = z/(1+z)^2 one has
@@ -249,22 +260,33 @@ def horner_code_side(coeffs: Sequence[int], fam: FamilyParams) -> list[int]:
     x_(k-1)[k] = x_(k-1)[k-2] (0 when k = 1), multiplies by (1+z) twice
     in place and adds p_k at index k.  The last half is mirrored, and the
     remaining factor (1+z)^r, r = n/2 - 4K, follows.
+
+    For top < n/2 the same steps stop at degree top: (s - 4s^2)^j =
+    O(s^j), so pass 1 starts at coeffs[min(K, top)] and keeps p_0..p_top;
+    pass 2 keeps x_k[0..min(k, top)]; and (1+z)^r stops at degree top.
     """
     k_top = fam.c_count - 1
-    p = [coeffs[k_top]]
-    for j in range(k_top - 1, -1, -1):
+    top = fam.half if top is None else top
+    if not 0 <= top <= fam.half:
+        raise ValueError(f"top degree {top} out of range 0..{fam.half}")
+    j0 = min(k_top, top)
+    p = [coeffs[j0]]
+    for j in range(j0 - 1, -1, -1):
         p.append(0)
         for i in range(len(p) - 1, 0, -1):
             p[i] -= 4 * p[i - 1]
         p.insert(0, coeffs[j])
-    x = _palindromic_horner(p)
+        del p[top + 1:]
+    x = _palindromic_horner(p + [0] * (2 * k_top + 1 - len(p)),
+                            min(top, 4 * k_top))
     for _ in range(fam.r):
-        x.append(0)
+        if len(x) <= top:
+            x.append(0)
         for i in range(len(x) - 1, 0, -1):
             x[i] += x[i - 1]
-    if len(x) != fam.half + 1:
+    if len(x) != top + 1:
         raise VerificationFailure(
-            f"code expansion has {len(x)} coefficients, expected {fam.half + 1}")
+            f"code expansion has {len(x)} coefficients, expected {top + 1}")
     return x
 
 
@@ -283,7 +305,7 @@ def horner_shadow_side(coeffs: Sequence[int], fam: FamilyParams) -> list[int]:
     k_top = fam.c_count - 1
     top = fam.half + _shadow_shift(fam)
     x = _palindromic_horner([coeffs[k_top - i] * (1 << (top - 6 * (k_top - i)))
-                             for i in range(k_top + 1)])
+                             for i in range(k_top + 1)], 2 * k_top)
     x = [-v if (k_top + i) % 2 else v for i, v in enumerate(x)]
     if len(x) != fam.b_count:
         raise VerificationFailure(
@@ -291,18 +313,19 @@ def horner_shadow_side(coeffs: Sequence[int], fam: FamilyParams) -> list[int]:
     return x
 
 
-def expand_scaled(c: Sequence[Scalar],
-                  fam: FamilyParams) -> tuple[list[int], int, list[int], int]:
+def expand_scaled(c: Sequence[Scalar], fam: FamilyParams, top: int | None = None
+                  ) -> tuple[list[int], int, list[int], int]:
     """Code and shadow vectors of exact Gleason coefficients, as scaled
     integers (a_hat, Da, b_hat, Db) with a_i = a_hat[i]/Da and
     b_i = b_hat[i]/Db exactly.
 
     The coefficients are scaled by the lcm Da of their denominators, so
-    both Horner passes run on plain ints; the code side runs first.
+    both Horner passes run on plain ints; the code side runs first, up
+    to degree top (default n/2), and the shadow side always in full.
     """
     da = math.lcm(*(x.denominator for x in c))
     ch = [int(x * da) for x in c]
-    a_hat = horner_code_side(ch, fam)
+    a_hat = horner_code_side(ch, fam, top)
     b_hat = horner_shadow_side(ch, fam)
     return a_hat, da, b_hat, da << _shadow_shift(fam)
 

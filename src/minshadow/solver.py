@@ -181,8 +181,8 @@ def _gleason(case: FamilyCase, m: int) -> list:
     shadow block, s the free shadow slot.
     """
     fam = case.params(m)
-    col = code_inverse_col0(fam)
     h = case.d(m) // 2
+    col = code_inverse_col0(fam, h)
     tail = range(h, fam.c_count)
     if not case.parametrized:
         c = col[:h] + [shadow_inverse_entry(j, 0, fam) for j in tail]
@@ -278,7 +278,7 @@ def closed_form_a2m1(m: int) -> Fraction:
         raise ValueError(f"requires m >= 1, got {m}")
     fam = FamilyParams(m, 1, 1)
     i = 2 * m + 1
-    return (shadow_inverse_entry(i, 0, fam) - code_inverse_col0(fam)[i]) / 3
+    return (shadow_inverse_entry(i, 0, fam) - code_inverse_col0(fam, i)[i]) / 3
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +302,30 @@ def f_poly(case: FamilyCase) -> tuple[int, ...]:
 
 def evaluate_f(case: FamilyCase, m: int) -> int:
     return poly_eval(f_poly(case), m)
+
+
+_G_POLYS = {
+    "24m+2": (45, -1215, 28384, -226980, 901840, -1229760, 7936),
+    "24m+4": (-27, -95, 904, -83716, 863600, -3415744, 6959360, -10231808,
+              65536),
+    "24m+10": (-315, -11799, -113104, -544228, -1315248, -1256384, 7936),
+}
+
+
+def g_poly(case: FamilyCase) -> tuple[int, ...]:
+    """Coefficients, in ascending powers of m, of the integer polynomial g
+    with sign(a_{2m+4}) = -sign(g(m)), given the closed form of
+    a_{2m+4}/a_{2m+1} as -g(m) times a positive rational function of m
+    (a_{2m+1} > 0).
+
+    The closed form was fitted by rational interpolation and is verified
+    against the exact expansion (the tests check the sign at every
+    m <= 40), not proven.  admissible_at uses g only to schedule its
+    expansion.
+    """
+    if case.tag not in _G_POLYS:
+        raise ValueError(f"no a_(2m+4) polynomial for family {case.tag}")
+    return _G_POLYS[case.tag]
 
 
 def largest_root_bracket(case: FamilyCase) -> tuple[int, int]:
@@ -364,17 +388,40 @@ def admissible(enum: ParametricEnumerator) -> Admissibility:
 def admissible_at(case: FamilyCase, m: int) -> Admissibility:
     """Admissibility of the unique minimal-shadow enumerator at (case, m).
 
-    The Gleason coefficients come from _gleason, as in solve, and one
+    The Gleason coefficients come from _gleason, as in solve, and a
     scaled-integer expansion (gleason.expand_scaled) gives both vectors.
     Its pins are checked as in solve, so a wrong closed form raises
     VerificationFailure; no other entry becomes a Fraction unless it fails.
+
+    The cost depends on a hint.  Where g(m) > 0 (see g_poly), so that
+    a_{2m+4} < 0 given the closed form, the code side is first expanded
+    only to degree 2m+4, with the full shadow side for the pins.  As
+    _certify reads side a first and in index order, an offending entry of
+    that window is the certificate of the full expansion.  Otherwise, or
+    when the window holds no offending entry, the full expansion decides:
+    a wrong hint costs time, never correctness.
     """
     if case.tag not in UNIQUE_FAMILIES:
         raise ValueError(f"scan applies to unique-enumerator families, not {case.tag}")
-    a_hat, da, b_hat, db = expand_scaled(_gleason(case, m), case.params(m))
+    c = _gleason(case, m)
+    if poly_eval(g_poly(case), m) > 0:
+        window = _expand_and_certify(case, m, c, 2 * m + 4)
+        if not window.ok:
+            return window
+    return _expand_and_certify(case, m, c, None)
+
+
+def _expand_and_certify(case: FamilyCase, m: int, c: list,
+                        top: int | None) -> Admissibility:
+    """Expand c with the code side up to degree top (None: in full), check
+    the pins and certify; a window certifies side a only."""
+    a_hat, da, b_hat, db = expand_scaled(c, case.params(m), top)
     _check_pins(case, m, lambda i: Fraction(a_hat[i], da),
                 lambda i: Fraction(b_hat[i], db))
-    return _certify((("a", a_hat, da), ("b", b_hat, db)))
+    sides = [("a", a_hat, da)]
+    if top is None:
+        sides.append(("b", b_hat, db))
+    return _certify(sides)
 
 
 def nonexistence_scan(case: FamilyCase, m_max: int,
@@ -384,8 +431,10 @@ def nonexistence_scan(case: FamilyCase, m_max: int,
 
     At most min(jobs, cpu count, m_max) worker processes run; the
     results do not depend on the worker count.  The cost of one m grows
-    steeply (about 3x from m = 155 to m = 231), so the m are submitted
-    largest first and the costliest chunks do not run last.
+    steeply with m and depends on admissible_at's hint: where g(m) > 0
+    the code side is expanded only to degree 2m+4, about half the work of
+    a full expansion at the paper's thresholds.  The m are submitted
+    largest first, so the costliest chunks do not run last.
     """
     if case.tag not in UNIQUE_FAMILIES:
         raise ValueError(f"scan applies to unique-enumerator families, not {case.tag}")

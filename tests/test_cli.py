@@ -154,8 +154,8 @@ class TestTablesCommand:
         # shows as a closed-form mismatch
         real = getattr(gleason, kernel)
 
-        def perturbed(coeffs, fam):
-            x = real(coeffs, fam)
+        def perturbed(*args):
+            x = real(*args)
             x[1] += 1
             return x
 

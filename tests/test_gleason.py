@@ -273,6 +273,10 @@ KERNEL_FAMILIES = [FamilyParams(m, l, r)
                    for m in range(5) for l in range(3) for r in range(4)
                    if 24 * m + 8 * l + 2 * r > 0]
 LARGE_K_FAMILIES = [FamilyParams(40, l, r) for l in range(3) for r in range(4)]
+# every decomposition with m <= 11, for the truncated code side
+WINDOW_FAMILIES = [FamilyParams(m, l, r)
+                   for m in range(12) for l in range(3) for r in range(4)
+                   if 24 * m + 8 * l + 2 * r > 0]
 ODD_DENOMINATORS = (1, 3, 5, 7, 9, 15, 49)
 POWER_OF_TWO_DENOMINATORS = (2, 4, 8, 64, 1024)
 
@@ -361,3 +365,42 @@ class TestExpansionKernel:
         assert b == want_b
         assert all(a[i] == a[fam.half - i] for i in range(fam.half + 1))
         assert all(b[i] == b[-1 - i] for i in range(fam.b_count))
+
+
+class TestCodeSideWindow:
+    """horner_code_side truncated at degree top against the full vector."""
+
+    @pytest.mark.parametrize("fam", WINDOW_FAMILIES, ids=lambda f: f"n{f.n}")
+    def test_every_top_is_a_prefix(self, fam):
+        rng = random.Random(fam.n)
+        c = [rng.randrange(-10 ** 6, 10 ** 6 + 1) for _ in range(fam.c_count)]
+        full = horner_code_side(c, fam)
+        assert len(full) == fam.half + 1
+        for top in range(fam.half + 1):
+            assert horner_code_side(c, fam, top) == full[:top + 1], top
+
+    @pytest.mark.parametrize("fam", LARGE_K_FAMILIES, ids=lambda f: f"n{f.n}")
+    def test_prefix_at_large_k(self, fam):
+        # around 2m+4, K, 2K and 4K, the points where a pass changes
+        rng = random.Random(fam.n)
+        c = [rng.randrange(-10 ** 6, 10 ** 6 + 1) for _ in range(fam.c_count)]
+        full = horner_code_side(c, fam)
+        k_top = fam.c_count - 1
+        tops = {0, 1, 2 * fam.m + 4, fam.half - 1, fam.half}
+        tops |= {t + e for t in (k_top, 2 * k_top, 4 * k_top) for e in (-1, 0, 1)}
+        for top in sorted(t for t in tops if t <= fam.half):
+            assert horner_code_side(c, fam, top) == full[:top + 1], top
+
+    def test_top_out_of_range(self):
+        fam = FamilyParams.from_length(26)
+        for top in (-1, fam.half + 1):
+            with pytest.raises(ValueError):
+                horner_code_side([1, 0, 0, 0], fam, top)
+
+    @pytest.mark.parametrize("fam", WINDOW_FAMILIES, ids=lambda f: f"n{f.n}")
+    def test_truncated_peel_is_a_prefix(self, fam):
+        col = code_inverse_col0(fam)
+        for top in range(fam.c_count):
+            assert code_inverse_col0(fam, top) == col[:top + 1], top
+        with pytest.raises(ValueError):
+            code_inverse_col0(fam, fam.c_count)

@@ -11,13 +11,14 @@ import pytest
 
 import minshadow
 from minshadow import solver
-from minshadow.exact import AffineForm, VerificationFailure, taylor_shift
+from minshadow.exact import (AffineForm, VerificationFailure, poly_eval,
+                             taylor_shift)
 from minshadow.gleason import enumerators_from_gleason
 from minshadow.solver import (FAMILY_CASES, Admissibility, FreeParameterError,
                               admissible, admissible_at, beta_family_for_length,
                               beta_range, closed_form_a2m1, closed_form_bm,
                               closed_form_bm1, evaluate_f, f_poly, family_case,
-                              largest_root_bracket, max_admissible,
+                              g_poly, largest_root_bracket, max_admissible,
                               minimal_shadow_constraints, minimal_shadow_r,
                               nonexistence_scan, rains_bound, solve)
 from oracles import pinned_system_gleason
@@ -258,6 +259,63 @@ class TestNonexistencePolynomials:
             assert v.denominator == 1 and v > 0
 
 
+def sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+class TestCertificateHint:
+    """The a_{2m+4} polynomials g that schedule admissible_at's window."""
+
+    @pytest.mark.parametrize("case,t", [(C2, 155), (C4, 156), (C10, 160)],
+                             ids=lambda x: getattr(x, "tag", x))
+    def test_taylor_shift_gives_the_paper_thresholds(self, case, t):
+        # g(t + x) has only positive coefficients from t on, and g(t-1) < 0:
+        # given the closed form, a_{2m+4} < 0 for every m >= t
+        g = g_poly(case)
+        assert next(s for s in range(t + 1) if min(taylor_shift(g, s)) > 0) == t
+        assert poly_eval(g, t - 1) < 0
+
+    @pytest.mark.parametrize("case", [C2, C4, C10], ids=lambda c: c.tag)
+    def test_sign_of_a2m4_from_the_exact_expansion(self, case):
+        for m in range(1, 41):
+            a = solve(case, m).a[2 * m + 4].as_fraction()
+            assert sign(a) == -sign(poly_eval(g_poly(case), m)) != 0, m
+
+    def test_no_poly_for_beta_families(self):
+        with pytest.raises(ValueError):
+            g_poly(C22)
+
+    @pytest.mark.parametrize("case,t", [(C2, 155), (C4, 156), (C10, 160)],
+                             ids=lambda x: getattr(x, "tag", x))
+    def test_forced_hint_keeps_every_certificate(self, monkeypatch, case, t):
+        # g itself picks the window at t alone; g forced positive runs the
+        # window first at every m, and the admissible m fall through to
+        # the full expansion; g forced negative runs the full expansion
+        # alone
+        expand = solver.expand_scaled
+        tops = []
+
+        def recording(c, fam, top=None):
+            tops.append(top)
+            return expand(c, fam, top)
+
+        monkeypatch.setattr(solver, "expand_scaled", recording)
+        ms = [*range(1, 13), t - 1, t]
+        hinted = [admissible_at(case, m) for m in ms]
+        assert tops == [None] * (len(ms) - 1) + [2 * t + 4]
+        tops.clear()
+        monkeypatch.setattr(solver, "g_poly", lambda case: (1,))
+        forced_on = [admissible_at(case, m) for m in ms]
+        assert tops == [top for m in ms
+                        for top in ([2 * m + 4, None] if m < t else [2 * m + 4])]
+        tops.clear()
+        monkeypatch.setattr(solver, "g_poly", lambda case: (-1,))
+        forced_off = [admissible_at(case, m) for m in ms]
+        assert tops == [None] * len(ms)
+        assert hinted == forced_on == forced_off
+        assert [a.ok for a in forced_on] == [m < t for m in ms]
+
+
 class TestClosedFormValues:
     def test_bm_values(self):
         assert closed_form_bm(C2, 1) == 20
@@ -407,8 +465,8 @@ def _perturbed_column_run(call: str) -> subprocess.CompletedProcess:
         if not sys.flags.optimize:
             sys.exit("asserts are still enabled")
         column = solver.code_inverse_col0
-        def perturbed(fam):
-            col = column(fam)
+        def perturbed(fam, top=None):
+            col = column(fam, top)
             return [col[0], col[1] + 1] + col[2:]
         solver.code_inverse_col0 = perturbed
         try:
@@ -430,6 +488,15 @@ def test_admissible_at_verification_survives_optimize_flag():
         'solver.admissible_at(solver.family_case("24m+10"), 3)')
     assert proc.returncode == 0, proc.stderr
     assert "raised: 24m+10, m=3: a[1] = 1, expected 0" in proc.stdout
+
+
+def test_admissible_at_window_verification_survives_optimize_flag():
+    # at (24m+2, 155) the hint runs the window first; its pin check
+    # catches the wrong column under -O as the full expansion's does
+    proc = _perturbed_column_run(
+        'solver.admissible_at(solver.family_case("24m+2"), 155)')
+    assert proc.returncode == 0, proc.stderr
+    assert "raised: 24m+2, m=155: a[1] = 1, expected 0" in proc.stdout
 
 
 def test_solve_checks_its_code_column_under_optimize_flag():
