@@ -295,25 +295,31 @@ def _shadow_shift(fam: FamilyParams) -> int:
     return max(0, 6 * (fam.c_count - 1) - fam.half)
 
 
-def horner_shadow_side(coeffs: Sequence[int], fam: FamilyParams) -> list[int]:
+def horner_shadow_side(coeffs: Sequence[int], fam: FamilyParams,
+                       top: int | None = None) -> list[int]:
     """Expand sum_j (-1)^j coeffs[j] 2^(n/2-6j) y^(n/2-4j) (1-y^4)^(2j),
     scaled by 2^s with s = max(0, 6K - n/2), for integer Gleason
-    coefficients: the full shadow coefficient vector (indexed by i,
-    exponent 4i+r) times 2^s, all integers.  In w = -y^4 and i = K - j
-    the sum is (-1)^K y^r sum_i q_i w^i (1+w)^(2(K-i)) with
-    q_i = coeffs[K-i] 2^(n/2+s-6(K-i)), as in pass 2 of horner_code_side."""
+    coefficients: shadow coefficients 0..top (default 2K, the full vector;
+    indexed by i, exponent 4i+r) times 2^s, all integers.  In w = -y^4 and
+    i = K - j the sum is (-1)^K y^r sum_i q_i w^i (1+w)^(2(K-i)) with
+    q_i = coeffs[K-i] 2^(n/2+s-6(K-i)), as in pass 2 of horner_code_side,
+    and for top < 2K the same pass stops at degree top."""
     k_top = fam.c_count - 1
-    top = fam.half + _shadow_shift(fam)
-    x = _palindromic_horner([coeffs[k_top - i] * (1 << (top - 6 * (k_top - i)))
-                             for i in range(k_top + 1)], 2 * k_top)
+    top = 2 * k_top if top is None else top
+    if not 0 <= top <= 2 * k_top:
+        raise ValueError(f"top index {top} out of range 0..{2 * k_top}")
+    scale = fam.half + _shadow_shift(fam)
+    x = _palindromic_horner([coeffs[k_top - i] * (1 << (scale - 6 * (k_top - i)))
+                             for i in range(k_top + 1)], top)
     x = [-v if (k_top + i) % 2 else v for i, v in enumerate(x)]
-    if len(x) != fam.b_count:
+    if len(x) != top + 1:
         raise VerificationFailure(
-            f"shadow expansion has {len(x)} coefficients, expected {fam.b_count}")
+            f"shadow expansion has {len(x)} coefficients, expected {top + 1}")
     return x
 
 
-def expand_scaled(c: Sequence[Scalar], fam: FamilyParams, top: int | None = None
+def expand_scaled(c: Sequence[Scalar], fam: FamilyParams, top: int | None = None,
+                  shadow_top: int | None = None
                   ) -> tuple[list[int], int, list[int], int]:
     """Code and shadow vectors of exact Gleason coefficients, as scaled
     integers (a_hat, Da, b_hat, Db) with a_i = a_hat[i]/Da and
@@ -321,12 +327,13 @@ def expand_scaled(c: Sequence[Scalar], fam: FamilyParams, top: int | None = None
 
     The coefficients are scaled by the lcm Da of their denominators, so
     both Horner passes run on plain ints; the code side runs first, up
-    to degree top (default n/2), and the shadow side always in full.
+    to degree top (default n/2), then the shadow side up to index
+    shadow_top (default 2K).
     """
     da = math.lcm(*(x.denominator for x in c))
     ch = [int(x * da) for x in c]
     a_hat = horner_code_side(ch, fam, top)
-    b_hat = horner_shadow_side(ch, fam)
+    b_hat = horner_shadow_side(ch, fam, shadow_top)
     return a_hat, da, b_hat, da << _shadow_shift(fam)
 
 

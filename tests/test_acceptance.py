@@ -6,6 +6,7 @@ The full triple nonexistence scan is marked slow and deselected by
 default; run it with `pytest -m slow tests/test_acceptance.py`.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -53,17 +54,30 @@ def test_criterion_1_scan_boundaries():
           "last admissible m = 154 / 155 / 159")
 
 
+# sha256 of the lines "<family> <m> <ok> <side> <index> <value>" of all
+# 641 scanned m, in SCAN_EXPECTATIONS and m order, recorded before the
+# window path expanded the shadow side only to its last pinned index
+SCAN_CERTIFICATES_SHA256 = (
+    "4a3722fe65e16b2381b2d7315d7025a46f2986bfbd02af39d4930e4074dfa832")
+
+
 @pytest.mark.slow
 def test_criterion_1_full_scans():
     """Full scans to the root-bracket bound reproduce the three thresholds,
-    and the admissible set is exactly an initial interval."""
+    the admissible set is exactly an initial interval, and every
+    certificate matches the recorded one."""
+    digest = hashlib.sha256()
     for tag, (m_max, last_good) in SCAN_EXPECTATIONS.items():
         case = family_case(tag)
         scan = nonexistence_scan(case, m_max, jobs=2)
         assert max_admissible(scan) == last_good, tag
         assert [m for m, ok in scan if ok] == list(range(1, last_good + 1)), tag
+        for m, cert in scan:
+            digest.update(f"{tag} {m} {cert.ok} {cert.side} {cert.index} "
+                          f"{cert.value}\n".encode())
         print(f"  {tag}: scanned m <= {m_max}, admissible exactly "
               f"1..{last_good}")
+    assert digest.hexdigest() == SCAN_CERTIFICATES_SHA256
     print("ACCEPTANCE 1 (full scans): PASS")
 
 

@@ -404,3 +404,33 @@ class TestCodeSideWindow:
             assert code_inverse_col0(fam, top) == col[:top + 1], top
         with pytest.raises(ValueError):
             code_inverse_col0(fam, fam.c_count)
+
+
+class TestShadowSideWindow:
+    """horner_shadow_side truncated at index top against the full vector."""
+
+    @pytest.mark.parametrize("fam", WINDOW_FAMILIES, ids=lambda f: f"n{f.n}")
+    def test_every_top_is_a_prefix(self, fam):
+        rng = random.Random(fam.n)
+        c = [rng.randrange(-10 ** 6, 10 ** 6 + 1) for _ in range(fam.c_count)]
+        full = horner_shadow_side(c, fam)
+        assert len(full) == fam.b_count
+        for top in range(fam.b_count):
+            assert horner_shadow_side(c, fam, top) == full[:top + 1], top
+
+    @pytest.mark.parametrize("fam", LARGE_K_FAMILIES, ids=lambda f: f"n{f.n}")
+    def test_prefix_at_large_k(self, fam):
+        # around m, the last pinned index of the window path, and at K
+        # and 2K, where pass 2 stops growing and where it ends
+        rng = random.Random(fam.n)
+        c = [rng.randrange(-10 ** 6, 10 ** 6 + 1) for _ in range(fam.c_count)]
+        full = horner_shadow_side(c, fam)
+        k_top = fam.c_count - 1
+        for top in (fam.m - 1, fam.m, fam.m + 1, k_top, 2 * k_top):
+            assert horner_shadow_side(c, fam, top) == full[:top + 1], top
+
+    def test_top_out_of_range(self):
+        fam = FamilyParams.from_length(26)
+        for top in (-1, 2 * (fam.c_count - 1) + 1):
+            with pytest.raises(ValueError):
+                horner_shadow_side([1, 0, 0, 0], fam, top)

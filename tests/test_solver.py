@@ -291,27 +291,32 @@ class TestCertificateHint:
         # g itself picks the window at t alone; g forced positive runs the
         # window first at every m, and the admissible m fall through to
         # the full expansion; g forced negative runs the full expansion
-        # alone
+        # alone.  A window expands the shadow side to the last pinned
+        # index, b_m (b_(m-1) for 24m+4), and the full path in full.
         expand = solver.expand_scaled
         tops = []
 
-        def recording(c, fam, top=None):
-            tops.append(top)
-            return expand(c, fam, top)
+        def recording(c, fam, top=None, shadow_top=None):
+            tops.append((top, shadow_top))
+            return expand(c, fam, top, shadow_top)
 
+        def window(m):
+            return (2 * m + 4, m - 1 if case is C4 else m)
+
+        full = (None, None)
         monkeypatch.setattr(solver, "expand_scaled", recording)
         ms = [*range(1, 13), t - 1, t]
         hinted = [admissible_at(case, m) for m in ms]
-        assert tops == [None] * (len(ms) - 1) + [2 * t + 4]
+        assert tops == [full] * (len(ms) - 1) + [window(t)]
         tops.clear()
         monkeypatch.setattr(solver, "g_poly", lambda case: (1,))
         forced_on = [admissible_at(case, m) for m in ms]
         assert tops == [top for m in ms
-                        for top in ([2 * m + 4, None] if m < t else [2 * m + 4])]
+                        for top in ([window(m), full] if m < t else [window(m)])]
         tops.clear()
         monkeypatch.setattr(solver, "g_poly", lambda case: (-1,))
         forced_off = [admissible_at(case, m) for m in ms]
-        assert tops == [None] * len(ms)
+        assert tops == [full] * len(ms)
         assert hinted == forced_on == forced_off
         assert [a.ok for a in forced_on] == [m < t for m in ms]
 
@@ -497,6 +502,47 @@ def test_admissible_at_window_verification_survives_optimize_flag():
         'solver.admissible_at(solver.family_case("24m+2"), 155)')
     assert proc.returncode == 0, proc.stderr
     assert "raised: 24m+2, m=155: a[1] = 1, expected 0" in proc.stdout
+
+
+def _perturbed_shadow_entry_run(call: str, i: int) -> subprocess.CompletedProcess:
+    """Run call under python -O with entry (i, 0) of
+    solver.shadow_inverse_entry off by one; it prints "raised: <message>"
+    on VerificationFailure."""
+    script = textwrap.dedent("""
+        import sys
+        from minshadow import solver
+        from minshadow.exact import VerificationFailure
+        if not sys.flags.optimize:
+            sys.exit("asserts are still enabled")
+        entry = solver.shadow_inverse_entry
+        def perturbed(i, j, fam):
+            return entry(i, j, fam) + (1 if (i, j) == (%d, 0) else 0)
+        solver.shadow_inverse_entry = perturbed
+        try:
+            %s
+        except VerificationFailure as exc:
+            print("raised:", exc)
+        else:
+            sys.exit("accepted a perturbed shadow entry")
+    """) % (i, call)
+    return subprocess.run([sys.executable, "-O", "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("tag,m,i,label", [
+    # c_K is the only coefficient that reaches b_0
+    ("24m+2", 155, 3 * 155, "b[0]"),
+    # c_(d/2) sets a[d/2] and, through the coincidence, meets b_m
+    ("24m+10", 160, 2 * 160 + 1, "a[321]"),
+], ids=["b0", "coincidence"])
+def test_shadow_window_verification_survives_optimize_flag(tag, m, i, label):
+    # the window path expands the shadow side only to its last pinned
+    # index, and that prefix still meets every shadow pin under -O
+    proc = _perturbed_shadow_entry_run(
+        f'solver.admissible_at(solver.family_case("{tag}"), {m})', i)
+    assert proc.returncode == 0, proc.stderr
+    assert f"raised: {tag}, m={m}: {label} = " in proc.stdout
 
 
 def test_solve_checks_its_code_column_under_optimize_flag():
