@@ -9,8 +9,9 @@ check the code block that the kernel builds and feed the pinned system;
 a binomial double sum checks the Catalan peel of the inverse code
 column; Gleason coefficients read back through the inverse blocks check
 the enumerators; the whole pinned linear system in all K + 1 Gleason
-coefficients checks the solver's derivation; the dual code and the
-MacWilliams fixed-point identity check the GF(2) engine.
+coefficients checks the solver's derivation; the dual code, the
+MacWilliams fixed-point identity and a codeword-by-codeword count check
+the GF(2) engine.
 """
 
 from __future__ import annotations
@@ -277,6 +278,18 @@ def dual(code: BinaryCode) -> BinaryCode:
                 v |= 1 << p
         gens.append(v)
     return BinaryCode(gens, code.n)
+
+
+def weight_distribution_naive(code: BinaryCode, offset: int = 0) -> list[int]:
+    """Weight counts of offset + C, one Python int per codeword."""
+    dist = [0] * (code.n + 1)
+    for combo in range(1 << code.k):
+        v = offset
+        for i, row in enumerate(code.rows):
+            if combo >> i & 1:
+                v ^= row
+        dist[v.bit_count()] += 1
+    return dist
 
 
 def macwilliams_fixed_point(code: BinaryCode) -> bool:

@@ -2,8 +2,10 @@
 
 Each call's exit code and the sha256 of its stdout were recorded from
 the program before `solve` moved onto the closed-form Gleason
-coefficients.  Any change to what a command prints or how it exits
-fails here; a deliberate change re-records the digest and says why.
+coefficients; the `code` calls were recorded before the GF(2) weight
+enumeration moved onto cache-sized blocks.  Any change to what a command
+prints or how it exits fails here; a deliberate change re-records the
+digest and says why.
 """
 
 import hashlib
@@ -11,6 +13,8 @@ import hashlib
 import pytest
 
 from minshadow.cli import main
+from minshadow.gf2 import (NEIGHBOR_TABLE, format_generator_file, neighbor,
+                           reference_code_46)
 
 FAMILIES = ("24m+2", "24m+4", "24m+6", "24m+10", "24m+22")
 UNIQUE = ("24m+2", "24m+4", "24m+10")
@@ -54,6 +58,34 @@ def _calls():
 
 
 CALLS = _calls()
+
+
+def _support(i: int) -> str:
+    return ",".join(str(p) for p in NEIGHBOR_TABLE[i][0])
+
+
+def _code_calls():
+    # the JSON echoes the file name, so the files are named relative to
+    # the working directory the test runs in
+    calls = []
+    for fmt in ("json", "text"):
+        calls.append(("code", "table1", "--format", fmt))
+        calls.append(("code", "c46", "--format", fmt))
+        for name in ("c46.gen", "n36.gen"):
+            calls.append(("code", "verify", "--gen-file", name, "--format", fmt))
+            calls.append(("code", "shadow", "--gen-file", name, "--format", fmt))
+        calls.append(("code", "neighbor", "--gen-file", "c46.gen",
+                      "--support", _support(2), "--format", fmt))
+        # a [46,23,8] neighbour of N46,1 with beta = 34, outside the table
+        calls.append(("code", "neighbor", "--gen-file", "n36.gen",
+                      "--support", _support(2), "--format", fmt))
+    # no integer beta fits this neighbour of N46,1: exit 1, empty stdout
+    calls.append(("code", "neighbor", "--gen-file", "n36.gen",
+                  "--support", _support(1)))
+    return calls
+
+
+CODE_CALLS = _code_calls()
 
 # " ".join(argv) -> (exit code, sha256 of stdout)
 GOLDEN = {
@@ -351,6 +383,40 @@ GOLDEN = {
         (0, "4f08b86013f190f440681ee2c5f9d0d96172cb0d5a67b0071db6059484dfd66c"),
     "scan --family 24m+10 --m-max 5 --format text":
         (0, "6b23b3b0aa1c40b38981f659bae4fe2535d917fbd6dcf3a45b957dfd50a31259"),
+    "code table1 --format json":
+        (0, "ad92955bdd6c459f3beb0311021a7f2687b8f0a700efac836ad7148073d0c103"),
+    "code c46 --format json":
+        (0, "cb831de9589d04c90fbff66896d25d69098991d566da28e45630455bfe179a23"),
+    "code verify --gen-file c46.gen --format json":
+        (0, "90d5e19ba8c1c15b869f395c7418cbbfb6ff544b77392b7caec0fd720cbfea9c"),
+    "code shadow --gen-file c46.gen --format json":
+        (0, "130ac73a00af0e51e0c60415d3b0e598f8ddc1e588f098567a3a9b3c1d61d3d5"),
+    "code verify --gen-file n36.gen --format json":
+        (0, "fb2c6596e6ada7e2b439d80fcbd7f58ff6140cc72ebf14bc5ba23d1df19bf77b"),
+    "code shadow --gen-file n36.gen --format json":
+        (0, "a0e90ca999d3a28f842af4747681663846a0764fd6f667758bc1e154eb0eca17"),
+    "code neighbor --gen-file c46.gen --support 10,11,20,27,29,34,38,41,42,45 --format json":
+        (0, "b4e745d592f102cc5308536d947164e6b417b11df12ea6cae9d09d118155c19e"),
+    "code neighbor --gen-file n36.gen --support 10,11,20,27,29,34,38,41,42,45 --format json":
+        (0, "b14723c17395f1bd0543de8669552cc75ac63fa074c0708216171436209e4bb9"),
+    "code table1 --format text":
+        (0, "1ef2465acb690bf3701295faf48816f83c0fe465d3b6588974b97052ce3fb486"),
+    "code c46 --format text":
+        (0, "cb8a8835d56f95fba3bef34c7bef23151f954da878e7c6deadf414212d40162f"),
+    "code verify --gen-file c46.gen --format text":
+        (0, "08742ab376ad398d2e8617a7988a0afbf726871504f845efe81fae6859273f5e"),
+    "code shadow --gen-file c46.gen --format text":
+        (0, "499fc79a4d6dc0e3e7e1e578c3fb75206b25d0570933fd2aedf3eeab139cadda"),
+    "code verify --gen-file n36.gen --format text":
+        (0, "08742ab376ad398d2e8617a7988a0afbf726871504f845efe81fae6859273f5e"),
+    "code shadow --gen-file n36.gen --format text":
+        (0, "b0866995579945c875e59c57c946ba255bafb7236d11e3f25ee128ceae248219"),
+    "code neighbor --gen-file c46.gen --support 10,11,20,27,29,34,38,41,42,45 --format text":
+        (0, "7cda28a458718da2f85944972ba2e81398f249a72b4866c54c069af293de9a59"),
+    "code neighbor --gen-file n36.gen --support 10,11,20,27,29,34,38,41,42,45 --format text":
+        (0, "7035e32c1ce61317249b4576b2f50d7cdc46081ed6e5f00029a9db2ec1853baa"),
+    "code neighbor --gen-file n36.gen --support 1,27,28,31,33,35,36,37,42,43,45,46":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 
 
@@ -361,5 +427,18 @@ def test_golden_output(capsys, argv):
     assert (code, digest) == GOLDEN[" ".join(argv)]
 
 
+@pytest.mark.parametrize("argv", CODE_CALLS, ids=" ".join)
+def test_code_golden_output(capsys, monkeypatch, tmp_path, argv):
+    base = reference_code_46()
+    (tmp_path / "c46.gen").write_text(format_generator_file(base))
+    (tmp_path / "n36.gen").write_text(
+        format_generator_file(neighbor(base, NEIGHBOR_TABLE[0][0])))
+    monkeypatch.chdir(tmp_path)
+    code = main(list(argv))
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == GOLDEN[" ".join(argv)]
+
+
 def test_every_call_has_a_golden_record():
-    assert sorted(" ".join(argv) for argv in CALLS) == sorted(GOLDEN)
+    assert (sorted(" ".join(argv) for argv in CALLS + CODE_CALLS)
+            == sorted(GOLDEN))

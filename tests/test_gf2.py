@@ -18,7 +18,7 @@ from minshadow.gleason import (FamilyParams, build_transform_tables,
                                enumerators_from_gleason)
 from minshadow.solver import family_case, minimal_shadow_r
 from oracles import (build_code, dual, gleason_from_code,
-                     macwilliams_fixed_point)
+                     macwilliams_fixed_point, weight_distribution_naive)
 
 REP2 = build_code([[1, 1]])                       # the [2,1,2] code
 PAIR4 = build_code([[1, 1, 0, 0], [0, 0, 1, 1]])  # two copies side by side
@@ -99,6 +99,51 @@ class TestBasics:
             tracemalloc.stop()
         assert sum(dist) == 1 << 20
         assert peak < 100 * 2**20
+
+    def test_distribution_memory_bounded_on_length_46(self):
+        # one 2^23-word code enumeration and its 2^23-word shadow coset
+        code = reference_code_46()
+        tracemalloc.start()
+        try:
+            shadow(code)
+            dist = weight_distribution(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(dist) == 1 << 23
+        assert peak < 8 * 2**20
+
+
+def _random_code(rng: random.Random, n: int, k: int) -> BinaryCode:
+    while True:
+        code = BinaryCode([rng.getrandbits(n) for _ in range(k)], n)
+        if code.k == k:
+            return code
+
+
+class TestDistributionOracle:
+    # lengths straddle the uint64 word boundaries and the uint8/uint16
+    # switch of the per-codeword weight sum; at n = 1280 (20 words) the
+    # 64 a-rows run in XOR blocks of 51 rows, the last of 13
+    @pytest.mark.parametrize("n, k", [
+        (n, k) for n in (1, 63, 64, 65, 128, 255, 256, 257, 300)
+        for k in (0, 1, 2, 5, 12) if k <= n] + [(1280, 12)])
+    def test_matches_codeword_count(self, n, k):
+        rng = random.Random(1000 * n + k)
+        code = _random_code(rng, n, k)
+        for offset in (0, rng.getrandbits(n)):
+            dist = weight_distribution(code, offset)
+            assert dist == weight_distribution_naive(code, offset)
+            assert sum(dist) == 2**k
+
+    @pytest.mark.parametrize("n", (64, 255, 256, 257, LENGTH_CAP))
+    def test_all_ones_word(self, n):
+        # the heaviest weight, n, must not wrap in the weight sum
+        ones = (1 << n) - 1
+        code = BinaryCode([ones, 0b101], n)
+        assert weight_distribution(code)[n] == 1
+        assert weight_distribution(code, ones) == weight_distribution_naive(
+            code, ones)
 
 
 class TestShadow:
