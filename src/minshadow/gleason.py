@@ -33,6 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, lshift, sub
 from typing import Sequence
 
 from .exact import (AffineForm, Scalar, VerificationFailure, as_affine,
@@ -143,9 +145,9 @@ def _lower_inverse(low: Matrix) -> Matrix:
 
 def build_transform_tables(fam: FamilyParams) -> TransformTables:
     """Column j of both blocks is expand_scaled of the unit Gleason vector
-    e_j, truncated to its first K + 1 entries."""
+    e_j, expanded only to its first K + 1 entries on both sides."""
     k = fam.c_count
-    cols = [expand_scaled([int(i == j) for i in range(k)], fam, k - 1)
+    cols = [expand_scaled([int(i == j) for i in range(k)], fam, k - 1, k - 1)
             for j in range(k)]
     code_basis = [[Fraction(a[i], da) for a, da, _, _ in cols] for i in range(k)]
     shadow_basis = [[Fraction(b[i], db) for _, _, b, db in cols] for i in range(k)]
@@ -229,14 +231,14 @@ class ParametricEnumerator:
 def _palindromic_horner(p: list[int], top: int) -> list[int]:
     """Entries 0..top (top <= 2L) of sum_k p[k] z^k (1+z)^(2(L-k)),
     L = len(p) - 1, from the lower halves of its Horner partial sums (see
-    horner_code_side); a partial sum past degree top keeps x[0..top]."""
+    horner_code_side); a partial sum past degree top keeps x[0..top].
+    x[1:] = map(add, x[1:], x) is x *= 1+z (the map is listed, then written)."""
     x = [p[0]]
     for k in range(1, len(p)):
         if k <= top:
             x.append(x[-2] if k > 1 else 0)
         for _ in range(2):
-            for i in range(len(x) - 1, 0, -1):
-                x[i] += x[i - 1]
+            x[1:] = map(add, x[1:], x)
         if k <= top:
             x[k] += p[k]
     return x + x[-2::-1][:top + 1 - len(x)]
@@ -252,14 +254,14 @@ def horner_code_side(coeffs: Sequence[int], fam: FamilyParams,
     ((1-z)/(1+z))^2 = 1 - 4s, so each term equals
     (1+z)^(n/2) coeffs[j] (s - 4s^2)^j.  Pass 1 expands
     P(s) = sum_j coeffs[j] (s - 4s^2)^j = sum_k p_k s^k, of degree 2K,
-    by Horner: p <- s(1 - 4s) p + coeffs[j], in place.  Pass 2 expands
+    by Horner: p <- s(1 - 4s) p + coeffs[j] (a new list).  Pass 2 expands
     x_k = sum_(i<=k) p_i z^i (1+z)^(2(k-i)) = (1+z)^2 x_(k-1) + p_k z^k
     up to k = 2K.  Every term of x_k is palindromic about degree k, so
     x_k(z) = z^(2k) x_k(1/z) for every input, and only the lower half
     x_k[0..k] is kept: a step appends the mirrored entry
     x_(k-1)[k] = x_(k-1)[k-2] (0 when k = 1), multiplies by (1+z) twice
-    in place and adds p_k at index k.  The last half is mirrored, and the
-    remaining factor (1+z)^r, r = n/2 - 4K, follows.
+    with one slice assignment each and adds p_k at index k.  The last
+    half is mirrored, and the remaining factor (1+z)^r, r = n/2 - 4K, follows.
 
     For top < n/2 the same steps stop at degree top: (s - 4s^2)^j =
     O(s^j), so pass 1 starts at coeffs[min(K, top)] and keeps p_0..p_top;
@@ -272,18 +274,14 @@ def horner_code_side(coeffs: Sequence[int], fam: FamilyParams,
     j0 = min(k_top, top)
     p = [coeffs[j0]]
     for j in range(j0 - 1, -1, -1):
-        p.append(0)
-        for i in range(len(p) - 1, 0, -1):
-            p[i] -= 4 * p[i - 1]
-        p.insert(0, coeffs[j])
+        p = [coeffs[j], p[0], *map(sub, p[1:] + [0], map(lshift, p, repeat(2)))]
         del p[top + 1:]
     x = _palindromic_horner(p + [0] * (2 * k_top + 1 - len(p)),
                             min(top, 4 * k_top))
     for _ in range(fam.r):
         if len(x) <= top:
             x.append(0)
-        for i in range(len(x) - 1, 0, -1):
-            x[i] += x[i - 1]
+        x[1:] = map(add, x[1:], x)
     if len(x) != top + 1:
         raise VerificationFailure(
             f"code expansion has {len(x)} coefficients, expected {top + 1}")

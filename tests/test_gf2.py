@@ -86,6 +86,17 @@ class TestBasics:
             weight_distribution(BinaryCode([1], LENGTH_CAP + 1))
         assert weight_distribution(BinaryCode([1], LENGTH_CAP))[:2] == [1, 1]
 
+    @pytest.mark.parametrize("n, past_length", [(6, 7), (6, 64), (70, 100)])
+    def test_offset_must_be_a_word(self, n, past_length):
+        # a bit between n and the packed width used to be counted, a bit
+        # past the packed width dropped, and -1 died in numpy
+        code = _random_code(random.Random(n), n, 3)
+        for offset in (-1, 1 << n, 1 << past_length, (1 << past_length) | 1):
+            with pytest.raises(ValueError, match="offset"):
+                weight_distribution(code, offset)
+        top = (1 << n) - 1
+        assert weight_distribution(code, top) == weight_distribution_naive(code, top)
+
     def test_distribution_memory_bounded_on_wide_codes(self):
         # the XOR blocks are sized in uint64 words, not codeword pairs
         rng = random.Random(20)

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minshadow.exact import AffineForm, binomial
 from minshadow.gleason import (FamilyParams, _shadow_shift,
@@ -434,3 +437,48 @@ class TestShadowSideWindow:
         for top in (-1, 2 * (fam.c_count - 1) + 1):
             with pytest.raises(ValueError):
                 horner_shadow_side([1, 0, 0, 0], fam, top)
+
+
+@lru_cache(maxsize=None)
+def _basis_columns(fam: FamilyParams) -> tuple[list[int], list[Fraction]]:
+    return ([code_basis_poly(j, fam) for j in range(fam.c_count)],
+            [shadow_basis_column(j, fam) for j in range(fam.c_count)])
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """A family with m <= 5, a dense integer Gleason vector with negatives
+    and zeros, and a random top degree for each side."""
+    fam = draw(st.sampled_from([FamilyParams(m, l, r) for m in range(6)
+                                for l in range(3) for r in range(4)
+                                if 24 * m + 8 * l + 2 * r > 0]))
+    entry = st.one_of(st.just(0), st.integers(-1, 1),
+                      st.integers(-10 ** 30, 10 ** 30))
+    c = draw(st.lists(entry, min_size=fam.c_count, max_size=fam.c_count))
+    top = draw(st.integers(0, fam.half))
+    shadow_top = draw(st.integers(0, 2 * (fam.c_count - 1)))
+    return fam, c, top, shadow_top
+
+
+class TestTruncatedKernelsAgainstOracles:
+    """Truncated Horner expansions against the basis-polynomial oracles,
+    not only against the kernel's own full output."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_kernel_inputs())
+    def test_prefixes_match_oracles(self, inputs):
+        fam, c, top, shadow_top = inputs
+        code_cols, shadow_cols = _basis_columns(fam)
+        want_a = [0] * (fam.half + 1)
+        want_b = [0] * fam.b_count
+        for cj, a_col, b_col in zip(c, code_cols, shadow_cols):
+            for i, x in enumerate(a_col):
+                want_a[i] += cj * x
+            for i, x in enumerate(b_col):
+                want_b[i] += cj * x
+        scale = 2 ** _shadow_shift(fam)
+        given_c = list(c)
+        assert horner_code_side(c, fam, top) == want_a[:top + 1]
+        assert horner_shadow_side(c, fam, shadow_top) == [
+            x * scale for x in want_b[:shadow_top + 1]]
+        assert c == given_c
