@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Transform tables for length 26: the basis-change matrices between
-coefficient vectors and Gleason coefficients, and the closed forms that
-reproduce their first columns.
+coefficient vectors and Gleason coefficients.  The bases come from the
+expansion kernel and the inverses from their closed forms.
 
 The code-side block is lower unitriangular, so its inverse is integral;
 the shadow-side block is anti-triangular with power-of-two leading
-entries, so its inverse carries dyadic fractions.
+entries, so its inverse carries dyadic fractions.  build_transform_tables
+already checks basis x inverse = I; the demo multiplies them again.
 """
 
-from minshadow import (FamilyParams, build_transform_tables,
-                       code_inverse_col0, shadow_inverse_entry)
+from minshadow import FamilyParams, build_transform_tables, code_inverse_col0
 from minshadow.exact import format_exact
 
 fam = FamilyParams.from_length(26)
@@ -29,11 +29,13 @@ for name, mat in (("code basis (columns = basis polynomials)", tables.code_basis
 print("closed forms for the inverse entries:")
 col0 = code_inverse_col0(fam)
 for i in range(1, fam.c_count):
-    v = col0[i]
-    assert v == tables.code_inverse[i][0]
-    print(f"   code_inverse[{i}][0]  = {format_exact(v)}")
-for i in range(1, fam.c_count):
-    for j in range(fam.c_count - i):
-        v = shadow_inverse_entry(i, j, fam)
-        assert v == tables.shadow_inverse[i][j]
-print("   shadow_inverse[i][j] matches on the whole support i + j <= K")
+    print(f"   code_inverse[{i}][0]  = {format_exact(col0[i])}")
+
+k = fam.c_count
+eye = [[int(i == j) for j in range(k)] for i in range(k)]
+for basis, inverse in ((tables.code_basis, tables.code_inverse),
+                       (tables.shadow_basis, tables.shadow_inverse)):
+    product = [[sum(basis[i][t] * inverse[t][j] for t in range(k))
+                for j in range(k)] for i in range(k)]
+    assert product == eye
+print("   basis x inverse = I for both blocks")

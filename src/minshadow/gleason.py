@@ -20,12 +20,14 @@ coefficient constraints on a and b into linear conditions on the c_j.
 
 This module expands Gleason coefficients into (a, b) coefficient
 vectors, builds the four blocks and provides closed forms for the
-inverse entries that the solver needs in bulk.  Coefficient vectors
-are affine forms so that one-parameter enumerator families flow
-through unchanged.  Every expansion of Gleason coefficients into
-enumerator vectors goes through expand_scaled, which clears
-denominators and runs both Horner passes on plain integers; column j
-of both blocks is that kernel applied to the unit Gleason vector e_j.
+inverse entries, which serve both the solver and the inverse blocks.
+Coefficient vectors are affine forms so that one-parameter enumerator
+families flow through unchanged.  Every expansion of Gleason
+coefficients into enumerator vectors goes through expand_scaled, which
+clears denominators and runs both Horner passes on plain integers;
+column j of both bases is that kernel applied to the unit Gleason
+vector e_j, and build_transform_tables checks the closed-form inverses
+against those bases.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import add, lshift, sub
+from itertools import product, repeat
+from operator import add, lshift, mul, sub
 from typing import Sequence
 
 from .exact import (AffineForm, Scalar, VerificationFailure, as_affine,
@@ -114,11 +116,10 @@ def shadow_basis_column(j: int, fam: FamilyParams) -> list[Fraction]:
 class TransformTables:
     """The four (K+1) x (K+1) transform blocks for one family.
 
-    code_basis is lower unitriangular, code_inverse is its exact inverse
-    (also unitriangular); shadow_basis is anti-triangular with invertible
-    anti-diagonal, shadow_inverse its exact inverse, supported on
-    i + j <= K.
-    """
+    code_basis is lower unitriangular, code_inverse its exact (integral)
+    inverse; shadow_basis is anti-triangular with invertible anti-diagonal,
+    shadow_inverse its exact inverse, supported on i + j <= K.  Both
+    inverses are the closed forms."""
 
     fam: FamilyParams
     code_basis: Matrix
@@ -127,61 +128,60 @@ class TransformTables:
     shadow_inverse: Matrix
 
 
-def _lower_inverse(low: Matrix) -> Matrix:
-    """Exact inverse of an invertible lower-triangular matrix, by forward
-    substitution."""
-    k = len(low)
-    inv = [[Fraction(0)] * k for _ in range(k)]
-    for j in range(k):
-        inv[j][j] = 1 / low[j][j]
-        for i in range(j + 1, k):
-            s = Fraction(0)
-            for t in range(j, i):
-                if low[i][t]:
-                    s += low[i][t] * inv[t][j]
-            inv[i][j] = -s / low[i][i]
-    return inv
-
-
 def build_transform_tables(fam: FamilyParams) -> TransformTables:
-    """Column j of both blocks is expand_scaled of the unit Gleason vector
-    e_j, expanded only to its first K + 1 entries on both sides."""
+    """Column j of both bases is expand_scaled of the unit Gleason vector
+    e_j, expanded only to its first K + 1 entries on both sides.  The
+    inverses are the closed forms, checked in integers (else
+    VerificationFailure): code basis x code inverse = I, and (Db shadow
+    basis) x (d shadow inverse) = Db d I, d = 2^(n/2) the lcm denominator."""
     k = fam.c_count
     cols = [expand_scaled([int(i == j) for i in range(k)], fam, k - 1, k - 1)
-            for j in range(k)]
-    code_basis = [[Fraction(a[i], da) for a, da, _, _ in cols] for i in range(k)]
-    shadow_basis = [[Fraction(b[i], db) for _, _, b, db in cols] for i in range(k)]
-    # reversing the columns of the shadow block gives a lower-triangular
-    # matrix L; the inverse of the shadow block is L^-1 with its rows reversed
-    low_inv = _lower_inverse([row[::-1] for row in shadow_basis])
-    return TransformTables(fam, code_basis, _lower_inverse(code_basis),
-                           shadow_basis, low_inv[::-1])
+            for j in range(k)]                  # Da = 1 and Db = 2^s for all j
+    code = [[a[i] for a, _, _, _ in cols] for i in range(k)]
+    shadow = [[b[i] for _, _, b, _ in cols] for i in range(k)]
+    code_inv = [code_inverse_col0(fam, j=j) for j in range(k)]     # columns
+    shadow_inverse = [_shadow_inverse_row(i, fam) for i in range(k)]
+    d = math.lcm(*(x.denominator for row in shadow_inverse for x in row))
+    shadow_inv = [[int(x * d) for x in col] for col in zip(*shadow_inverse)]
+    db = cols[0][3]
+    for i, j in product(range(k), repeat=2):
+        if (sum(map(mul, code[i], code_inv[j])) != (i == j)
+                or sum(map(mul, shadow[i], shadow_inv[j])) != (i == j) * db * d):
+            raise VerificationFailure(f"closed forms disagree with the bases of "
+                                      f"n={fam.n} at ({i}, {j}) of basis x inverse")
+    return TransformTables(fam, [[Fraction(x) for x in row] for row in code],
+                           [[Fraction(x) for x in row] for row in zip(*code_inv)],
+                           [[Fraction(x, db) for x in row] for row in shadow],
+                           shadow_inverse)
 
 
 # ---------------------------------------------------------------------------
-# closed forms for the inverse entries needed in bulk
+# closed forms for the inverse entries
 
 
-def code_inverse_col0(fam: FamilyParams, top: int | None = None) -> list[int]:
-    """Column 0 of the inverse code-side block, entries 0..top (default
-    K), as ints.
+def code_inverse_col0(fam: FamilyParams, top: int | None = None,
+                      j: int = 0) -> list[int]:
+    """Column j (default 0) of the inverse code-side block, entries
+    0..top (default K), as ints.
 
     With s = z/(1+z)^2 (see horner_code_side) the column c solves
-    P(s) = sum_j c_j (s - 4s^2)^j = (1+z)^(-n/2) mod s^(K+1).  As 1+z = C(s),
-    C the Catalan series, p_k = [s^k] C(s)^(-n/2) = (-1)^k (n/2)/(n/2-k)
-    C(n/2-k, k), so p_(k+1)/p_k = -(n/2-2k)(n/2-2k-1)/((k+1)(n/2-k-1)).
-    The Catalan peel reads c_j = p_0, then divides P - p_0 by s(1 - 4s):
-    drop p_0, then x_i += 4 x_(i-1).  Entry j needs only p_0..p_j, so the
-    peel stops at degree top.
+    P(s) = sum_i c_i (s - 4s^2)^i = z^j (1+z)^(-n/2) mod s^(K+1).  As
+    1+z = C(s), C the Catalan series, and z = s C(s)^2, P = s^j C(s)^e with
+    e = 2j - n/2: p_k = [s^k] C(s)^e = e/(e+2k) C(e+2k, k), so p_(k+1)/p_k
+    = (e+2k)(e+2k+1)/((k+1)(e+k+1)), whose factors in e are negative for
+    k < K - j.  The Catalan peel reads c_i = [s^0] P, then divides
+    P - [s^0] P by s(1 - 4s): drop x_0, then x_i += 4 x_(i-1).  Entry i
+    needs only [s^0..s^i] P, so the peel stops at degree top.
     """
     k_top = fam.c_count - 1
     top = k_top if top is None else top
-    if not 0 <= top <= k_top:
-        raise ValueError(f"top entry {top} out of range 0..{k_top}")
-    h = fam.half
-    p = [1]
-    for k in range(top):
-        p.append(-p[k] * (h - 2 * k) * (h - 2 * k - 1) // ((k + 1) * (h - k - 1)))
+    if not (0 <= top <= k_top and 0 <= j <= k_top):
+        raise ValueError(f"top entry {top} or column {j} out of range 0..{k_top}")
+    e = 2 * j - fam.half
+    p = [0] * j + [1]
+    for k in range(top - j):
+        p.append(p[-1] * (e + 2 * k) * (e + 2 * k + 1) // ((k + 1) * (e + k + 1)))
+    del p[top + 1:]
     col = []
     for _ in range(top + 1):
         col.append(p[0])
@@ -198,6 +198,16 @@ def shadow_inverse_entry(i: int, j: int, fam: FamilyParams) -> Fraction:
         raise ValueError(f"indices (i={i}, j={j}) out of range for K={k_top}")
     return (Fraction((-1) ** i) * Fraction(2) ** (6 * i - fam.half)
             * Fraction(k_top - j, i) * binomial(k_top + i - j - 1, k_top - i - j))
+
+
+def _shadow_inverse_row(i: int, fam: FamilyParams) -> list[Fraction]:
+    """Row i of the inverse shadow-side block.  Row 0 is 2^(1-n/2), and
+    2^(-n/2) at j = K: sum_i b_i = W_S(1) = 2^(n/2) c_0, b palindromic."""
+    k_top = fam.c_count - 1
+    if i == 0:
+        return [Fraction(2, 1 << fam.half)] * k_top + [Fraction(1, 1 << fam.half)]
+    return [shadow_inverse_entry(i, j, fam) if i + j <= k_top else Fraction(0)
+            for j in range(k_top + 1)]
 
 
 # ---------------------------------------------------------------------------

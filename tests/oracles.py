@@ -7,11 +7,12 @@ check the Horner expansion kernel; their truncations to degree K, built
 column by column by multiplying with z(1-z)^2 and dividing out (1+z)^4,
 check the code block that the kernel builds and feed the pinned system;
 a binomial double sum checks the Catalan peel of the inverse code
-column; Gleason coefficients read back through the inverse blocks check
-the enumerators; the whole pinned linear system in all K + 1 Gleason
-coefficients checks the solver's derivation; the dual code, the
-MacWilliams fixed-point identity and a codeword-by-codeword count check
-the GF(2) engine.
+column; forward substitution over Fractions inverts the kernel's bases
+and checks the closed-form inverse blocks; Gleason coefficients read
+back through the inverse blocks check the enumerators; the whole pinned
+linear system in all K + 1 Gleason coefficients checks the solver's
+derivation; the dual code, the MacWilliams fixed-point identity and a
+codeword-by-codeword count check the GF(2) engine.
 """
 
 from __future__ import annotations
@@ -157,6 +158,31 @@ def code_basis_block(fam: FamilyParams) -> list[list[int]]:
                 x[i] -= x[i - 1]
         cols.append(x)
     return cols
+
+
+def lower_inverse(low: Matrix) -> Matrix:
+    """Exact inverse of an invertible lower-triangular matrix, by forward
+    substitution."""
+    k = len(low)
+    inv = [[Fraction(0)] * k for _ in range(k)]
+    for j in range(k):
+        inv[j][j] = 1 / low[j][j]
+        for i in range(j + 1, k):
+            s = Fraction(0)
+            for t in range(j, i):
+                if low[i][t]:
+                    s += low[i][t] * inv[t][j]
+            inv[i][j] = -s / low[i][i]
+    return inv
+
+
+def inverse_blocks(tables: TransformTables) -> tuple[Matrix, Matrix]:
+    """The inverses of the code and shadow bases of tables by forward
+    substitution.  Reversing the columns of the anti-triangular shadow
+    block gives a lower-triangular matrix L; the inverse of the shadow
+    block is L^-1 with its rows reversed."""
+    low_inv = lower_inverse([row[::-1] for row in tables.shadow_basis])
+    return lower_inverse(tables.code_basis), low_inv[::-1]
 
 
 def code_inverse_col0_sum(i: int, n: int) -> Fraction:

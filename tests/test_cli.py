@@ -1,10 +1,16 @@
 """CLI behavior: output contracts, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import minshadow
 from minshadow import cli, gleason, solver
 from minshadow.cli import main
 from minshadow.gf2 import LENGTH_CAP, format_generator_file, reference_code_46
@@ -129,6 +135,50 @@ class TestBetaRangeCommand:
         assert (doc["beta_min"], doc["beta_max"]) == ("104", "4841")
 
 
+SRC = Path(minshadow.__file__).resolve().parents[1]
+
+# a wrong entry in column 1 of the code inverse, and row 0 of the shadow
+# inverse as if b were not palindromic (2^(1-n/2) at j = K too)
+PERTURBED_CLOSED_FORMS = {
+    "code_column_1": """
+        column = gleason.code_inverse_col0
+        def perturbed(fam, top=None, j=0):
+            col = column(fam, top, j)
+            if j == 1:
+                col[2] += 1
+            return col
+        gleason.code_inverse_col0 = perturbed
+    """,
+    "shadow_row_0": """
+        row = gleason._shadow_inverse_row
+        def perturbed(i, fam):
+            r = row(i, fam)
+            if i == 0:
+                r[-1] *= 2
+            return r
+        gleason._shadow_inverse_row = perturbed
+    """,
+}
+
+
+def _perturbed_tables_run(perturbation: str,
+                          optimize: bool) -> subprocess.CompletedProcess:
+    """Run `tables --family 24m+2 --m 1` in a fresh interpreter, under
+    python -O if optimize, after the perturbation."""
+    script = textwrap.dedent("""
+        import sys
+        from minshadow import cli, gleason
+        if sys.flags.optimize != %d:
+            sys.exit("unexpected optimize flag")
+    """) % optimize + textwrap.dedent(perturbation) + textwrap.dedent("""
+        sys.exit(cli.main(["tables", "--family", "24m+2", "--m", "1"]))
+    """)
+    flags = ["-O"] if optimize else []
+    return subprocess.run([sys.executable, *flags, "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestTablesCommand:
     def test_n26(self, capsys):
         doc = run_json(capsys, "tables", "--family", "24m+2", "--m", "1")
@@ -141,6 +191,24 @@ class TestTablesCommand:
         doc = run_json(capsys, "tables", "--family", "24m+2", "--m", "0")
         assert doc["code_basis"] == [["1"]]
         assert doc["shadow_inverse"] == [["1/2"]]
+
+    def test_at_the_print_cap(self, capsys):
+        # K + 1 = 64: the whole build and its identity check run
+        doc = run_json(capsys, "tables", "--family", "24m+2", "--m", "21")
+        assert doc["c_count"] == "64"
+        assert doc["closed_form_code_inverse_col0_ok"] is True
+        assert doc["closed_form_shadow_inverse_ok"] is True
+
+    @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+    @pytest.mark.parametrize("perturbation", sorted(PERTURBED_CLOSED_FORMS))
+    def test_identity_check_catches_a_wrong_closed_form(self, perturbation,
+                                                        optimize):
+        # basis x inverse = I is checked in the library, not by assert
+        proc = _perturbed_tables_run(PERTURBED_CLOSED_FORMS[perturbation],
+                                     optimize)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert "closed forms disagree" in proc.stderr
 
     def test_print_cap(self, capsys):
         code, _, err = run(capsys, "tables", "--family", "24m+2", "--m", "30")

@@ -16,13 +16,18 @@ from minshadow.gleason import (FamilyParams, _shadow_shift,
                                shadow_inverse_entry)
 from oracles import (code_basis_block, code_basis_poly, code_inverse_col0_sum,
                      gleason_from_code, gleason_from_shadow, identity_matrix,
-                     matrix_product)
+                     inverse_blocks, matrix_product)
 
 # every decomposition with m <= 3 (the m <= 8 sweep lives in the
 # acceptance suite); n = 0 is excluded by validity
 ALL_SMALL_FAMILIES = [FamilyParams(m, l, r)
                       for m in range(4) for l in range(3) for r in range(4)
                       if 24 * m + 8 * l + 2 * r > 0]
+# every decomposition with m <= 8, and two at the print cap of tables
+CLOSED_FORM_FAMILIES = [FamilyParams(m, l, r)
+                        for m in range(9) for l in range(3) for r in range(4)
+                        if 24 * m + 8 * l + 2 * r > 0] + [
+                            FamilyParams(21, 0, 1), FamilyParams(20, 2, 3)]
 
 
 class TestFamilyParams:
@@ -114,15 +119,14 @@ class TestTransformTables:
         assert matrix_product(t.shadow_inverse, t.shadow_basis) == eye
         assert matrix_product(t.shadow_basis, t.shadow_inverse) == eye
 
-    @pytest.mark.parametrize("fam", ALL_SMALL_FAMILIES, ids=lambda f: f"n{f.n}")
+    @pytest.mark.parametrize("fam", CLOSED_FORM_FAMILIES, ids=lambda f: f"n{f.n}")
     def test_closed_forms_match_matrices(self, fam):
+        # the closed-form inverses against forward substitution on the
+        # kernel's bases
         t = build_transform_tables(fam)
-        k_top = fam.c_count - 1
-        col = code_inverse_col0(fam)
-        for i in range(1, k_top + 1):
-            assert col[i] == t.code_inverse[i][0]
-            for j in range(k_top + 1 - i):
-                assert shadow_inverse_entry(i, j, fam) == t.shadow_inverse[i][j]
+        code_inverse, shadow_inverse = inverse_blocks(t)
+        assert t.code_inverse == code_inverse
+        assert t.shadow_inverse == shadow_inverse
 
     @pytest.mark.parametrize("fam", ALL_SMALL_FAMILIES, ids=lambda f: f"n{f.n}")
     def test_shadow_inverse_anti_triangular(self, fam):
@@ -402,11 +406,17 @@ class TestCodeSideWindow:
 
     @pytest.mark.parametrize("fam", WINDOW_FAMILIES, ids=lambda f: f"n{f.n}")
     def test_truncated_peel_is_a_prefix(self, fam):
-        col = code_inverse_col0(fam)
-        for top in range(fam.c_count):
-            assert code_inverse_col0(fam, top) == col[:top + 1], top
+        k = fam.c_count
+        for j in range(k):
+            col = code_inverse_col0(fam, j=j)
+            assert col[:j + 1] == [0] * j + [1], j
+            for top in range(k):
+                assert code_inverse_col0(fam, top, j) == col[:top + 1], (j, top)
         with pytest.raises(ValueError):
-            code_inverse_col0(fam, fam.c_count)
+            code_inverse_col0(fam, k)
+        for j in (-1, k):
+            with pytest.raises(ValueError):
+                code_inverse_col0(fam, j=j)
 
 
 class TestShadowSideWindow:
