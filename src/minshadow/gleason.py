@@ -24,7 +24,10 @@ inverse entries, which serve both the solver and the inverse blocks.
 Coefficient vectors are affine forms so that one-parameter enumerator
 families flow through unchanged.  Every expansion of Gleason
 coefficients into enumerator vectors goes through expand_scaled, which
-clears denominators and runs both Horner passes on plain integers;
+clears denominators and runs both Horner passes on plain integers.
+An expansion truncated below the middle of pass 2 stops that pass at
+its top degree and applies the remaining power of (1+z), which adds no
+coefficient, in one exact step;
 column j of both bases is that kernel applied to the unit Gleason
 vector e_j, and build_transform_tables checks the closed-form inverses
 against those bases.
@@ -238,20 +241,55 @@ class ParametricEnumerator:
         return not self.free
 
 
-def _palindromic_horner(p: list[int], top: int) -> list[int]:
-    """Entries 0..top (top <= 2L) of sum_k p[k] z^k (1+z)^(2(L-k)),
-    L = len(p) - 1, from the lower halves of its Horner partial sums (see
-    horner_code_side); a partial sum past degree top keeps x[0..top].
-    x[1:] = map(add, x[1:], x) is x *= 1+z (the map is listed, then written)."""
+def _palindromic_horner(p: list[int], top: int, extra: int = 0) -> list[int]:
+    """Entries 0..top (top <= 2L + extra) of
+    (1+z)^extra sum_k p[k] z^k (1+z)^(2(L-k)), L = len(p) - 1, from the
+    lower halves of its Horner partial sums (see horner_code_side).
+    x[1:] = map(add, x[1:], x) is x *= 1+z (the map is listed, then written).
+
+    For top < L the partial sums stop at step top: x_top[0..top] holds
+    every p[k] that reaches degree top, and the rest of the sum is
+    x_top (1+z)^e, e = 2(L - top) + extra, which _binomial_tail applies
+    in one step.  Otherwise all L steps run, the last half is mirrored
+    and (1+z)^extra follows one step at a time.
+    """
+    last = len(p) - 1
     x = [p[0]]
-    for k in range(1, len(p)):
-        if k <= top:
-            x.append(x[-2] if k > 1 else 0)
+    for k in range(1, min(top, last) + 1):
+        x.append(x[-2] if k > 1 else 0)
         for _ in range(2):
             x[1:] = map(add, x[1:], x)
-        if k <= top:
-            x[k] += p[k]
-    return x + x[-2::-1][:top + 1 - len(x)]
+        x[k] += p[k]
+    if top < last:
+        return _binomial_tail(x, 2 * (last - top) + extra)
+    x += x[-2::-1][:top + 1 - len(x)]
+    for _ in range(extra):
+        if len(x) <= top:
+            x.append(0)
+        x[1:] = map(add, x[1:], x)
+    return x
+
+
+def _binomial_tail(x: list[int], e: int) -> list[int]:
+    """(1+z)^e x mod z^len(x), exactly, for e >= 0.
+
+    With B = (1+z)^(-e) mod z^len(x), B_i = (-1)^i C(e+i-1, i), one has
+    (1+z)^e x = x[0] + (1+z)^e d with d = x - x[0] B, and d[0] = 0.  Each
+    nonzero d_i adds d_i C(e, k) at i + k.  The identity holds for every x;
+    on the window path the pins make (1+z)^e x vanish between index 1 and
+    the first unpinned entry, so d is zero there too and the cost is
+    O(len(x)) products plus len(x) for each nonzero entry of d.
+    """
+    top = len(x) - 1
+    b, c = [1], [1]
+    for i in range(top):
+        b.append(-b[-1] * (e + i) // (i + 1))       # exact, also when negative
+        c.append(c[-1] * (e - i) // (i + 1))
+    y = [x[0]] + [0] * top
+    for i, d in enumerate(map(sub, x, map(mul, repeat(x[0]), b))):
+        if d:
+            y[i:] = map(add, y[i:], map(mul, repeat(d), c))
+    return y
 
 
 def horner_code_side(coeffs: Sequence[int], fam: FamilyParams,
@@ -274,8 +312,11 @@ def horner_code_side(coeffs: Sequence[int], fam: FamilyParams,
     half is mirrored, and the remaining factor (1+z)^r, r = n/2 - 4K, follows.
 
     For top < n/2 the same steps stop at degree top: (s - 4s^2)^j =
-    O(s^j), so pass 1 starts at coeffs[min(K, top)] and keeps p_0..p_top;
-    pass 2 keeps x_k[0..min(k, top)]; and (1+z)^r stops at degree top.
+    O(s^j), so pass 1 starts at coeffs[min(K, top)] and keeps p_0..p_top.
+    Pass 2 and (1+z)^r are one call of _palindromic_horner with r as its
+    extra factor.  For top < 2K it stops pass 2 at k = top and applies
+    (1+z)^(2(2K - top) + r) in one exact step; otherwise pass 2 keeps
+    x_k[0..min(k, top)] and (1+z)^r stops at degree top.
     """
     k_top = fam.c_count - 1
     top = fam.half if top is None else top
@@ -286,12 +327,7 @@ def horner_code_side(coeffs: Sequence[int], fam: FamilyParams,
     for j in range(j0 - 1, -1, -1):
         p = [coeffs[j], p[0], *map(sub, p[1:] + [0], map(lshift, p, repeat(2)))]
         del p[top + 1:]
-    x = _palindromic_horner(p + [0] * (2 * k_top + 1 - len(p)),
-                            min(top, 4 * k_top))
-    for _ in range(fam.r):
-        if len(x) <= top:
-            x.append(0)
-        x[1:] = map(add, x[1:], x)
+    x = _palindromic_horner(p + [0] * (2 * k_top + 1 - len(p)), top, fam.r)
     if len(x) != top + 1:
         raise VerificationFailure(
             f"code expansion has {len(x)} coefficients, expected {top + 1}")
@@ -311,7 +347,8 @@ def horner_shadow_side(coeffs: Sequence[int], fam: FamilyParams,
     indexed by i, exponent 4i+r) times 2^s, all integers.  In w = -y^4 and
     i = K - j the sum is (-1)^K y^r sum_i q_i w^i (1+w)^(2(K-i)) with
     q_i = coeffs[K-i] 2^(n/2+s-6(K-i)), as in pass 2 of horner_code_side,
-    and for top < 2K the same pass stops at degree top."""
+    and for top < 2K the same pass stops at degree top (for top < K with
+    the one-step tail (1+w)^(2(K - top)))."""
     k_top = fam.c_count - 1
     top = 2 * k_top if top is None else top
     if not 0 <= top <= 2 * k_top:

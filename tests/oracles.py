@@ -3,7 +3,8 @@
 None of these is on a library path.  Dense polynomial arithmetic and
 dense rational matrices check the transform blocks and the solver; the
 full code-side basis polynomials, built by repeated multiplication,
-check the Horner expansion kernel; their truncations to degree K, built
+check the Horner expansion kernel, and (1+z)^e applied one step at a
+time checks its one-step tail; their truncations to degree K, built
 column by column by multiplying with z(1-z)^2 and dividing out (1+z)^4,
 check the code block that the kernel builds and feed the pinned system;
 a binomial double sum checks the Catalan peel of the inverse code
@@ -71,6 +72,16 @@ def poly_product(p: Sequence[Scalar], q: Sequence[Scalar]) -> list[Scalar]:
             for j, b in enumerate(q):
                 out[i + j] += a * b
     return poly_trim(out)
+
+
+def one_plus_z_power_steps(x: Sequence[int], e: int) -> list[int]:
+    """(1+z)^e x mod z^len(x), by e multiplications with 1+z, each a
+    loop from the top entry down."""
+    y = list(x)
+    for _ in range(e):
+        for i in range(len(y) - 1, 0, -1):
+            y[i] += y[i - 1]
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minshadow.exact import AffineForm, binomial
-from minshadow.gleason import (FamilyParams, _shadow_shift,
+from minshadow.gleason import (FamilyParams, _binomial_tail, _shadow_shift,
                                build_transform_tables, code_inverse_col0,
                                enumerators_from_gleason, horner_code_side,
                                horner_shadow_side, shadow_basis_column,
                                shadow_inverse_entry)
 from oracles import (code_basis_block, code_basis_poly, code_inverse_col0_sum,
                      gleason_from_code, gleason_from_shadow, identity_matrix,
-                     inverse_blocks, matrix_product)
+                     inverse_blocks, matrix_product, one_plus_z_power_steps)
 
 # every decomposition with m <= 3 (the m <= 8 sweep lives in the
 # acceptance suite); n = 0 is excluded by validity
@@ -492,3 +492,37 @@ class TestTruncatedKernelsAgainstOracles:
         assert horner_shadow_side(c, fam, shadow_top) == [
             x * scale for x in want_b[:shadow_top + 1]]
         assert c == given_c
+
+
+class TestBinomialTail:
+    """The truncated kernel's one-step (1+z)^e against e single steps."""
+
+    @staticmethod
+    def _dense(rng, length, first):
+        pool = (0, 1, -1, 10 ** 30, -10 ** 30)
+        x = [rng.choice(pool) if rng.random() < 0.5
+             else rng.randrange(-10 ** 30, 10 ** 30 + 1) for _ in range(length)]
+        x[0] = first
+        return x
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 7, 12, 25, 40])
+    @pytest.mark.parametrize("first", [0, 1, -10 ** 30],
+                             ids=["x0=0", "x0=1", "x0=-1e30"])
+    def test_every_exponent_to_ten_times_the_length(self, length, first):
+        rng = random.Random(length)
+        x = self._dense(rng, length, first)
+        given_x = list(x)
+        want = list(x)
+        for e in range(1, 10 * length + 11):
+            want = one_plus_z_power_steps(want, 1)
+            assert _binomial_tail(x, e) == want, e
+        assert x == given_x
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_random_vectors_and_exponents(self, data):
+        entry = st.one_of(st.just(0), st.integers(-1, 1),
+                          st.integers(-10 ** 30, 10 ** 30))
+        x = data.draw(st.lists(entry, min_size=1, max_size=40))
+        e = data.draw(st.integers(0, 10 * len(x) + 10))
+        assert _binomial_tail(x, e) == one_plus_z_power_steps(x, e)

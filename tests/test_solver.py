@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import minshadow
-from minshadow import solver
+from minshadow import gleason, solver
 from minshadow.exact import (AffineForm, VerificationFailure, poly_eval,
                              taylor_shift)
 from minshadow.gleason import enumerators_from_gleason
@@ -320,6 +320,23 @@ class TestCertificateHint:
         assert hinted == forced_on == forced_off
         assert [a.ok for a in forced_on] == [m < t for m in ms]
 
+    @pytest.mark.parametrize("case,m", [(C2, 155), (C4, 156), (C10, 160)],
+                             ids=lambda x: getattr(x, "tag", x))
+    def test_window_tail_cost(self, monkeypatch, case, m):
+        # the pins leave at most four nonzero entries in the difference
+        # that the tail multiplies out, so its big-int products stay
+        # linear in the window; a dense difference (for example, with
+        # (1+z)^r left out of the tail) costs about (2m+4)^2 / 2
+        calls = []
+
+        def counting(x, y):
+            calls.append(None)
+            return x * y
+
+        monkeypatch.setattr(gleason, "mul", counting)
+        assert admissible_at(case, m)[:3] == (False, "a", 2 * m + 4)
+        assert 0 < len(calls) < 4 * (2 * m + 5)
+
 
 class TestClosedFormValues:
     def test_bm_values(self):
@@ -460,9 +477,10 @@ def test_solve_verification_survives_optimize_flag():
     assert "raised: 24m+2, m=1: a[1] = 1, expected 0" in proc.stdout
 
 
-def _perturbed_column_run(call: str) -> subprocess.CompletedProcess:
-    """Run call under python -O with entry 1 of solver.code_inverse_col0
-    off by one; it prints "raised: <message>" on VerificationFailure."""
+def _perturbed_column_run(call: str, entry: int = 1) -> subprocess.CompletedProcess:
+    """Run call under python -O with the given entry of
+    solver.code_inverse_col0 off by one; it prints "raised: <message>" on
+    VerificationFailure."""
     script = textwrap.dedent("""
         import sys
         from minshadow import solver
@@ -472,7 +490,8 @@ def _perturbed_column_run(call: str) -> subprocess.CompletedProcess:
         column = solver.code_inverse_col0
         def perturbed(fam, top=None):
             col = column(fam, top)
-            return [col[0], col[1] + 1] + col[2:]
+            col[%d] += 1
+            return col
         solver.code_inverse_col0 = perturbed
         try:
             %s
@@ -480,7 +499,7 @@ def _perturbed_column_run(call: str) -> subprocess.CompletedProcess:
             print("raised:", exc)
         else:
             sys.exit("accepted a perturbed code column")
-    """) % call
+    """) % (entry, call)
     return subprocess.run([sys.executable, "-O", "-c", script],
                           env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=120)
@@ -502,6 +521,16 @@ def test_admissible_at_window_verification_survives_optimize_flag():
         'solver.admissible_at(solver.family_case("24m+2"), 155)')
     assert proc.returncode == 0, proc.stderr
     assert "raised: 24m+2, m=155: a[1] = 1, expected 0" in proc.stdout
+
+
+def test_window_tail_verification_survives_optimize_flag():
+    # entry 2m is the last pinned code index; off by one, the code
+    # window's tail sees a difference that is nonzero from index 2m, not
+    # only past the pins, and its pin check still reads a[2m] under -O
+    proc = _perturbed_column_run(
+        'solver.admissible_at(solver.family_case("24m+2"), 155)', 2 * 155)
+    assert proc.returncode == 0, proc.stderr
+    assert "raised: 24m+2, m=155: a[310] = 1, expected 0" in proc.stdout
 
 
 def _perturbed_shadow_entry_run(call: str, i: int) -> subprocess.CompletedProcess:
