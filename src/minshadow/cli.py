@@ -1,13 +1,14 @@
-"""Command-line front end.
+"""Command-line front end, a thin layer over the library.
 
-Every command emits a deterministic JSON document by default (sorted
-keys, all numbers serialized as decimal or "p/q" strings so nothing is
-ever truncated); --format text gives a human-readable summary whose
-enumerator lines show the first few nonzero terms.
-
-Exit codes: 0 success, 1 a verification failed to reproduce, 2 usage,
-parse or input-domain errors, including an input above one of the caps
-M_CAP and PRINT_CAP.
+Each command is a function from the parsed arguments to a pair (doc,
+lines): a JSON document (sorted keys, all numbers serialized as decimal
+or "p/q" strings so nothing is ever truncated) and the text lines that
+--format text prints instead, whose enumerator lines show the first few
+nonzero terms.  `main` alone prints the chosen one and maps exceptions
+to exit codes: 0 success, 1 a verification failed to reproduce, 2
+usage, parse or input-domain errors, including an input above one of
+the caps M_CAP and PRINT_CAP here or the GF(2) enumeration caps that
+`gf2.parse_generator_file` and `gf2.weight_distribution` check.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from .gf2 import (BetaMismatchError, GeneratorFileError, extract_beta,
                   reference_code_46, shadow, verify_neighbor_table)
 from .gleason import FamilyParams, ParametricEnumerator, build_transform_tables
 from .solver import (BETA, BETA_FAMILIES, FAMILY_CASES, UNIQUE_FAMILIES,
-                     beta_family_for_length, beta_range, family_case,
-                     max_admissible, minimal_shadow_r, nonexistence_scan,
-                     rains_bound, solve)
+                     beta_range, family_case, max_admissible, minimal_shadow_r,
+                     nonexistence_scan, rains_bound, solve)
 
 M_CAP = 400      # solve and beta-range --m, scan --m-max; the paper needs m <= 240
 PRINT_CAP = 64   # tables grid side K + 1; bounds the output, 4 (K+1)^2 entries
+
+Output = tuple[dict, list[str]]   # a command's JSON document and text lines
 
 
 def _fmt(x) -> str:
@@ -94,7 +96,7 @@ def _scan_certificate(case, m, cert) -> dict:
             "reason": "negative" if cert.value < 0 else "non-integer"}
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> Output:
     case = family_case(args.family)
     results = nonexistence_scan(case, args.m_max, jobs=args.jobs)
     top = max_admissible(results)
@@ -117,11 +119,10 @@ def cmd_scan(args) -> int:
         "max_admissible": None if top is None else str(top),
     }
     lines.append(f"max admissible m = {top}")
-    _emit(doc, lines, args.format)
-    return 0
+    return doc, lines
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> Output:
     case = family_case(args.family)
     enum = solve(case, args.m)
     doc = {"command": "solve", "family": case.tag, "m": str(args.m)}
@@ -139,21 +140,19 @@ def cmd_solve(args) -> int:
     if warn:
         doc["warning"] = warn
         lines.append(f"warning: {warn}")
-    _emit(doc, lines, args.format)
-    return 0
+    return doc, lines
 
 
-def cmd_beta_range(args) -> int:
+def cmd_beta_range(args) -> Output:
     case = family_case(args.family)
     lo, hi = beta_range(case, args.m)
     n = case.n(args.m)
     doc = {"command": "beta-range", "family": case.tag, "m": str(args.m),
            "n": str(n), "beta_min": str(lo), "beta_max": str(hi)}
-    _emit(doc, [f"n={n}: beta ranges over [{lo}, {hi}]"], args.format)
-    return 0
+    return doc, [f"n={n}: beta ranges over [{lo}, {hi}]"]
 
 
-def cmd_tables(args) -> int:
+def cmd_tables(args) -> Output:
     case = family_case(args.family)
     fam = FamilyParams(args.m, case.l, case.r)
     if fam.c_count > PRINT_CAP:
@@ -170,21 +169,18 @@ def cmd_tables(args) -> int:
         lines.append(f"{name}:")
         lines.extend("  [" + ", ".join(row) + "]" for row in doc[name])
     lines.append("closed-form checks: col0 OK, shadow OK")
-    _emit(doc, lines, args.format)
-    return 0
+    return doc, lines
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> Output:
     n = args.n
     fam = FamilyParams.from_length(n)
     doc = {"command": "bounds", "n": str(n),
            "rains_bound": str(rains_bound(n)),
            "minimal_shadow_weight": str(minimal_shadow_r(n)),
            "family": {"m": str(fam.m), "l": str(fam.l), "r": str(fam.r)}}
-    _emit(doc, [f"n={n}: d <= {rains_bound(n)}, minimal shadow weight "
-                f"{minimal_shadow_r(n)} (m={fam.m}, l={fam.l}, r={fam.r})"],
-          args.format)
-    return 0
+    return doc, [f"n={n}: d <= {rains_bound(n)}, minimal shadow weight "
+                 f"{minimal_shadow_r(n)} (m={fam.m}, l={fam.l}, r={fam.r})"]
 
 
 def _read_code(path: str):
@@ -211,87 +207,85 @@ def _code_summary(code) -> dict:
     }
 
 
-def cmd_code(args) -> int:
-    if args.subcommand == "table1":
-        checks = verify_neighbor_table()
-        doc = {
-            "command": "code table1",
-            "rows": [{
-                "index": str(c.index),
-                "support": [str(p) for p in c.support],
-                "beta": str(c.beta),
-                "self_dual": c.self_dual,
-                "singly_even": c.singly_even,
-                "min_weight": str(c.min_weight),
-                "shadow_min_weight": str(c.shadow_min_weight),
-                "minimal_shadow": c.minimal_shadow,
-            } for c in checks],
-            "verified": f"{sum(c.ok for c in checks)}/{len(checks)}",
-        }
-        lines = [f"N46,{c.index}: beta={c.beta} d={c.min_weight} "
-                 f"d(S)={c.shadow_min_weight}" for c in checks]
-        lines.append(f"{doc['verified']} verified")
-        _emit(doc, lines, args.format)
-        return 0
+def code_table1(args) -> Output:
+    checks = verify_neighbor_table()
+    doc = {
+        "command": "code table1",
+        "rows": [{
+            "index": str(c.index),
+            "support": [str(p) for p in c.support],
+            "beta": str(c.beta),
+            "self_dual": c.self_dual,
+            "singly_even": c.singly_even,
+            "min_weight": str(c.min_weight),
+            "shadow_min_weight": str(c.shadow_min_weight),
+            "minimal_shadow": c.minimal_shadow,
+        } for c in checks],
+        "verified": f"{sum(c.ok for c in checks)}/{len(checks)}",
+    }
+    lines = [f"N46,{c.index}: beta={c.beta} d={c.min_weight} "
+             f"d(S)={c.shadow_min_weight}" for c in checks]
+    lines.append(f"{doc['verified']} verified")
+    return doc, lines
 
-    if args.subcommand == "c46":
-        code = reference_code_46()
-        if args.out:
-            _write_code(args.out, code)
-        doc = {"command": "code c46", **_code_summary(code),
-               "written_to": args.out}
-        lines = [f"[{code.n}, {code.k}, {min_weight(code)}] "
-                 f"{parity_class(code)} self-dual code"]
-        if args.out:
-            lines.append(f"generator matrix written to {args.out}")
-        else:
-            lines.append(format_generator_file(code).rstrip("\n"))
-        _emit(doc, lines, args.format)
-        return 0
 
+def code_c46(args) -> Output:
+    code = reference_code_46()
+    if args.out:
+        _write_code(args.out, code)
+    doc = {"command": "code c46", **_code_summary(code), "written_to": args.out}
+    lines = [f"[{code.n}, {code.k}, {min_weight(code)}] "
+             f"{parity_class(code)} self-dual code"]
+    if args.out:
+        lines.append(f"generator matrix written to {args.out}")
+    else:
+        lines.append(format_generator_file(code).rstrip("\n"))
+    return doc, lines
+
+
+def code_verify(args) -> Output:
     code = _read_code(args.gen_file)
-
-    if args.subcommand == "verify":
-        doc = {"command": "code verify", "file": args.gen_file,
-               **_code_summary(code)}
-        lines = [f"[{code.n}, {code.k}, {min_weight(code)}], "
+    doc = {"command": "code verify", "file": args.gen_file,
+           **_code_summary(code)}
+    return doc, [f"[{code.n}, {code.k}, {min_weight(code)}], "
                  f"self-dual: {is_self_dual(code)}, {parity_class(code)}"]
-        _emit(doc, lines, args.format)
-        return 0
 
-    if args.subcommand == "shadow":
-        part = shadow(code)
-        dist = [[str(w), str(c)] for w, c in enumerate(part.shadow_weights) if c]
-        minimal = is_minimal_shadow(code)
-        doc = {"command": "code shadow", "file": args.gen_file,
-               "shadow_min_weight": str(part.min_weight),
-               "minimal_shadow": minimal,
-               "shadow_distribution": dist}
-        lines = [f"d(S) = {part.min_weight}, minimal shadow: {minimal}",
+
+def code_shadow(args) -> Output:
+    code = _read_code(args.gen_file)
+    part = shadow(code)
+    dist = [[str(w), str(c)] for w, c in enumerate(part.shadow_weights) if c]
+    minimal = is_minimal_shadow(code)
+    doc = {"command": "code shadow", "file": args.gen_file,
+           "shadow_min_weight": str(part.min_weight),
+           "minimal_shadow": minimal,
+           "shadow_distribution": dist}
+    return doc, [f"d(S) = {part.min_weight}, minimal shadow: {minimal}",
                  "shadow weights: " + ", ".join(f"{w}:{c}" for w, c in dist)]
-        _emit(doc, lines, args.format)
-        return 0
 
-    if args.subcommand == "neighbor":
-        support = _parse_support(args.support)
-        nb = neighbor(code, support)
-        case, _ = beta_family_for_length(nb.n)
-        beta = extract_beta(nb, case)
-        if args.out:
-            _write_code(args.out, nb)
-        doc = {"command": "code neighbor", "file": args.gen_file,
-               "support": [str(p) for p in support],
-               "beta": str(beta), **_code_summary(nb),
-               "minimal_shadow": is_minimal_shadow(nb),
-               "written_to": args.out}
-        lines = [f"neighbor: [{nb.n}, {nb.k}, {min_weight(nb)}] "
-                 f"{parity_class(nb)}, beta = {beta}"]
-        if args.out:
-            lines.append(f"generator matrix written to {args.out}")
-        _emit(doc, lines, args.format)
-        return 0
 
-    raise AssertionError(f"unhandled subcommand {args.subcommand}")
+def code_neighbor(args) -> Output:
+    code = _read_code(args.gen_file)
+    support = _parse_support(args.support)
+    nb = neighbor(code, support)
+    beta = extract_beta(nb)
+    if args.out:
+        _write_code(args.out, nb)
+    doc = {"command": "code neighbor", "file": args.gen_file,
+           "support": [str(p) for p in support],
+           "beta": str(beta), **_code_summary(nb),
+           "minimal_shadow": is_minimal_shadow(nb),
+           "written_to": args.out}
+    lines = [f"neighbor: [{nb.n}, {nb.k}, {min_weight(nb)}] "
+             f"{parity_class(nb)}, beta = {beta}"]
+    if args.out:
+        lines.append(f"generator matrix written to {args.out}")
+    return doc, lines
+
+
+CODE_COMMANDS = {"verify": code_verify, "shadow": code_shadow,
+                 "neighbor": code_neighbor, "table1": code_table1,
+                 "c46": code_c46}
 
 
 def _parse_support(text: str) -> tuple[int, ...]:
@@ -309,18 +303,14 @@ def _parse_support(text: str) -> tuple[int, ...]:
 # parser
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,14 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admissibility scan over m for a unique-enumerator "
                             "family (parametrized families: use beta-range)")
     p.add_argument("--family", required=True, choices=UNIQUE_FAMILIES)
-    p.add_argument("--m-max", type=_positive_int, required=True)
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--m-max", type=_int_at_least(1), required=True)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("solve", parents=[common],
                        help="exact minimal-shadow enumerator for a family and m")
     p.add_argument("--family", required=True, choices=tuple(FAMILY_CASES))
-    p.add_argument("--m", type=_nonnegative_int, required=True)
+    p.add_argument("--m", type=_int_at_least(0), required=True)
     p.add_argument("--beta", type=int, default=None,
                    help="substitute an integer value for the free parameter")
     p.set_defaults(func=cmd_solve)
@@ -352,30 +342,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("beta-range", parents=[common],
                        help="admissible beta interval for a parametrized family")
     p.add_argument("--family", required=True, choices=BETA_FAMILIES)
-    p.add_argument("--m", type=_nonnegative_int, required=True)
+    p.add_argument("--m", type=_int_at_least(0), required=True)
     p.set_defaults(func=cmd_beta_range)
 
     p = sub.add_parser("tables", parents=[common],
                        help="dump the four transform tables and check the "
                             "closed forms against them")
     p.add_argument("--family", required=True, choices=tuple(FAMILY_CASES))
-    p.add_argument("--m", type=_nonnegative_int, required=True)
+    p.add_argument("--m", type=_int_at_least(0), required=True)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("bounds", parents=[common],
                        help="minimum-weight bound and required shadow weight")
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("code", parents=[common],
                        help="GF(2) code operations on generator matrix files")
-    p.add_argument("subcommand",
-                   choices=("verify", "shadow", "neighbor", "table1", "c46"))
+    p.add_argument("subcommand", choices=tuple(CODE_COMMANDS))
     p.add_argument("--gen-file", help="generator matrix file")
     p.add_argument("--support",
                    help="comma-separated 1-based coordinates of the neighbor vector")
     p.add_argument("--out", help="write a generator matrix to this file")
-    p.set_defaults(func=cmd_code)
 
     return parser
 
@@ -383,26 +371,29 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "code":
+    if args.command == "code":
         if args.subcommand in ("verify", "shadow", "neighbor") and not args.gen_file:
             parser.error(f"code {args.subcommand} requires --gen-file")
         if args.subcommand == "neighbor" and not args.support:
             parser.error("code neighbor requires --support")
+        args.func = CODE_COMMANDS[args.subcommand]
     if args.command in ("solve", "beta-range", "scan") and \
             max(getattr(args, "m", 0), getattr(args, "m_max", 0)) > M_CAP:
         parser.error(f"--m and --m-max must be <= {M_CAP}")
-    if getattr(args, "command", None) == "solve" and args.beta is not None \
+    if args.command == "solve" and args.beta is not None \
             and not family_case(args.family).parametrized:
         parser.error(f"family {args.family} has a unique enumerator; "
                      "--beta does not apply")
     try:
-        return args.func(args)
+        doc, lines = args.func(args)
     except (BetaMismatchError, VerificationFailure) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _emit(doc, lines, args.format)
+    return 0
 
 
 if __name__ == "__main__":

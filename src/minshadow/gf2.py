@@ -30,7 +30,7 @@ import numpy as np
 
 from .exact import VerificationFailure
 from .gleason import FamilyParams
-from .solver import BETA, FAMILY_CASES, FamilyCase, minimal_shadow_r, solve
+from .solver import BETA, beta_family_for_length, minimal_shadow_r, solve
 
 ENUMERATION_CAP = 28    # dimension k: 2^k codewords
 LENGTH_CAP = 4096       # length n: each half of the XOR table is <= 8 MB
@@ -101,9 +101,6 @@ class BinaryCode:
     @property
     def k(self) -> int:
         return len(self.rows)
-
-    def row_vectors(self) -> list[list[int]]:
-        return [[(r >> i) & 1 for i in range(self.n)] for r in self.rows]
 
     def contains(self, v: int) -> bool:
         for r, p in zip(self.rows, self.pivots):
@@ -337,15 +334,11 @@ def enumerator_vectors(code: BinaryCode) -> tuple[list[int], list[int]]:
     return a, b
 
 
-def extract_beta(code: BinaryCode, case: FamilyCase) -> int:
+def extract_beta(code: BinaryCode) -> int:
     """The unique integer beta matching the code's exact weight data
-    against the one-parameter family enumerator; every code and shadow
-    coefficient is verified at that beta."""
-    base = 8 * case.l + 2 * case.r
-    if (code.n - base) % 24:
-        raise ValueError(f"length {code.n} is not in family {case.tag}")
-    m = (code.n - base) // 24
-    enum = solve(case, m)
+    against the enumerator of the one-parameter family of its length;
+    every code and shadow coefficient is verified at that beta."""
+    enum = solve(*beta_family_for_length(code.n))
     a_obs, b_obs = enumerator_vectors(code)
     beta = None
     for form, obs in zip(list(enum.a) + list(enum.b), a_obs + b_obs):
@@ -431,12 +424,11 @@ def verify_neighbor_table() -> list[NeighborCheck]:
     if not (is_self_dual(base) and parity_class(base) == "singly even"
             and min_weight(base) == 8):
         raise VerificationFailure("bundled length-46 code failed validation")
-    case = FAMILY_CASES["24m+22"]
     out = []
     for idx, (supp, beta_expect) in enumerate(NEIGHBOR_TABLE, start=1):
         nb = neighbor(base, supp)
         sh = shadow(nb)
-        beta = extract_beta(nb, case)
+        beta = extract_beta(nb)
         check = NeighborCheck(
             index=idx, support=supp, beta=beta, code=nb,
             self_dual=is_self_dual(nb),
@@ -463,43 +455,43 @@ def parse_generator_file(text: str) -> BinaryCode:
 
     A first line of two 0/1-only tokens (say "10 1") is read as a header
     only when its digit count differs from the following row's width;
-    otherwise it is just another row.
+    otherwise it is just another row.  Rows stay text until the caps
+    pass: a length or row count above LENGTH_CAP raises
+    EnumerationCapError before any row becomes an integer.
     """
-    stripped = [(lineno, raw, "".join(raw.split()))
-                for lineno, raw in enumerate(text.splitlines(), start=1)
-                if raw.strip()]
-    rows: list[list[int]] = []
+    lines = [(lineno, raw, "".join(raw.split()))
+             for lineno, raw in enumerate(text.splitlines(), start=1)
+             if raw.strip()]
     header: tuple[int, int] | None = None
-    for pos, (lineno, raw, compact) in enumerate(stripped):
-        parts = raw.split()
-        if pos == 0 and len(parts) == 2 and all(p.isdigit() for p in parts):
-            looks_binary = set(compact) <= {"0", "1"}
-            next_width = len(stripped[1][2]) if len(stripped) > 1 else None
-            if not looks_binary or len(compact) != next_width:
-                header = (int(parts[0]), int(parts[1]))
-                continue
-        if set(compact) <= {"0", "1"}:
-            rows.append([int(ch) for ch in compact])
-            continue
-        raise GeneratorFileError(f"line {lineno}: expected a 0/1 row, got {raw!r}")
-    if not rows:
+    parts = lines[0][1].split() if lines else []
+    if len(parts) == 2 and all(p.isdigit() for p in parts) and (
+            not set(lines[0][2]) <= {"0", "1"} or len(lines) == 1
+            or len(lines[0][2]) != len(lines[1][2])):
+        header = (int(parts[0]), int(parts[1]))
+        del lines[0]
+    for lineno, raw, row in lines:
+        if not set(row) <= {"0", "1"}:
+            raise GeneratorFileError(
+                f"line {lineno}: expected a 0/1 row, got {raw!r}")
+    if not lines:
         raise GeneratorFileError("no generator rows found")
-    widths = {len(r) for r in rows}
+    widths = {len(row) for _, _, row in lines}
     if len(widths) != 1:
         raise GeneratorFileError(f"rows have unequal lengths {sorted(widths)}")
-    code = BinaryCode.from_vectors(rows)
-    if header is not None:
-        n, k = header
-        if n != code.n:
-            raise GeneratorFileError(f"header length {n} != row length {code.n}")
-        if k != code.k:
-            raise GeneratorFileError(
-                f"header dimension {k} != row-space rank {code.k}")
+    n = widths.pop()
+    for what, size in (("length", n), ("row count", len(lines))):
+        if size > LENGTH_CAP:
+            raise EnumerationCapError(
+                f"{what} {size} exceeds the enumeration cap {LENGTH_CAP}")
+    if header is not None and header[0] != n:
+        raise GeneratorFileError(f"header length {header[0]} != row length {n}")
+    code = BinaryCode([int(row[::-1], 2) for _, _, row in lines], n)
+    if header is not None and header[1] != code.k:
+        raise GeneratorFileError(
+            f"header dimension {header[1]} != row-space rank {code.k}")
     return code
 
 
 def format_generator_file(code: BinaryCode) -> str:
-    lines = [f"{code.n} {code.k}"]
-    for row in code.row_vectors():
-        lines.append("".join(str(b) for b in row))
-    return "\n".join(lines) + "\n"
+    rows = (format(r, f"0{code.n}b")[::-1] for r in code.rows)
+    return "\n".join([f"{code.n} {code.k}", *rows]) + "\n"

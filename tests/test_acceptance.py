@@ -143,7 +143,7 @@ def test_criterion_5_table1_end_to_end(table1_codes):
         assert parity_class(nb) == "singly even"
         assert min_weight(nb) == 8
         assert shadow(nb).min_weight == minimal_shadow_r(46) == 3
-        betas.append(extract_beta(nb, C22))
+        betas.append(extract_beta(nb))
     assert betas == [36, 42, 44, 46, 48, 50, 52, 54, 56, 58]
     print("ACCEPTANCE 5: PASS  ten [46,23,8] minimal-shadow neighbors, "
           f"beta = {betas}")

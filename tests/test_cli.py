@@ -327,6 +327,16 @@ class TestCodeCommands:
         assert code == 1
         assert "verification failure" in err
 
+    def test_neighbor_length_in_no_beta_family_exit_2(self, capsys, tmp_path):
+        # a self-dual code of length 4, whose neighbor has no beta family
+        path = tmp_path / "pair4.txt"
+        path.write_text("1100\n0011\n")
+        code, out, err = run(capsys, "code", "neighbor", "--gen-file", str(path),
+                             "--support", "1,3")
+        assert code == 2
+        assert out == ""
+        assert "not in a parametrized family" in err
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("argv", [
@@ -405,6 +415,26 @@ class TestInputCaps:
         assert code == 2
         assert out == ""
         assert f"length {LENGTH_CAP + 1} exceeds the enumeration cap" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("1" * 200_000 + "\n", "length 200000 exceeds the enumeration cap"),
+        ("11\n" * (LENGTH_CAP + 1),
+         f"row count {LENGTH_CAP + 1} exceeds the enumeration cap"),
+    ], ids=["wide-row", "too-many-rows"])
+    def test_generator_file_caps_before_any_code(self, capsys, monkeypatch,
+                                                 tmp_path, text, message):
+        from minshadow import gf2
+
+        def unreachable(*args):
+            raise AssertionError("BinaryCode built from an over-cap file")
+
+        monkeypatch.setattr(gf2, "BinaryCode", unreachable)
+        path = tmp_path / "big.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "code", "verify", "--gen-file", str(path))
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 class TestDeterminism:

@@ -16,7 +16,7 @@ from minshadow.gf2 import (LENGTH_CAP, BetaMismatchError, BinaryCode,
                            support_mask, weight_distribution)
 from minshadow.gleason import (FamilyParams, build_transform_tables,
                                enumerators_from_gleason)
-from minshadow.solver import family_case, minimal_shadow_r
+from minshadow.solver import minimal_shadow_r
 from oracles import (build_code, dual, gleason_from_code,
                      macwilliams_fixed_point, weight_distribution_naive)
 
@@ -281,13 +281,13 @@ class TestReferenceCode:
         assert part.min_weight == 3
         assert is_minimal_shadow(nb)
         assert part.shadow_weights[7] == beta_expect - 10
-        assert extract_beta(nb, family_case("24m+22")) == beta_expect == 36
+        assert extract_beta(nb) == beta_expect == 36
 
     def test_extract_beta_mismatch(self):
         # the base code has shadow minimum weight 7, so its data fits no
         # minimal-shadow enumerator
         with pytest.raises(BetaMismatchError):
-            extract_beta(reference_code_46(), family_case("24m+22"))
+            extract_beta(reference_code_46())
 
     def test_transform_consistency_one_neighbor(self):
         c46 = reference_code_46()
@@ -330,3 +330,19 @@ class TestGeneratorFiles:
     def test_empty(self):
         with pytest.raises(GeneratorFileError):
             parse_generator_file("\n\n")
+
+    def test_caps_boundary(self):
+        # LENGTH_CAP columns and LENGTH_CAP rows parse; one more does not
+        assert parse_generator_file("1" * LENGTH_CAP + "\n").n == LENGTH_CAP
+        assert parse_generator_file("11\n" * LENGTH_CAP).k == 1
+        with pytest.raises(EnumerationCapError,
+                           match=f"length {LENGTH_CAP + 1} exceeds"):
+            parse_generator_file("1" * (LENGTH_CAP + 1) + "\n")
+        with pytest.raises(EnumerationCapError,
+                           match=f"row count {LENGTH_CAP + 1} exceeds"):
+            parse_generator_file("11\n" * (LENGTH_CAP + 1))
+
+    def test_rows_read_coordinate_one_first(self):
+        code = parse_generator_file("1000110\n")
+        assert code.rows == (0b0110001,)
+        assert format_generator_file(code) == "7 1\n1000110\n"
