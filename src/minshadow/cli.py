@@ -14,6 +14,7 @@ the caps M_CAP and PRINT_CAP here or the GF(2) enumeration caps that
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -313,7 +314,10 @@ def _int_at_least(low: int):
     return integer
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then shared:
+    parsing keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="minshadow",
         description="Exact weight-enumerator analysis of singly even "

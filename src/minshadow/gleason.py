@@ -20,7 +20,10 @@ coefficient constraints on a and b into linear conditions on the c_j.
 
 This module expands Gleason coefficients into (a, b) coefficient
 vectors, builds the four blocks and provides closed forms for the
-inverse entries, which serve both the solver and the inverse blocks.
+inverse entries, which serve both the solver and the inverse blocks:
+column 0 of the code inverse by a three-term recurrence checked for
+exact division at every step, its columns j > 0 by the Catalan peel,
+and each shadow inverse entry as one Fraction of integers.
 Coefficient vectors are affine forms so that one-parameter enumerator
 families flow through unchanged.  Every expansion of Gleason
 coefficients into enumerator vectors goes through expand_scaled, which
@@ -162,24 +165,57 @@ def build_transform_tables(fam: FamilyParams) -> TransformTables:
 # closed forms for the inverse entries
 
 
+def _col0_recurrence(i: int, n_half: int) -> tuple[int, int, int]:
+    """(P0(i), P1(i), P2(i)) of the recurrence of column 0 of the inverse
+    code block, P2(i) c_(i+2) = -P0(i) c_i - P1(i) c_(i+1), at N = n/2."""
+    a, n = 4 * i - n_half, n_half
+    return (2 * a * (a + 1) * (a + 2) * (a + 3),
+            -(i + 1) * (-2 * n ** 3 + 12 * n * n * i + 15 * n * n - 64 * n * i * i
+                        - 116 * n * i - 61 * n + 64 * i ** 3 + 192 * i * i
+                        + 206 * i + 78),
+            (i + 1) * (i + 2) * (2 * i + 3) * (i + 2 - n))
+
+
 def code_inverse_col0(fam: FamilyParams, top: int | None = None,
                       j: int = 0) -> list[int]:
     """Column j (default 0) of the inverse code-side block, entries
     0..top (default K), as ints.
 
-    With s = z/(1+z)^2 (see horner_code_side) the column c solves
-    P(s) = sum_i c_i (s - 4s^2)^i = z^j (1+z)^(-n/2) mod s^(K+1).  As
-    1+z = C(s), C the Catalan series, and z = s C(s)^2, P = s^j C(s)^e with
-    e = 2j - n/2: p_k = [s^k] C(s)^e = e/(e+2k) C(e+2k, k), so p_(k+1)/p_k
-    = (e+2k)(e+2k+1)/((k+1)(e+k+1)), whose factors in e are negative for
-    k < K - j.  The Catalan peel reads c_i = [s^0] P, then divides
-    P - [s^0] P by s(1 - 4s): drop x_0, then x_i += 4 x_(i-1).  Entry i
-    needs only [s^0..s^i] P, so the peel stops at degree top.
+    Column 0 is c_i = [u^i] (1+z)^(-N), N = n/2, in the Gleason variable
+    u = z(1-z)^2/(1+z)^4; Lagrange inversion gives the single sum
+    c_i = -(N/i) [z^(i-1)] (1+z)^(4i-N-1) (1-z)^(-2i), and c satisfies the
+    three-term recurrence P2(i) c_(i+2) = -P0(i) c_i - P1(i) c_(i+1) with
+    c_0 = 1, c_1 = -N and the polynomials of _col0_recurrence.  That
+    recurrence was guessed from the sum (an exact nullspace), not proven,
+    so every division must be exact, else VerificationFailure; P2 vanishes
+    only at i = N - 2 > K.  The cost is O(top) products of one big and one
+    small integer.
+
+    Column j > 0 comes from the Catalan peel.  With s = z/(1+z)^2 (see
+    horner_code_side) it solves P(s) = sum_i c_i (s - 4s^2)^i =
+    z^j (1+z)^(-n/2) mod s^(K+1).  As 1+z = C(s), C the Catalan series,
+    and z = s C(s)^2, P = s^j C(s)^e with e = 2j - n/2: p_k = [s^k] C(s)^e
+    = e/(e+2k) C(e+2k, k), so p_(k+1)/p_k = (e+2k)(e+2k+1)/((k+1)(e+k+1)),
+    whose factors in e are negative for k < K - j.  The peel reads
+    c_i = [s^0] P, then divides P - [s^0] P by s(1 - 4s): drop x_0, then
+    x_i += 4 x_(i-1).  Entry i needs only [s^0..s^i] P, so the peel stops
+    at degree top.
     """
     k_top = fam.c_count - 1
     top = k_top if top is None else top
     if not (0 <= top <= k_top and 0 <= j <= k_top):
         raise ValueError(f"top entry {top} or column {j} out of range 0..{k_top}")
+    if j == 0:
+        col = [1, -fam.half][:top + 1]
+        for i in range(top - 1):
+            p0, p1, p2 = _col0_recurrence(i, fam.half)
+            c, rem = divmod(-p0 * col[i] - p1 * col[i + 1], p2)
+            if rem:
+                raise VerificationFailure(
+                    f"column 0 of the inverse code block of n={fam.n}: the "
+                    f"recurrence does not divide exactly at entry {i + 2}")
+            col.append(c)
+        return col
     e = 2 * j - fam.half
     p = [0] * j + [1]
     for k in range(top - j):
@@ -195,12 +231,15 @@ def code_inverse_col0(fam: FamilyParams, top: int | None = None,
 
 
 def shadow_inverse_entry(i: int, j: int, fam: FamilyParams) -> Fraction:
-    """Entry (i, j) of the inverse shadow-side block, for i >= 1, i + j <= K."""
+    """Entry (i, j) of the inverse shadow-side block, for i >= 1, i + j <= K:
+    (-1)^i 2^(6i - n/2) (K-j)/i C(K+i-j-1, K-i-j), built as one Fraction
+    of integers."""
     k_top = fam.c_count - 1
     if not (1 <= i and 0 <= j and i + j <= k_top):
         raise ValueError(f"indices (i={i}, j={j}) out of range for K={k_top}")
-    return (Fraction((-1) ** i) * Fraction(2) ** (6 * i - fam.half)
-            * Fraction(k_top - j, i) * binomial(k_top + i - j - 1, k_top - i - j))
+    num = (k_top - j) * math.comb(k_top + i - j - 1, k_top - i - j)
+    e = 6 * i - fam.half
+    return Fraction((-num if i % 2 else num) << max(e, 0), i << max(-e, 0))
 
 
 def _shadow_inverse_row(i: int, fam: FamilyParams) -> list[Fraction]:

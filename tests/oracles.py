@@ -7,8 +7,9 @@ check the Horner expansion kernel, and (1+z)^e applied one step at a
 time checks its one-step tail; their truncations to degree K, built
 column by column by multiplying with z(1-z)^2 and dividing out (1+z)^4,
 check the code block that the kernel builds and feed the pinned system;
-a binomial double sum checks the Catalan peel of the inverse code
-column; forward substitution over Fractions inverts the kernel's bases
+the Catalan peel, the Lagrange single sum and a binomial double sum
+check the three-term recurrence of the inverse code column, and a
+product of three Fractions checks the shadow inverse entries; forward substitution over Fractions inverts the kernel's bases
 and checks the closed-form inverse blocks; Gleason coefficients read
 back through the inverse blocks check the enumerators; the whole pinned
 linear system in all K + 1 Gleason coefficients checks the solver's
@@ -223,6 +224,54 @@ def code_inverse_col0_sum(i: int, n: int) -> Fraction:
                 total += binomial(t - top1 - 1, t) * binomial(
                     (n - 7 * i - t - 1) // 2, (i - t - 1) // 2)
     return Fraction(-n, 2 * i) * total
+
+
+def code_inverse_col0_peel(fam: FamilyParams) -> list[int]:
+    """Column 0 of the inverse code-side block, entries 0..K, by the
+    Catalan peel.
+
+    With s = z/(1+z)^2 the column solves P(s) = sum_i c_i (s - 4s^2)^i =
+    (1+z)^(-n/2) mod s^(K+1), and P = C(s)^(-n/2), C the Catalan series,
+    whose coefficients p_k = [s^k] C(s)^e, e = -n/2, follow from
+    p_(k+1)/p_k = (e+2k)(e+2k+1)/((k+1)(e+k+1)).  The peel reads
+    c_i = [s^0] P, then divides P - [s^0] P by s(1 - 4s).
+    """
+    k_top = fam.c_count - 1
+    e = -fam.half
+    p = [1]
+    for k in range(k_top):
+        p.append(p[-1] * (e + 2 * k) * (e + 2 * k + 1) // ((k + 1) * (e + k + 1)))
+    col = []
+    for _ in range(k_top + 1):
+        col.append(p[0])
+        p = p[1:]
+        for i in range(1, len(p)):
+            p[i] += 4 * p[i - 1]
+    return col
+
+
+def code_inverse_col0_lagrange(i: int, n: int) -> Fraction:
+    """Entry (i, 0) of the inverse code-side block, for i >= 1, by Lagrange
+    inversion in u = z(1-z)^2/(1+z)^4:
+
+        c_i = -(n/2i) [z^(i-1)] (1+z)^(4i-n/2-1) (1-z)^(-2i),
+
+    the first factor's binomials taken with a possibly negative top."""
+    top = 4 * i - n // 2 - 1
+    total, c1 = 0, 1                    # c1 = C(top, t), updated in t
+    for t in range(i):
+        total += c1 * binomial(3 * i - t - 2, i - 1 - t)    # [z^(i-1-t)] (1-z)^(-2i)
+        c1 = c1 * (top - t) // (t + 1)  # exact: a falling factorial over t!
+    return Fraction(-n, 2 * i) * total
+
+
+def shadow_inverse_entry_product(i: int, j: int, fam: FamilyParams) -> Fraction:
+    """Entry (i, j) of the inverse shadow-side block, for i >= 1, i + j <= K,
+    as the product (-1)^i 2^(6i - n/2) * (K-j)/i * C(K+i-j-1, K-i-j) of
+    three Fractions."""
+    k_top = fam.c_count - 1
+    return (Fraction((-1) ** i) * Fraction(2) ** (6 * i - fam.half)
+            * Fraction(k_top - j, i) * binomial(k_top + i - j - 1, k_top - i - j))
 
 
 def _gleason_from(values: Sequence[AffineForm | Scalar], inverse: Matrix,

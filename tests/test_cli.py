@@ -442,3 +442,30 @@ class TestDeterminism:
         _, out1, _ = run(capsys, "solve", "--family", "24m+22", "--m", "1")
         _, out2, _ = run(capsys, "solve", "--family", "24m+22", "--m", "1")
         assert out1 == out2
+
+    def test_shared_parser_matches_fresh_interpreters(self, capsys):
+        # main builds its parser once per process; a usage error (argparse
+        # exits 2), a domain error and a change of --format in between
+        # leave the later calls as a fresh interpreter runs them
+        sequence = [
+            ["solve", "--family", "24m+2", "--m", "1"],
+            ["solve", "--family", "24m+2", "--m", "401"],
+            ["bounds", "--n", "46", "--format", "text"],
+            ["bounds", "--n", "7"],
+            ["beta-range", "--family", "24m+6", "--m", "1"],
+        ]
+        assert cli.build_parser() is cli.build_parser()
+        in_process = []
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            in_process.append((code, out.out, out.err))
+        assert [got[0] for got in in_process] == [0, 2, 0, 2, 0]
+        for argv, got in zip(sequence, in_process):
+            proc = subprocess.run([sys.executable, "-m", "minshadow.cli", *argv],
+                                  env={**os.environ, "PYTHONPATH": str(SRC)},
+                                  capture_output=True, text=True, timeout=120)
+            assert got == (proc.returncode, proc.stdout, proc.stderr), argv

@@ -1,22 +1,33 @@
 """Transform tables, closed forms, and coefficient conversions."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minshadow
 from minshadow.exact import AffineForm, binomial
 from minshadow.gleason import (FamilyParams, _binomial_tail, _shadow_shift,
                                build_transform_tables, code_inverse_col0,
                                enumerators_from_gleason, horner_code_side,
                                horner_shadow_side, shadow_basis_column,
                                shadow_inverse_entry)
-from oracles import (code_basis_block, code_basis_poly, code_inverse_col0_sum,
+from oracles import (code_basis_block, code_basis_poly, code_inverse_col0_lagrange,
+                     code_inverse_col0_peel, code_inverse_col0_sum,
                      gleason_from_code, gleason_from_shadow, identity_matrix,
-                     inverse_blocks, matrix_product, one_plus_z_power_steps)
+                     inverse_blocks, matrix_product, one_plus_z_power_steps,
+                     shadow_inverse_entry_product)
+
+SRC = Path(minshadow.__file__).resolve().parents[1]
 
 # every decomposition with m <= 3 (the m <= 8 sweep lives in the
 # acceptance suite); n = 0 is excluded by validity
@@ -193,7 +204,9 @@ class TestClosedFormDisplays:
 
 
 class TestCatalanPeelOracle:
-    """The Catalan peel against the binomial double sum of the oracles."""
+    """The three-term recurrence of the inverse code column against the
+    Catalan peel, the Lagrange sum and the binomial double sum of the
+    oracles."""
 
     def test_every_entry_to_n722(self):
         for n in range(2, 723, 2):
@@ -209,6 +222,101 @@ class TestCatalanPeelOracle:
         col = code_inverse_col0(fam)
         for i in range(1, 2 * fam.m + 2):
             assert col[i] == code_inverse_col0_sum(i, fam.n), i
+
+    @pytest.mark.parametrize("m", range(30))
+    def test_recurrence_equals_peel(self, m):
+        # every decomposition with m <= 29, the full column and every top
+        for l, r in product(range(3), range(4)):
+            if 24 * m + 8 * l + 2 * r == 0:
+                continue
+            fam = FamilyParams(m, l, r)
+            full = code_inverse_col0_peel(fam)
+            assert code_inverse_col0(fam) == full, fam
+            for top in range(fam.c_count):
+                assert code_inverse_col0(fam, top) == full[:top + 1], (fam, top)
+
+    def test_lagrange_sum_to_n242(self):
+        for n in range(2, 243, 2):
+            fam = FamilyParams.from_length(n)
+            want = [code_inverse_col0_lagrange(i, n) for i in range(1, fam.c_count)]
+            assert code_inverse_col0(fam)[1:] == want, n
+
+    @pytest.mark.parametrize("fam", [FamilyParams(155, 0, 1), FamilyParams(155, 2, 3),
+                                     FamilyParams(160, 1, 1), FamilyParams(231, 0, 1),
+                                     FamilyParams(231, 0, 2)],
+                             ids=lambda f: f"n{f.n}")
+    def test_sampled_entries_at_large_m(self, fam):
+        # around the last code pin 2m and the coincidence slot 2m+1, at K,
+        # and a seeded sample in between
+        k_top = fam.c_count - 1
+        col = code_inverse_col0(fam)
+        rng = random.Random(fam.n)
+        for i in {1, 2, 2 * fam.m, 2 * fam.m + 1, 2 * fam.m + 4, k_top,
+                  *rng.sample(range(1, k_top + 1), 6)}:
+            assert col[i] == code_inverse_col0_sum(i, fam.n), i
+        assert code_inverse_col0(fam, 2 * fam.m + 1) == col[:2 * fam.m + 2]
+
+    def test_inexact_step_raises_under_optimize_flag(self):
+        # a wrong recurrence polynomial leaves a remainder at the first
+        # step (c_0 = 1 and |P2(0)| = 6(N - 2) > 1); the check is not an
+        # assert, so the scan still stops under python -O
+        script = textwrap.dedent("""
+            import sys
+            from minshadow import gleason, solver
+            from minshadow.exact import VerificationFailure
+            if not sys.flags.optimize:
+                sys.exit("asserts are still enabled")
+            polys = gleason._col0_recurrence
+            def perturbed(i, n_half):
+                p0, p1, p2 = polys(i, n_half)
+                return p0 + 1, p1, p2
+            gleason._col0_recurrence = perturbed
+            try:
+                solver.admissible_at(solver.family_case("24m+2"), 155)
+            except VerificationFailure as exc:
+                print("raised:", exc)
+            else:
+                sys.exit("accepted an inexact recurrence")
+        """)
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert ("raised: column 0 of the inverse code block of n=3722: the "
+                "recurrence does not divide exactly at entry 2") in proc.stdout
+
+
+class TestShadowInverseEntry:
+    """The one-Fraction shadow inverse entry against the product of three
+    Fractions in the oracles."""
+
+    @pytest.mark.parametrize("m", range(13))
+    def test_every_entry_to_m12(self, m):
+        for l, r in product(range(3), range(4)):
+            if 24 * m + 8 * l + 2 * r == 0:
+                continue
+            fam = FamilyParams(m, l, r)
+            k_top = fam.c_count - 1
+            for i in range(1, k_top + 1):
+                for j in range(k_top - i + 1):
+                    assert (shadow_inverse_entry(i, j, fam)
+                            == shadow_inverse_entry_product(i, j, fam)), (fam, i, j)
+
+    def test_sampled_entries_at_m155(self):
+        # both signs of 6i - n/2, the anti-diagonal and column 0 near the
+        # pins, in all three scanned families
+        for fam in (FamilyParams(155, 0, 1), FamilyParams(155, 0, 2),
+                    FamilyParams(155, 1, 1)):
+            k_top = fam.c_count - 1
+            rng = random.Random(fam.n)
+            pairs = {(1, 0), (k_top, 0), (fam.m, 0), (2 * fam.m + 1, 0),
+                     (1, k_top - 1), (k_top // 2, k_top - k_top // 2)}
+            for _ in range(40):
+                i = rng.randrange(1, k_top + 1)
+                pairs.add((i, rng.randrange(k_top - i + 1)))
+            for i, j in pairs:
+                assert (shadow_inverse_entry(i, j, fam)
+                        == shadow_inverse_entry_product(i, j, fam)), (fam, i, j)
 
 
 class TestConversions:
