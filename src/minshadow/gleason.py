@@ -27,7 +27,8 @@ and each shadow inverse entry as one Fraction of integers.
 Coefficient vectors are affine forms so that one-parameter enumerator
 families flow through unchanged.  Every expansion of Gleason
 coefficients into enumerator vectors goes through expand_scaled, which
-clears denominators and runs both Horner passes on plain integers.
+clears denominators and runs both Horner passes on plain integers, pass 1
+of the code side in sigma = 4s with one subtraction per entry.
 An expansion truncated below the middle of pass 2 stops that pass at
 its top degree and applies the remaining power of (1+z), which adds no
 coefficient, in one exact step;
@@ -42,7 +43,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, repeat
-from operator import add, lshift, mul, sub
+from operator import add, mul, sub
 from typing import Sequence
 
 from .exact import (AffineForm, Scalar, VerificationFailure, as_affine,
@@ -340,8 +341,12 @@ def horner_code_side(coeffs: Sequence[int], fam: FamilyParams,
     denominators first).  With s = z/(1+z)^2 one has
     ((1-z)/(1+z))^2 = 1 - 4s, so each term equals
     (1+z)^(n/2) coeffs[j] (s - 4s^2)^j.  Pass 1 expands
-    P(s) = sum_j coeffs[j] (s - 4s^2)^j = sum_k p_k s^k, of degree 2K,
-    by Horner: p <- s(1 - 4s) p + coeffs[j] (a new list).  Pass 2 expands
+    P(s) = sum_j coeffs[j] (s - 4s^2)^j = sum_k p_k s^k, of degree 2K, in
+    sigma = 4s: s - 4s^2 = (sigma - sigma^2)/4, so R(sigma) = 4^j0 P(sigma/4)
+    has integer coefficients r_k = 4^(j0-k) p_k, j0 = min(K, top).  Horner
+    R <- (sigma - sigma^2) R + coeffs[j] 4^(j0-j) does one subtraction per
+    entry; then p_k = r_k >> 2(j0-k), exact, for k <= j0, else
+    r_k << 2(k-j0).  Pass 2 expands
     x_k = sum_(i<=k) p_i z^i (1+z)^(2(k-i)) = (1+z)^2 x_(k-1) + p_k z^k
     up to k = 2K.  Every term of x_k is palindromic about degree k, so
     x_k(z) = z^(2k) x_k(1/z) for every input, and only the lower half
@@ -351,7 +356,9 @@ def horner_code_side(coeffs: Sequence[int], fam: FamilyParams,
     half is mirrored, and the remaining factor (1+z)^r, r = n/2 - 4K, follows.
 
     For top < n/2 the same steps stop at degree top: (s - 4s^2)^j =
-    O(s^j), so pass 1 starts at coeffs[min(K, top)] and keeps p_0..p_top.
+    O(s^j), so pass 1 starts at j0, and the partial sum of step j, later
+    multiplied by (s - 4s^2)^j, keeps only r_0..r_(top-j) (at top = n/2
+    >= 2K - j that cut never fires).
     Pass 2 and (1+z)^r are one call of _palindromic_horner with r as its
     extra factor.  For top < 2K it stops pass 2 at k = top and applies
     (1+z)^(2(2K - top) + r) in one exact step; otherwise pass 2 keeps
@@ -364,8 +371,9 @@ def horner_code_side(coeffs: Sequence[int], fam: FamilyParams,
     j0 = min(k_top, top)
     p = [coeffs[j0]]
     for j in range(j0 - 1, -1, -1):
-        p = [coeffs[j], p[0], *map(sub, p[1:] + [0], map(lshift, p, repeat(2)))]
-        del p[top + 1:]
+        p = [coeffs[j] << 2 * (j0 - j), p[0], *map(sub, p[1:], p), -p[-1]]
+        del p[top + 1 - j:]
+    p = [v >> 2 * (j0 - k) if k <= j0 else v << 2 * (k - j0) for k, v in enumerate(p)]
     x = _palindromic_horner(p + [0] * (2 * k_top + 1 - len(p)), top, fam.r)
     if len(x) != top + 1:
         raise VerificationFailure(

@@ -439,8 +439,8 @@ def nonexistence_scan(case: FamilyCase, m_max: int,
     results do not depend on the worker count.  The cost of one m grows
     steeply with m and depends on admissible_at's hint: where g(m) > 0
     the code side is expanded only to degree 2m+4 and the shadow side
-    only to its last pinned index, about a fifth of the time of a full
-    expansion at the paper's thresholds (0.18-0.19, median of 15
+    only to its last pinned index, about a seventh of the time of a full
+    expansion at the paper's thresholds (0.15-0.16, median of 15
     interleaved pairs on 2-core x86-64 with Python 3.11).  The m are submitted
     largest first, so the costliest chunks do not run last.
     """

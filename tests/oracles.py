@@ -11,7 +11,10 @@ the Catalan peel, the Lagrange single sum and a binomial double sum
 check the three-term recurrence of the inverse code column, and a
 product of three Fractions checks the shadow inverse entries; forward substitution over Fractions inverts the kernel's bases
 and checks the closed-form inverse blocks; Gleason coefficients read
-back through the inverse blocks check the enumerators; the whole pinned
+back through the inverse blocks check the enumerators; the code window
+a_0..a_(2m+4) read off the differences between the Gleason coefficients
+and the inverse code column, from the Lagrange sum, replays the scan
+certificates without a Horner pass; the whole pinned
 linear system in all K + 1 Gleason coefficients checks the solver's
 derivation; the dual code, the MacWilliams fixed-point identity and a
 codeword-by-codeword count check the GF(2) engine.
@@ -27,7 +30,7 @@ from minshadow.exact import (AffineForm, LinearSystemError, Scalar, as_affine,
 from minshadow.gf2 import BinaryCode, code_weight_distribution
 from minshadow.gleason import (FamilyParams, Matrix, TransformTables,
                                shadow_basis_column, shadow_inverse_entry)
-from minshadow.solver import FamilyCase, minimal_shadow_constraints
+from minshadow.solver import FamilyCase, _gleason, minimal_shadow_constraints
 
 
 class SingularMatrixError(ValueError):
@@ -263,6 +266,34 @@ def code_inverse_col0_lagrange(i: int, n: int) -> Fraction:
         total += c1 * binomial(3 * i - t - 2, i - 1 - t)    # [z^(i-1-t)] (1-z)^(-2i)
         c1 = c1 * (top - t) // (t + 1)  # exact: a falling factorial over t!
     return Fraction(-n, 2 * i) * total
+
+
+def window_by_delta(case: FamilyCase, m: int) -> list[Fraction]:
+    """a_0..a_(2m+4) of the minimal-shadow enumerator of (case, m) from the
+    Gleason coefficients c of solver._gleason, without a Horner pass.
+
+    With N = n/2, u = z(1-z)^2/(1+z)^4 and col_j = [u^j] (1+z)^(-N),
+    (1+z)^N sum_j col_j u^j = 1, so
+
+        a(z) = 1 + (1+z)^N sum_(j>=h) delta_j u^j,   delta_j = c_j - col_j,
+
+    h = d/2, because the code pins give c_j = col_j below h.  As
+    [z^i] (1+z)^N u^j = sum_t (-1)^t C(2j, t) C(N-4j, i-j-t),
+    a_i = [i = 0] + sum_(j=h..i) delta_j sum_t (-1)^t C(2j, t) C(N-4j, i-j-t).
+    col_j comes from the Lagrange sum code_inverse_col0_lagrange, not from
+    the library's recurrence.  For m >= 4, where 2m+4 <= K and N - 4j >= 0.
+    """
+    fam = case.params(m)
+    top = 2 * m + 4
+    c = _gleason(case, m)
+    a = [Fraction(int(i == 0)) for i in range(top + 1)]
+    for j in range(case.d(m) // 2, top + 1):
+        delta = c[j] - code_inverse_col0_lagrange(j, fam.n)
+        for i in range(j, top + 1):
+            a[i] += delta * sum((-1) ** t * binomial(2 * j, t)
+                                * binomial(fam.half - 4 * j, i - j - t)
+                                for t in range(i - j + 1))
+    return a
 
 
 def shadow_inverse_entry_product(i: int, j: int, fam: FamilyParams) -> Fraction:

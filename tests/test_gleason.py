@@ -506,6 +506,20 @@ class TestCodeSideWindow:
         for top in sorted(t for t in tops if t <= fam.half):
             assert horner_code_side(c, fam, top) == full[:top + 1], top
 
+    @pytest.mark.parametrize("fam", LARGE_K_FAMILIES, ids=lambda f: f"n{f.n}")
+    def test_unit_vectors_against_basis_oracle(self, fam):
+        # e_j next to the code pins (h = 2m+1 in the unique families), at
+        # the window end 2m+4 and at K, truncated at the window top and
+        # around K and 2K, against the basis polynomials, not the kernel
+        k_top = fam.c_count - 1
+        h = 2 * fam.m + 1
+        for j in (0, 1, h - 1, h, 2 * fam.m + 4, k_top):
+            unit = [int(i == j) for i in range(k_top + 1)]
+            want = code_basis_poly(j, fam)
+            want += [0] * (fam.half + 1 - len(want))
+            for top in (2 * fam.m + 4, k_top - 1, k_top, 2 * k_top):
+                assert horner_code_side(unit, fam, top) == want[:top + 1], (j, top)
+
     def test_top_out_of_range(self):
         fam = FamilyParams.from_length(26)
         for top in (-1, fam.half + 1):

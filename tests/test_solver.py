@@ -21,7 +21,8 @@ from minshadow.solver import (FAMILY_CASES, Admissibility, FreeParameterError,
                               g_poly, largest_root_bracket, max_admissible,
                               minimal_shadow_constraints, minimal_shadow_r,
                               nonexistence_scan, rains_bound, solve)
-from oracles import pinned_system_gleason
+from minshadow.cli import M_CAP
+from oracles import pinned_system_gleason, window_by_delta
 
 C2 = family_case("24m+2")
 C4 = family_case("24m+4")
@@ -336,6 +337,46 @@ class TestCertificateHint:
         monkeypatch.setattr(gleason, "mul", counting)
         assert admissible_at(case, m)[:3] == (False, "a", 2 * m + 4)
         assert 0 < len(calls) < 4 * (2 * m + 5)
+
+
+def _check_window_certificate(case, m):
+    """admissible_at's certificate is the first negative or non-integer
+    a_i of the oracle's window a_0..a_(2m+4)."""
+    a = window_by_delta(case, m)
+    want = next(((i, v) for i, v in enumerate(a) if v < 0 or v.denominator != 1),
+                None)
+    assert want is not None, (case.tag, m)
+    assert admissible_at(case, m)[1:] == ("a", *want), (case.tag, m)
+
+
+def _window_ms(stride: int) -> list[tuple]:
+    """(case, m) with g(m) > 0 and m <= M_CAP: the first two such m (the
+    benchmark's scan-reject m), every stride-th and M_CAP itself."""
+    out = []
+    for case in (C2, C4, C10):
+        ms = [m for m in range(1, M_CAP + 1) if poly_eval(g_poly(case), m) > 0]
+        out += [(case, m) for m in sorted({*ms[:2], *ms[::stride], ms[-1]})]
+    return out
+
+
+class TestWindowCertificatesByDelta:
+    """admissible_at's window certificates against a_i read off the
+    differences delta_j = c_j - col_j (oracles.window_by_delta), with no
+    Horner pass and the inverse column from the Lagrange sum."""
+
+    @pytest.mark.parametrize("case,m", _window_ms(40),
+                             ids=lambda x: getattr(x, "tag", x))
+    def test_sampled_m_to_m_cap(self, case, m):
+        _check_window_certificate(case, m)
+
+    # slow: all 732 m, up to about 0.4 s each near M_CAP (2 cores,
+    # Python 3.11)
+    @pytest.mark.slow
+    def test_every_m_to_m_cap(self):
+        pairs = _window_ms(1)
+        assert len(pairs) == 732
+        for case, m in pairs:
+            _check_window_certificate(case, m)
 
 
 class TestClosedFormValues:
