@@ -9,9 +9,10 @@ import pytest
 from minshadow.gf2 import (LENGTH_CAP, BetaMismatchError, BinaryCode,
                            EnumerationCapError, GeneratorFileError,
                            NEIGHBOR_TABLE, circulant,
-                           enumerator_vectors, extract_beta,
-                           format_generator_file, is_minimal_shadow,
-                           is_self_dual, min_weight, neighbor, parity_class,
+                           code_weight_distribution, enumerator_vectors,
+                           extract_beta, format_generator_file,
+                           is_minimal_shadow, is_self_dual, min_weight,
+                           neighbor, parity_class,
                            parse_generator_file, reference_code_46, shadow,
                            support_mask, weight_distribution)
 from minshadow.gleason import (FamilyParams, build_transform_tables,
@@ -80,6 +81,15 @@ class TestBasics:
         with pytest.raises(EnumerationCapError):
             weight_distribution(big)
 
+    def test_distribution_cap_counts_the_unfolded_dimension(self):
+        # a k = 29 code holding the all-ones word folds to 28 rows, within
+        # the cap, but the cap is on the dimension of the code itself
+        ones = (1 << 40) - 1
+        big = BinaryCode([1 << i for i in range(28)] + [ones], 40)
+        assert big.k == 29 and big.contains(ones)
+        with pytest.raises(EnumerationCapError, match="dimension 29 "):
+            weight_distribution(big)
+
     def test_distribution_length_cap(self):
         assert LENGTH_CAP == 4096
         with pytest.raises(EnumerationCapError, match="length 4097"):
@@ -112,7 +122,8 @@ class TestBasics:
         assert peak < 100 * 2**20
 
     def test_distribution_memory_bounded_on_length_46(self):
-        # one 2^23-word code enumeration and its 2^23-word shadow coset
+        # one code enumeration and one shadow coset, each folded to 2^22
+        # words because the code holds the all-ones word
         code = reference_code_46()
         tracemalloc.start()
         try:
@@ -155,6 +166,69 @@ class TestDistributionOracle:
         assert weight_distribution(code)[n] == 1
         assert weight_distribution(code, ones) == weight_distribution_naive(
             code, ones)
+
+
+def _code_with_ones(rng: random.Random, n: int, k: int,
+                    with_ones: bool) -> BinaryCode:
+    """A random [n, k] code that holds the all-ones word, or does not."""
+    ones = (1 << n) - 1
+    while True:
+        rows = [rng.getrandbits(n) for _ in range(k - with_ones)]
+        code = BinaryCode(rows + [ones] * with_ones, n)
+        if code.k == k and code.contains(ones) == with_ones:
+            return code
+
+
+class TestComplementFold:
+    # a code holding the all-ones word 1 is enumerated as C' + {0, 1}
+    # from one row fewer; the lengths straddle the uint64 word boundaries
+    # and the uint8/uint16 switch, and k = n = 1 is C = {0, 1} itself,
+    # which folds to no rows at all
+    @pytest.mark.parametrize("n, k, with_ones", [
+        (n, k, with_ones) for n in (1, 2, 63, 64, 65, 255, 256, 257)
+        for k in (0, 1, 2, 5, 12) for with_ones in (True, False)
+        if (1 <= k <= n if with_ones else k < n)])
+    def test_matches_codeword_count(self, n, k, with_ones):
+        rng = random.Random(10000 * n + 10 * k + with_ones)
+        code = _code_with_ones(rng, n, k, with_ones)
+        for offset in (0, rng.getrandbits(n)):
+            dist = weight_distribution(code, offset)
+            assert dist == weight_distribution_naive(code, offset)
+            assert sum(dist) == 2**k
+            if with_ones:
+                assert dist == dist[::-1]
+
+    @pytest.mark.parametrize("n", (1, 2, 64, 257))
+    def test_repetition_and_zero_codes(self, n):
+        ones = (1 << n) - 1
+        rep = BinaryCode([ones], n)
+        zero = BinaryCode([], n)
+        assert weight_distribution(rep) == [1] + [0] * (n - 1) + [1]
+        assert weight_distribution(zero) == [1] + [0] * n
+        assert weight_distribution(zero, ones) == [0] * n + [1]
+        for offset in (1, ones >> 1):
+            for code in (rep, zero):
+                assert weight_distribution(code, offset) == \
+                    weight_distribution_naive(code, offset)
+
+    @pytest.mark.parametrize("index", range(len(NEIGHBOR_TABLE) + 1))
+    def test_bundled_codes_and_shadows(self, index):
+        # index 0 is the bundled code, 1..10 its recorded neighbors; one
+        # more zero coordinate gives the same weights from a code without
+        # the all-ones word, enumerated unfolded over all 2^23 words
+        code = reference_code_46()
+        if index:
+            code = neighbor(code, NEIGHBOR_TABLE[index - 1][0])
+        assert code.contains((1 << code.n) - 1)
+        padded = BinaryCode(code.rows, code.n + 1)
+        assert not padded.contains((1 << padded.n) - 1)
+        part = shadow(code)
+        for offset, dist in ((0, code_weight_distribution(code)),
+                             (part.shadow_reps[0], part.shadow_weights)):
+            assert dist == weight_distribution(code, offset)
+            assert dist + [0] == weight_distribution(padded, offset)
+            assert dist == dist[::-1]
+            assert sum(dist) == 1 << 23
 
 
 class TestShadow:
