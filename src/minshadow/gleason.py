@@ -26,15 +26,11 @@ exact division at every step, its columns j > 0 by the Catalan peel,
 and each shadow inverse entry as one Fraction of integers.
 Coefficient vectors are affine forms so that one-parameter enumerator
 families flow through unchanged.  Every expansion of Gleason
-coefficients into enumerator vectors goes through expand_scaled, which
-clears denominators and runs both Horner passes on plain integers, pass 1
-of the code side in sigma = 4s with one subtraction per entry.
-An expansion truncated below the middle of pass 2 stops that pass at
-its top degree and applies the remaining power of (1+z), which adds no
-coefficient, in one exact step;
-column j of both bases is that kernel applied to the unit Gleason
-vector e_j, and build_transform_tables checks the closed-form inverses
-against those bases.
+coefficients goes through expand_scaled: both Horner passes on plain
+integers, pass 1 of the code side in sigma = 4s, and below the middle of
+pass 2 one exact step from a Catalan power in place of that pass.  Column
+j of both bases is that kernel applied to the unit Gleason vector e_j,
+and build_transform_tables checks the closed-form inverses against them.
 """
 
 from __future__ import annotations
@@ -195,9 +191,8 @@ def code_inverse_col0(fam: FamilyParams, top: int | None = None,
     Column j > 0 comes from the Catalan peel.  With s = z/(1+z)^2 (see
     horner_code_side) it solves P(s) = sum_i c_i (s - 4s^2)^i =
     z^j (1+z)^(-n/2) mod s^(K+1).  As 1+z = C(s), C the Catalan series,
-    and z = s C(s)^2, P = s^j C(s)^e with e = 2j - n/2: p_k = [s^k] C(s)^e
-    = e/(e+2k) C(e+2k, k), so p_(k+1)/p_k = (e+2k)(e+2k+1)/((k+1)(e+k+1)),
-    whose factors in e are negative for k < K - j.  The peel reads
+    and z = s C(s)^2, P = s^j C(s)^e with e = 2j - n/2 (_catalan_power,
+    whose factors in e are negative for k < K - j).  The peel reads
     c_i = [s^0] P, then divides P - [s^0] P by s(1 - 4s): drop x_0, then
     x_i += 4 x_(i-1).  Entry i needs only [s^0..s^i] P, so the peel stops
     at degree top.
@@ -217,11 +212,7 @@ def code_inverse_col0(fam: FamilyParams, top: int | None = None,
                     f"recurrence does not divide exactly at entry {i + 2}")
             col.append(c)
         return col
-    e = 2 * j - fam.half
-    p = [0] * j + [1]
-    for k in range(top - j):
-        p.append(p[-1] * (e + 2 * k) * (e + 2 * k + 1) // ((k + 1) * (e + k + 1)))
-    del p[top + 1:]
+    p = ([0] * j + _catalan_power(2 * j - fam.half, top - j))[:top + 1]
     col = []
     for _ in range(top + 1):
         col.append(p[0])
@@ -287,21 +278,19 @@ def _palindromic_horner(p: list[int], top: int, extra: int = 0) -> list[int]:
     lower halves of its Horner partial sums (see horner_code_side).
     x[1:] = map(add, x[1:], x) is x *= 1+z (the map is listed, then written).
 
-    For top < L the partial sums stop at step top: x_top[0..top] holds
-    every p[k] that reaches degree top, and the rest of the sum is
-    x_top (1+z)^e, e = 2(L - top) + extra, which _binomial_tail applies
-    in one step.  Otherwise all L steps run, the last half is mirrored
-    and (1+z)^extra follows one step at a time.
+    For top < L no step runs: _catalan_tail gives the prefix in one exact
+    step, with E = 2L + extra.  Otherwise all L steps run, the last half
+    is mirrored and (1+z)^extra follows one step at a time.
     """
     last = len(p) - 1
+    if top < last:
+        return _catalan_tail(p[:top + 1], 2 * last + extra)
     x = [p[0]]
-    for k in range(1, min(top, last) + 1):
+    for k in range(1, last + 1):
         x.append(x[-2] if k > 1 else 0)
         for _ in range(2):
             x[1:] = map(add, x[1:], x)
         x[k] += p[k]
-    if top < last:
-        return _binomial_tail(x, 2 * (last - top) + extra)
     x += x[-2::-1][:top + 1 - len(x)]
     for _ in range(extra):
         if len(x) <= top:
@@ -310,25 +299,39 @@ def _palindromic_horner(p: list[int], top: int, extra: int = 0) -> list[int]:
     return x
 
 
-def _binomial_tail(x: list[int], e: int) -> list[int]:
-    """(1+z)^e x mod z^len(x), exactly, for e >= 0.
+def _catalan_step(a: int, k: int) -> tuple[int, int]:
+    """(num, den) with [s^(k+1)] C(s)^a = [s^k] C(s)^a num/den."""
+    return (a + 2 * k) * (a + 2 * k + 1), (k + 1) * (a + k + 1)
 
-    With B = (1+z)^(-e) mod z^len(x), B_i = (-1)^i C(e+i-1, i), one has
-    (1+z)^e x = x[0] + (1+z)^e d with d = x - x[0] B, and d[0] = 0.  Each
-    nonzero d_i adds d_i C(e, k) at i + k.  The identity holds for every x;
-    on the window path the pins make (1+z)^e x vanish between index 1 and
-    the first unpinned entry, so d is zero there too and the cost is
-    O(len(x)) products plus len(x) for each nonzero entry of d.
-    """
-    top = len(x) - 1
-    b, c = [1], [1]
-    for i in range(top):
-        b.append(-b[-1] * (e + i) // (i + 1))       # exact, also when negative
-        c.append(c[-1] * (e - i) // (i + 1))
-    y = [x[0]] + [0] * top
-    for i, d in enumerate(map(sub, x, map(mul, repeat(x[0]), b))):
+
+def _catalan_power(a: int, top: int) -> list[int]:
+    """[s^0..s^top] C(s)^a, C(s) = 1 + s C(s)^2, for a + k + 1 != 0 (k < top):
+    a/(a+2k) C(a+2k, k) by Lagrange inversion, an integer, so each step of
+    _catalan_step must divide exactly, else VerificationFailure."""
+    g = [1]
+    for k in range(top):
+        num, den = _catalan_step(a, k)
+        q, rem = divmod(g[-1] * num, den)
+        if rem:
+            raise VerificationFailure(f"C(s)^({a}) does not divide exactly at s^{k + 1}")
+        g.append(q)
+    return g
+
+
+def _catalan_tail(p: list[int], e: int) -> list[int]:
+    """sum_k p[k] z^k (1+z)^(e-2k) mod z^len(p), exactly, e >= 2 len(p) - 2.
+
+    As 1+z = C(s), s = z/(1+z)^2, gamma_k = [s^k] (1+z)^(-e) gives
+    sum_k gamma_k z^k (1+z)^(e-2k) = 1: the sum is p[0] plus d_k C(e-2k, t)
+    at k + t for each nonzero d_k of d = p - p[0] gamma.  As z <-> s is
+    triangular, d_1..d_(h-1) = 0 exactly when the sum vanishes at 1..h-1,
+    so the pins leave d sparse: O(len(p)) products plus len(p) per d_k."""
+    top = len(p) - 1
+    y = [p[0]] + [0] * top
+    for k, d in enumerate(map(sub, p, map(mul, repeat(p[0]), _catalan_power(-e, top)))):
         if d:
-            y[i:] = map(add, y[i:], map(mul, repeat(d), c))
+            row = map(math.comb, repeat(e - 2 * k), range(top - k + 1))
+            y[k:] = map(add, y[k:], map(mul, repeat(d), row))
     return y
 
 
@@ -355,14 +358,10 @@ def horner_code_side(coeffs: Sequence[int], fam: FamilyParams,
     with one slice assignment each and adds p_k at index k.  The last
     half is mirrored, and the remaining factor (1+z)^r, r = n/2 - 4K, follows.
 
-    For top < n/2 the same steps stop at degree top: (s - 4s^2)^j =
-    O(s^j), so pass 1 starts at j0, and the partial sum of step j, later
-    multiplied by (s - 4s^2)^j, keeps only r_0..r_(top-j) (at top = n/2
-    >= 2K - j that cut never fires).
-    Pass 2 and (1+z)^r are one call of _palindromic_horner with r as its
-    extra factor.  For top < 2K it stops pass 2 at k = top and applies
-    (1+z)^(2(2K - top) + r) in one exact step; otherwise pass 2 keeps
-    x_k[0..min(k, top)] and (1+z)^r stops at degree top.
+    For top < n/2 pass 1 starts at j0, as (s - 4s^2)^j = O(s^j), and step
+    j keeps only r_0..r_(top-j).  Pass 2 and (1+z)^r are _palindromic_horner
+    with r as its extra factor: for top < 2K no pass-2 step runs (E = n/2;
+    on the window d is nonzero only at 2m+1..2m+4).
     """
     k_top = fam.c_count - 1
     top = fam.half if top is None else top
@@ -393,17 +392,18 @@ def horner_shadow_side(coeffs: Sequence[int], fam: FamilyParams,
     coefficients: shadow coefficients 0..top (default 2K, the full vector;
     indexed by i, exponent 4i+r) times 2^s, all integers.  In w = -y^4 and
     i = K - j the sum is (-1)^K y^r sum_i q_i w^i (1+w)^(2(K-i)) with
-    q_i = coeffs[K-i] 2^(n/2+s-6(K-i)), as in pass 2 of horner_code_side,
-    and for top < 2K the same pass stops at degree top (for top < K with
-    the one-step tail (1+w)^(2(K - top)))."""
+    q_i = coeffs[K-i] 2^(n/2+s-6(K-i)), as in pass 2 of horner_code_side
+    (E = 2K).  It runs on q / 2^v, v the least 2-adic valuation of a nonzero
+    q_i (s in the unique families), and shifts back."""
     k_top = fam.c_count - 1
     top = 2 * k_top if top is None else top
     if not 0 <= top <= 2 * k_top:
         raise ValueError(f"top index {top} out of range 0..{2 * k_top}")
     scale = fam.half + _shadow_shift(fam)
-    x = _palindromic_horner([coeffs[k_top - i] * (1 << (scale - 6 * (k_top - i)))
-                             for i in range(k_top + 1)], top)
-    x = [-v if (k_top + i) % 2 else v for i, v in enumerate(x)]
+    q = [coeffs[k_top - i] << (scale - 6 * (k_top - i)) for i in range(k_top + 1)]
+    v2 = min(((v & -v).bit_length() - 1 for v in q if v), default=0)
+    x = _palindromic_horner([v >> v2 for v in q], top)
+    x = [(-v if (k_top + i) % 2 else v) << v2 for i, v in enumerate(x)]
     if len(x) != top + 1:
         raise VerificationFailure(
             f"shadow expansion has {len(x)} coefficients, expected {top + 1}")

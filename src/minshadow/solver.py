@@ -29,7 +29,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .exact import (AffineForm, LinearSystemError, VerificationFailure,
                     binomial, parametric_linear_solve, poly_eval, taylor_shift)
@@ -213,19 +213,22 @@ def solve(case: FamilyCase, m: int) -> ParametricEnumerator:
     printed parametrizations, and none for the other families.
     """
     enum = enumerators_from_gleason(_gleason(case, m), case.params(m))
-    _check_pins(case, m, enum.a.__getitem__, enum.b.__getitem__)
+    _check_pins(case, m, minimal_shadow_constraints(case, m), enum.a, 1, enum.b, 1)
     return enum
 
 
-def _check_pins(case: FamilyCase, m: int, a: Callable, b: Callable) -> None:
-    """Raise VerificationFailure unless the coefficients a(i) and b(i)
-    meet every pin and coincidence of minimal_shadow_constraints(case, m)."""
-    cs = minimal_shadow_constraints(case, m)
-    checks = [(f"a[{i}]", a(i), v) for i, v in cs.pinned_a.items()]
-    checks += [(f"b[{i}]", b(i), v) for i, v in cs.pinned_b.items()]
-    checks += [(f"a[{ai}]", a(ai), b(bi)) for ai, bi in cs.equalities]
-    for label, got, want in checks:
-        if got != want:
+def _check_pins(case: FamilyCase, m: int, cs: ConstraintSet, a: Sequence, da: int,
+                b: Sequence, db: int) -> None:
+    """Raise VerificationFailure unless a[i]/da and b[i]/db meet every pin
+    and coincidence of cs: x dy = y dx, or x = y for solve's unscaled forms."""
+    checks = [(f"{s}[{i}]", vec[i], den, v.numerator, v.denominator)
+              for s, vec, den, pins in (("a", a, da, cs.pinned_a),
+                                        ("b", b, db, cs.pinned_b))
+              for i, v in pins.items()]
+    checks += [(f"a[{ai}]", a[ai], da, b[bi], db) for ai, bi in cs.equalities]
+    for label, x, dx, y, dy in checks:
+        if x != y if dx == dy == 1 else x * dy != y * dx:
+            got, want = (v if d == 1 else Fraction(v, d) for v, d in ((x, dx), (y, dy)))
             raise VerificationFailure(
                 f"{case.tag}, m={m}: {label} = {got}, expected {want}")
 
@@ -390,8 +393,9 @@ def admissible_at(case: FamilyCase, m: int) -> Admissibility:
 
     The Gleason coefficients come from _gleason, as in solve, and a
     scaled-integer expansion (gleason.expand_scaled) gives both vectors.
-    Its pins are checked as in solve, so a wrong closed form raises
-    VerificationFailure; no other entry becomes a Fraction unless it fails.
+    Its pins are checked on the scaled integers as in solve, so a wrong
+    closed form raises VerificationFailure; no entry becomes a Fraction
+    unless it fails.
 
     The cost depends on a hint.  Where g(m) > 0 (see g_poly), so that
     a_{2m+4} < 0 given the closed form, the code side is first expanded
@@ -405,29 +409,25 @@ def admissible_at(case: FamilyCase, m: int) -> Admissibility:
     if case.tag not in UNIQUE_FAMILIES:
         raise ValueError(f"scan applies to unique-enumerator families, not {case.tag}")
     c = _gleason(case, m)
+    cs = minimal_shadow_constraints(case, m)
     if poly_eval(g_poly(case), m) > 0:
-        window = _expand_and_certify(case, m, c, 2 * m + 4)
+        window = _expand_and_certify(case, m, c, cs, 2 * m + 4)
         if not window.ok:
             return window
-    return _expand_and_certify(case, m, c, None)
+    return _expand_and_certify(case, m, c, cs, None)
 
 
-def _expand_and_certify(case: FamilyCase, m: int, c: list,
+def _expand_and_certify(case: FamilyCase, m: int, c: list, cs: ConstraintSet,
                         top: int | None) -> Admissibility:
     """Expand c with the code side up to degree top (None: in full), check
-    the pins and certify.  A window certifies side a only, so its shadow
-    side stops at the last index that a pin or coincidence reads."""
-    shadow_top = None
-    if top is not None:
-        cs = minimal_shadow_constraints(case, m)
-        shadow_top = max([*cs.pinned_b, *(bi for _, bi in cs.equalities)])
+    the pins of cs and certify.  A window certifies side a only, so its
+    shadow side stops at the last index that a pin or coincidence reads."""
+    shadow_top = None if top is None else max(
+        [*cs.pinned_b, *(bi for _, bi in cs.equalities)])
     a_hat, da, b_hat, db = expand_scaled(c, case.params(m), top, shadow_top)
-    _check_pins(case, m, lambda i: Fraction(a_hat[i], da),
-                lambda i: Fraction(b_hat[i], db))
-    sides = [("a", a_hat, da)]
-    if top is None:
-        sides.append(("b", b_hat, db))
-    return _certify(sides)
+    _check_pins(case, m, cs, a_hat, da, b_hat, db)
+    sides = [("a", a_hat, da), ("b", b_hat, db)]
+    return _certify(sides if top is None else sides[:1])
 
 
 def nonexistence_scan(case: FamilyCase, m_max: int,
@@ -439,10 +439,10 @@ def nonexistence_scan(case: FamilyCase, m_max: int,
     results do not depend on the worker count.  The cost of one m grows
     steeply with m and depends on admissible_at's hint: where g(m) > 0
     the code side is expanded only to degree 2m+4 and the shadow side
-    only to its last pinned index, about a seventh of the time of a full
-    expansion at the paper's thresholds (0.15-0.16, median of 15
-    interleaved pairs on 2-core x86-64 with Python 3.11).  The m are submitted
-    largest first, so the costliest chunks do not run last.
+    only to its last pinned index, about a fourteenth of the time of a
+    full expansion at the paper's thresholds (0.07, median of 15
+    interleaved pairs on 2-core x86-64 with Python 3.11).  The m are
+    submitted largest first, so the costliest chunks do not run last.
     """
     if case.tag not in UNIQUE_FAMILIES:
         raise ValueError(f"scan applies to unique-enumerator families, not {case.tag}")

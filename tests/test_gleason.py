@@ -16,16 +16,16 @@ from hypothesis import strategies as st
 
 import minshadow
 from minshadow.exact import AffineForm, binomial
-from minshadow.gleason import (FamilyParams, _binomial_tail, _shadow_shift,
-                               build_transform_tables, code_inverse_col0,
-                               enumerators_from_gleason, horner_code_side,
-                               horner_shadow_side, shadow_basis_column,
-                               shadow_inverse_entry)
+from minshadow.gleason import (FamilyParams, _catalan_power, _catalan_tail,
+                               _shadow_shift, build_transform_tables,
+                               code_inverse_col0, enumerators_from_gleason,
+                               horner_code_side, horner_shadow_side,
+                               shadow_basis_column, shadow_inverse_entry)
 from oracles import (code_basis_block, code_basis_poly, code_inverse_col0_lagrange,
                      code_inverse_col0_peel, code_inverse_col0_sum,
                      gleason_from_code, gleason_from_shadow, identity_matrix,
                      inverse_blocks, matrix_product, one_plus_z_power_steps,
-                     shadow_inverse_entry_product)
+                     poly_product, shadow_inverse_entry_product)
 
 SRC = Path(minshadow.__file__).resolve().parents[1]
 
@@ -616,35 +616,99 @@ class TestTruncatedKernelsAgainstOracles:
         assert c == given_c
 
 
+def _tail_oracle(p, e):
+    """sum_k p[k] z^k (1+z)^(e-2k) mod z^len(p), by Horner steps of
+    (1+z)^2 and then (1+z)^(e - 2 top), one factor 1+z at a time."""
+    x = [0] * len(p)
+    for k, pk in enumerate(p):
+        if k:
+            x = one_plus_z_power_steps(x, 2)
+        x[k] += pk
+    return one_plus_z_power_steps(x, e - 2 * (len(p) - 1))
+
+
+def _catalan_series_power(a, top):
+    """[s^0..s^top] C(s)^a by products of truncated series, C = 1 + s C^2
+    and 1/C = 1 - s C."""
+    c = [1]
+    for _ in range(top):
+        c = [1] + poly_product(c, c)[:top]
+    base = c if a >= 0 else [1] + [-x for x in c[:top]]
+    out = [1]
+    for _ in range(abs(a)):
+        out = (poly_product(out, base) + [0] * (top + 1))[:top + 1]
+    return out
+
+
 class TestBinomialTail:
-    """The truncated kernel's one-step (1+z)^e against e single steps."""
+    """The truncated kernel's one exact step, p[0] plus binomial rows
+    C(e-2k, t) times the difference d = p - p[0] gamma, against the sum
+    sum_k p[k] z^k (1+z)^(e-2k) built one factor 1+z at a time, and its
+    Catalan power gamma against products of series."""
 
     @staticmethod
     def _dense(rng, length, first):
         pool = (0, 1, -1, 10 ** 30, -10 ** 30)
-        x = [rng.choice(pool) if rng.random() < 0.5
+        p = [rng.choice(pool) if rng.random() < 0.5
              else rng.randrange(-10 ** 30, 10 ** 30 + 1) for _ in range(length)]
-        x[0] = first
-        return x
+        p[0] = first
+        return p
 
     @pytest.mark.parametrize("length", [1, 2, 3, 4, 7, 12, 25, 40])
     @pytest.mark.parametrize("first", [0, 1, -10 ** 30],
                              ids=["x0=0", "x0=1", "x0=-1e30"])
     def test_every_exponent_to_ten_times_the_length(self, length, first):
+        # every e from its least value 2 top; e + 1 multiplies the sum by 1+z
         rng = random.Random(length)
-        x = self._dense(rng, length, first)
-        given_x = list(x)
-        want = list(x)
-        for e in range(1, 10 * length + 11):
+        p = self._dense(rng, length, first)
+        given_p = list(p)
+        e = 2 * (length - 1)
+        want = _tail_oracle(p, e)
+        while e <= 10 * length + 10:
+            assert _catalan_tail(p, e) == want, e
+            e += 1
             want = one_plus_z_power_steps(want, 1)
-            assert _binomial_tail(x, e) == want, e
-        assert x == given_x
+        assert p == given_p
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.data())
     def test_random_vectors_and_exponents(self, data):
         entry = st.one_of(st.just(0), st.integers(-1, 1),
                           st.integers(-10 ** 30, 10 ** 30))
-        x = data.draw(st.lists(entry, min_size=1, max_size=40))
-        e = data.draw(st.integers(0, 10 * len(x) + 10))
-        assert _binomial_tail(x, e) == one_plus_z_power_steps(x, e)
+        p = data.draw(st.lists(entry, min_size=1, max_size=40))
+        e = data.draw(st.integers(2 * (len(p) - 1), 10 * len(p) + 10))
+        assert _catalan_tail(p, e) == _tail_oracle(p, e)
+
+    @pytest.mark.parametrize("a", [*range(-41, 0), *range(1, 6)])
+    def test_catalan_power_against_series(self, a):
+        # for a < 0 the entries are valid while a + k + 1 != 0, k < top
+        top = 20 if a > 0 else min(20, -a - 1)
+        assert _catalan_power(a, top) == _catalan_series_power(a, top)
+
+    def test_inexact_step_raises_under_optimize_flag(self):
+        # a wrong ratio leaves a remainder at the first step of the code
+        # window's tail (gamma_0 = 1, |den| = n/2 - 1 > 1); the check is
+        # not an assert, so the scan still stops under python -O
+        script = textwrap.dedent("""
+            import sys
+            from minshadow import gleason, solver
+            from minshadow.exact import VerificationFailure
+            if not sys.flags.optimize:
+                sys.exit("asserts are still enabled")
+            step = gleason._catalan_step
+            def perturbed(a, k):
+                num, den = step(a, k)
+                return num + 1, den
+            gleason._catalan_step = perturbed
+            try:
+                solver.admissible_at(solver.family_case("24m+2"), 155)
+            except VerificationFailure as exc:
+                print("raised:", exc)
+            else:
+                sys.exit("accepted an inexact Catalan step")
+        """)
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "raised: C(s)^(-1861) does not divide exactly at s^1" in proc.stdout

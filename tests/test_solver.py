@@ -1,5 +1,6 @@
 """Minimal-shadow solver, closed forms, scans, and beta ranges."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -337,6 +338,65 @@ class TestCertificateHint:
         monkeypatch.setattr(gleason, "mul", counting)
         assert admissible_at(case, m)[:3] == (False, "a", 2 * m + 4)
         assert 0 < len(calls) < 4 * (2 * m + 5)
+
+    def test_window_and_full_expansion_share_one_constraint_set(self, monkeypatch):
+        # g forced positive runs the window, then the full expansion, at
+        # an admissible m; the pins are built once for both
+        build = solver.minimal_shadow_constraints
+        calls = []
+
+        def counting(case, m):
+            calls.append(m)
+            return build(case, m)
+
+        monkeypatch.setattr(solver, "minimal_shadow_constraints", counting)
+        monkeypatch.setattr(solver, "g_poly", lambda case: (1,))
+        assert admissible_at(C2, 5).ok
+        assert calls == [5]
+
+    @pytest.mark.parametrize("case,m", [(C2, 155), (C2, 156), (C4, 156),
+                                        (C4, 157), (C10, 160), (C10, 161)],
+                             ids=lambda x: getattr(x, "tag", x))
+    def test_window_runs_no_pass_2_step(self, monkeypatch, case, m):
+        # the benchmark's scan-reject m: both sides of the window end in
+        # the one-step tail, whose difference d = p - p_0 gamma is nonzero
+        # only past the pins (a_(2m+1..2m+4) on the code side, b_m on the
+        # shadow side), and no Horner step of pass 2 runs at all
+        fam = case.params(m)
+        tail = gleason._catalan_tail
+        nonzero = {}
+
+        def recording(p, e):
+            gamma = gleason._catalan_power(-e, len(p) - 1)
+            nonzero[e] = sum(pk != p[0] * g for pk, g in zip(p, gamma))
+            return tail(p, e)
+
+        source, first = inspect.getsourcelines(gleason._palindromic_horner)
+        [step] = [first + i for i, line in enumerate(source)
+                  if line.strip() == "x[k] += p[k]"]
+        lines = set()
+
+        def trace_lines(frame, event, arg):
+            lines.add(frame.f_lineno)
+            return trace_lines
+
+        def trace_calls(frame, event, arg):
+            if frame.f_code is gleason._palindromic_horner.__code__:
+                return trace_lines
+            return None
+
+        monkeypatch.setattr(gleason, "_catalan_tail", recording)
+        previous = sys.gettrace()
+        sys.settrace(trace_calls)
+        try:
+            result = admissible_at(case, m)
+        finally:
+            sys.settrace(previous)
+        assert result[:3] == (False, "a", 2 * m + 4)
+        code_e, shadow_e = fam.half, 2 * (fam.c_count - 1)
+        assert sorted(nonzero) == sorted([code_e, shadow_e])
+        assert nonzero[code_e] <= 4 and nonzero[shadow_e] <= 1
+        assert lines and step not in lines
 
 
 def _check_window_certificate(case, m):
