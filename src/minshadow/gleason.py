@@ -27,8 +27,9 @@ and each shadow inverse entry as one Fraction of integers.
 Coefficient vectors are affine forms so that one-parameter enumerator
 families flow through unchanged.  Every expansion of Gleason
 coefficients goes through expand_scaled: both Horner passes on plain
-integers, pass 1 of the code side in sigma = 4s, and below the middle of
-pass 2 one exact step from a Catalan power in place of that pass.  Column
+integers, pass 1 of the code side in sigma = 4s, and pass 2 on the
+difference between its input and a Catalan power, which the pins make
+zero up to the first unpinned coefficient, for every top alike.  Column
 j of both bases is that kernel applied to the unit Gleason vector e_j,
 and build_transform_tables checks the closed-form inverses against them.
 """
@@ -272,31 +273,36 @@ class ParametricEnumerator:
         return not self.free
 
 
-def _palindromic_horner(p: list[int], top: int, extra: int = 0) -> list[int]:
-    """Entries 0..top (top <= 2L + extra) of
-    (1+z)^extra sum_k p[k] z^k (1+z)^(2(L-k)), L = len(p) - 1, from the
-    lower halves of its Horner partial sums (see horner_code_side).
-    x[1:] = map(add, x[1:], x) is x *= 1+z (the map is listed, then written).
+def _palindromic_horner(p: list[int], top: int, e: int) -> list[int]:
+    """Entries 0..top (top <= e) of S = sum_k p[k] z^k (1+z)^(e-2k), for
+    2(len(p) - 1) <= e.  Every term is palindromic about e/2, so S is.
 
-    For top < L no step runs: _catalan_tail gives the prefix in one exact
-    step, with E = 2L + extra.  Otherwise all L steps run, the last half
-    is mirrored and (1+z)^extra follows one step at a time.
+    As 1+z = C(s), s = z/(1+z)^2, gamma_k = [s^k] C(s)^(-e) gives
+    sum_k gamma_k z^k (1+z)^(e-2k) = 1, so up to degree t = min(top, e/2)
+    S is p[0] plus the same sum over d = p - p[0] gamma, from its first
+    nonzero entry d_h' (h' >= 1) to d_t: z^h' (1+z)^(e-2t) x_(t-h'), with
+    x_k = (1+z)^2 x_(k-1) + d_(h'+k) z^k.  Every x_k is palindromic about
+    degree k, so only its lower half x_k[0..k] is kept: a step appends the
+    mirrored entry x_(k-1)[k-2] (0 when k = 1), multiplies by 1+z twice as
+    x[1:] = map(add, x[1:], x) (the map is listed, then written) and adds
+    d_(h'+k) at index k.  (1+z)^(e-2t) is one binomial convolution cut to
+    those entries, and the entries past e/2 are the mirror.  As z <-> s is
+    triangular, d_1..d_(h-1) = 0 exactly when S vanishes at 1..h-1: h'
+    comes from the computed d, so a wrong p shows below h.
     """
-    last = len(p) - 1
-    if top < last:
-        return _catalan_tail(p[:top + 1], 2 * last + extra)
-    x = [p[0]]
-    for k in range(1, last + 1):
-        x.append(x[-2] if k > 1 else 0)
+    t = min(top, e // 2)
+    d = list(map(sub, p[:t + 1] + [0] * (t + 1 - len(p)),
+                 map(mul, repeat(p[0]), _catalan_power(-e, t))))
+    h = next((k for k, v in enumerate(d) if v), t + 1)
+    x = d[h:h + 1]
+    for dk in d[h + 1:]:
+        x.append(x[-2] if len(x) > 1 else 0)
         for _ in range(2):
             x[1:] = map(add, x[1:], x)
-        x[k] += p[k]
-    x += x[-2::-1][:top + 1 - len(x)]
-    for _ in range(extra):
-        if len(x) <= top:
-            x.append(0)
-        x[1:] = map(add, x[1:], x)
-    return x
+        x[-1] += dk
+    row = list(map(math.comb, repeat(e - 2 * t), range(min(e - 2 * t, t - h) + 1)))
+    x = [p[0]] + [0] * (h - 1) + [sum(map(mul, row, x[i::-1])) for i in range(len(x))]
+    return x + x[e - t - 1::-1][:top - t]
 
 
 def _catalan_step(a: int, k: int) -> tuple[int, int]:
@@ -318,23 +324,6 @@ def _catalan_power(a: int, top: int) -> list[int]:
     return g
 
 
-def _catalan_tail(p: list[int], e: int) -> list[int]:
-    """sum_k p[k] z^k (1+z)^(e-2k) mod z^len(p), exactly, e >= 2 len(p) - 2.
-
-    As 1+z = C(s), s = z/(1+z)^2, gamma_k = [s^k] (1+z)^(-e) gives
-    sum_k gamma_k z^k (1+z)^(e-2k) = 1: the sum is p[0] plus d_k C(e-2k, t)
-    at k + t for each nonzero d_k of d = p - p[0] gamma.  As z <-> s is
-    triangular, d_1..d_(h-1) = 0 exactly when the sum vanishes at 1..h-1,
-    so the pins leave d sparse: O(len(p)) products plus len(p) per d_k."""
-    top = len(p) - 1
-    y = [p[0]] + [0] * top
-    for k, d in enumerate(map(sub, p, map(mul, repeat(p[0]), _catalan_power(-e, top)))):
-        if d:
-            row = map(math.comb, repeat(e - 2 * k), range(top - k + 1))
-            y[k:] = map(add, y[k:], map(mul, repeat(d), row))
-    return y
-
-
 def horner_code_side(coeffs: Sequence[int], fam: FamilyParams,
                      top: int | None = None) -> list[int]:
     """Expand sum_j coeffs[j] (1+z)^(n/2-4j) (z(1-z)^2)^j up to degree
@@ -349,19 +338,14 @@ def horner_code_side(coeffs: Sequence[int], fam: FamilyParams,
     has integer coefficients r_k = 4^(j0-k) p_k, j0 = min(K, top).  Horner
     R <- (sigma - sigma^2) R + coeffs[j] 4^(j0-j) does one subtraction per
     entry; then p_k = r_k >> 2(j0-k), exact, for k <= j0, else
-    r_k << 2(k-j0).  Pass 2 expands
-    x_k = sum_(i<=k) p_i z^i (1+z)^(2(k-i)) = (1+z)^2 x_(k-1) + p_k z^k
-    up to k = 2K.  Every term of x_k is palindromic about degree k, so
-    x_k(z) = z^(2k) x_k(1/z) for every input, and only the lower half
-    x_k[0..k] is kept: a step appends the mirrored entry
-    x_(k-1)[k] = x_(k-1)[k-2] (0 when k = 1), multiplies by (1+z) twice
-    with one slice assignment each and adds p_k at index k.  The last
-    half is mirrored, and the remaining factor (1+z)^r, r = n/2 - 4K, follows.
+    r_k << 2(k-j0).  Pass 2 is _palindromic_horner(p, top, n/2), the sum
+    of p_k z^k (1+z)^(n/2-2k), (1+z)^r with r = n/2 - 4K included.  Its
+    Horner steps run on d = p - p_0 gamma from the first nonzero entry,
+    which the code pins put at 2m+1 in the unique families: on the window
+    top = 2m+4, d is nonzero only at 2m+1..2m+4 and three steps run.
 
     For top < n/2 pass 1 starts at j0, as (s - 4s^2)^j = O(s^j), and step
-    j keeps only r_0..r_(top-j).  Pass 2 and (1+z)^r are _palindromic_horner
-    with r as its extra factor: for top < 2K no pass-2 step runs (E = n/2;
-    on the window d is nonzero only at 2m+1..2m+4).
+    j keeps only r_0..r_(top-j).
     """
     k_top = fam.c_count - 1
     top = fam.half if top is None else top
@@ -373,7 +357,7 @@ def horner_code_side(coeffs: Sequence[int], fam: FamilyParams,
         p = [coeffs[j] << 2 * (j0 - j), p[0], *map(sub, p[1:], p), -p[-1]]
         del p[top + 1 - j:]
     p = [v >> 2 * (j0 - k) if k <= j0 else v << 2 * (k - j0) for k, v in enumerate(p)]
-    x = _palindromic_horner(p + [0] * (2 * k_top + 1 - len(p)), top, fam.r)
+    x = _palindromic_horner(p, top, fam.half)
     if len(x) != top + 1:
         raise VerificationFailure(
             f"code expansion has {len(x)} coefficients, expected {top + 1}")
@@ -392,8 +376,9 @@ def horner_shadow_side(coeffs: Sequence[int], fam: FamilyParams,
     coefficients: shadow coefficients 0..top (default 2K, the full vector;
     indexed by i, exponent 4i+r) times 2^s, all integers.  In w = -y^4 and
     i = K - j the sum is (-1)^K y^r sum_i q_i w^i (1+w)^(2(K-i)) with
-    q_i = coeffs[K-i] 2^(n/2+s-6(K-i)), as in pass 2 of horner_code_side
-    (E = 2K).  It runs on q / 2^v, v the least 2-adic valuation of a nonzero
+    q_i = coeffs[K-i] 2^(n/2+s-6(K-i)), _palindromic_horner with e = 2K;
+    on the window to b_m, d has at most one nonzero entry and no step
+    runs.  It runs on q / 2^v, v the least 2-adic valuation of a nonzero
     q_i (s in the unique families), and shifts back."""
     k_top = fam.c_count - 1
     top = 2 * k_top if top is None else top
@@ -402,7 +387,7 @@ def horner_shadow_side(coeffs: Sequence[int], fam: FamilyParams,
     scale = fam.half + _shadow_shift(fam)
     q = [coeffs[k_top - i] << (scale - 6 * (k_top - i)) for i in range(k_top + 1)]
     v2 = min(((v & -v).bit_length() - 1 for v in q if v), default=0)
-    x = _palindromic_horner([v >> v2 for v in q], top)
+    x = _palindromic_horner([v >> v2 for v in q], top, 2 * k_top)
     x = [(-v if (k_top + i) % 2 else v) << v2 for i, v in enumerate(x)]
     if len(x) != top + 1:
         raise VerificationFailure(
@@ -423,7 +408,7 @@ def expand_scaled(c: Sequence[Scalar], fam: FamilyParams, top: int | None = None
     shadow_top (default 2K).
     """
     da = math.lcm(*(x.denominator for x in c))
-    ch = [int(x * da) for x in c]
+    ch = [x.numerator * (da // x.denominator) for x in c]
     a_hat = horner_code_side(ch, fam, top)
     b_hat = horner_shadow_side(ch, fam, shadow_top)
     return a_hat, da, b_hat, da << _shadow_shift(fam)

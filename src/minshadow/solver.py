@@ -439,9 +439,9 @@ def nonexistence_scan(case: FamilyCase, m_max: int,
     results do not depend on the worker count.  The cost of one m grows
     steeply with m and depends on admissible_at's hint: where g(m) > 0
     the code side is expanded only to degree 2m+4 and the shadow side
-    only to its last pinned index, about a fourteenth of the time of a
-    full expansion at the paper's thresholds (0.07, median of 15
-    interleaved pairs on 2-core x86-64 with Python 3.11).  The m are
+    only to its last pinned index, about a tenth of the time of a full
+    expansion at the paper's thresholds (0.105, median of 45 interleaved
+    pairs on 2-core x86-64 with Python 3.11).  The m are
     submitted largest first, so the costliest chunks do not run last.
     """
     if case.tag not in UNIQUE_FAMILIES:

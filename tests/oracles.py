@@ -4,7 +4,7 @@ None of these is on a library path.  Dense polynomial arithmetic and
 dense rational matrices check the transform blocks and the solver; the
 full code-side basis polynomials, built by repeated multiplication,
 check the Horner expansion kernel, and (1+z)^e applied one step at a
-time checks its one-step tail; their truncations to degree K, built
+time checks its binomial convolution; their truncations to degree K, built
 column by column by multiplying with z(1-z)^2 and dividing out (1+z)^4,
 check the code block that the kernel builds and feed the pinned system;
 the Catalan peel, the Lagrange single sum and a binomial double sum
@@ -14,7 +14,9 @@ and checks the closed-form inverse blocks; Gleason coefficients read
 back through the inverse blocks check the enumerators; the code window
 a_0..a_(2m+4) read off the differences between the Gleason coefficients
 and the inverse code column, from the Lagrange sum, replays the scan
-certificates without a Horner pass; the whole pinned
+certificates without a Horner pass, and the full vectors summed term by
+term, the code basis by the same multiply-and-divide recurrence carried
+to degree n/2, replay the admissible verdicts; the whole pinned
 linear system in all K + 1 Gleason coefficients checks the solver's
 derivation; the dual code, the MacWilliams fixed-point identity and a
 codeword-by-codeword count check the GF(2) engine.
@@ -22,6 +24,7 @@ codeword-by-codeword count check the GF(2) engine.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -294,6 +297,51 @@ def window_by_delta(case: FamilyCase, m: int) -> list[Fraction]:
                                 * binomial(fam.half - 4 * j, i - j - t)
                                 for t in range(i - j + 1))
     return a
+
+
+def full_by_direct_sum(case: FamilyCase, m: int) -> tuple[list[Fraction], list[Fraction]]:
+    """The full vectors a_0..a_(n/2) and b_0..b_(2K) of the minimal-shadow
+    enumerator of (case, m) from the Gleason coefficients c of
+    solver._gleason, summed term by term with no Horner pass.
+
+    With N = n/2, a = sum_j c_j T_j, T_j = z^j (1-z)^(2j) (1+z)^(N-4j):
+    T_0 is the binomial row of N, and T_j is T_(j-1) times z(1-z)^2,
+    divided by (1+z)^4 with a zero remainder checked at every division
+    (the recurrence of code_basis_block, carried to degree N).  Term j of
+    the shadow side adds (-1)^(j+t) c_j 2^(N-6j) C(2j, t) at index K-j+t,
+    each binomial row two Pascal steps from the last.
+    Both sums run on c times the lcm of its denominators.
+    """
+    fam = case.params(m)
+    c = _gleason(case, m)
+    den = math.lcm(*(x.denominator for x in c))
+    ch = [int(x * den) for x in c]
+    n_half, k_top = fam.half, fam.c_count - 1
+    term = [math.comb(n_half, i) for i in range(n_half + 1)]
+    a = [ch[0] * x for x in term]
+    for j in range(1, k_top + 1):
+        x = [0] + term                  # times z
+        for _ in range(2):              # times (1-z)
+            x = [u - v for u, v in zip(x + [0], [0] + x)]
+        for _ in range(4):              # divided by (1+z), exactly
+            for i in range(1, len(x)):
+                x[i] -= x[i - 1]
+            if x.pop():
+                raise ArithmeticError(f"(1+z) does not divide term {j} of n={fam.n}")
+        term = x
+        for i, v in enumerate(term):
+            a[i] += ch[j] * v
+    shift = max(0, 6 * k_top - n_half)
+    b = [0] * (2 * k_top + 1)
+    row = [1]                           # C(2j, t), t = 0..2j
+    for j, cj in enumerate(ch):
+        lead = cj << (n_half + shift - 6 * j)
+        for t, v in enumerate(row):
+            b[k_top - j + t] += (-1) ** (j + t) * lead * v
+        for _ in range(2):
+            row = [u + v for u, v in zip(row + [0], [0] + row)]
+    return ([Fraction(x, den) for x in a],
+            [Fraction(x, den << shift) for x in b])
 
 
 def shadow_inverse_entry_product(i: int, j: int, fam: FamilyParams) -> Fraction:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import minshadow
 from minshadow.exact import AffineForm, binomial
-from minshadow.gleason import (FamilyParams, _catalan_power, _catalan_tail,
+from minshadow.gleason import (FamilyParams, _catalan_power, _palindromic_horner,
                                _shadow_shift, build_transform_tables,
                                code_inverse_col0, enumerators_from_gleason,
                                horner_code_side, horner_shadow_side,
@@ -616,14 +616,16 @@ class TestTruncatedKernelsAgainstOracles:
         assert c == given_c
 
 
-def _tail_oracle(p, e):
-    """sum_k p[k] z^k (1+z)^(e-2k) mod z^len(p), by Horner steps of
-    (1+z)^2 and then (1+z)^(e - 2 top), one factor 1+z at a time."""
-    x = [0] * len(p)
+def _tail_oracle(p, e, top):
+    """Entries 0..top of sum_k p[k] z^k (1+z)^(e-2k), by Horner steps of
+    (1+z)^2 and then (1+z)^(e - 2L), L = len(p) - 1, one factor 1+z at a
+    time, all mod z^(top+1)."""
+    x = [0] * (top + 1)
     for k, pk in enumerate(p):
         if k:
             x = one_plus_z_power_steps(x, 2)
-        x[k] += pk
+        if k <= top:
+            x[k] += pk
     return one_plus_z_power_steps(x, e - 2 * (len(p) - 1))
 
 
@@ -640,11 +642,14 @@ def _catalan_series_power(a, top):
     return out
 
 
-class TestBinomialTail:
-    """The truncated kernel's one exact step, p[0] plus binomial rows
-    C(e-2k, t) times the difference d = p - p[0] gamma, against the sum
+class TestPalindromicKernel:
+    """The one pass-2 kernel: p[0] plus the half-vector Horner steps on
+    d = p - p[0] gamma from its first nonzero entry h', one binomial
+    convolution and the mirror past e/2, against the sum
     sum_k p[k] z^k (1+z)^(e-2k) built one factor 1+z at a time, and its
     Catalan power gamma against products of series."""
+
+    FIRSTS = (0, 1, -10 ** 30)
 
     @staticmethod
     def _dense(rng, length, first):
@@ -654,30 +659,60 @@ class TestBinomialTail:
         p[0] = first
         return p
 
+    @staticmethod
+    def _from(rng, length, e, first, h):
+        # first * gamma plus a tail whose entry h is nonzero, so d starts
+        # at h; h = length leaves d zero on p, and nonzero past it when
+        # first != 0 and e >= 2 length
+        p = [first * g for g in _catalan_power(-e, length - 1)]
+        for k in range(h, length):
+            p[k] += rng.choice((1, -1, 10 ** 30 + 7)) if k == h else rng.randrange(
+                -10 ** 30, 10 ** 30 + 1)
+        return p
+
+    @pytest.mark.parametrize("last", range(31))
+    def test_every_top_start_and_exponent(self, last):
+        # every top 0..e for e = 2L..2L+3: the window (top < e/2), the
+        # middle and the mirror, with (1+z)^(e-2t) of every kind and,
+        # for e >= 2L+2, d_(L+1) = -p_0 gamma_(L+1) past the end of p
+        rng = random.Random(last)
+        for e in range(2 * last, 2 * last + 4):
+            inputs = [self._dense(rng, last + 1, first) for first in self.FIRSTS]
+            inputs += [self._from(rng, last + 1, e, self.FIRSTS[(h + e) % 3], h)
+                       for h in range(1, last + 2)]
+            for p in inputs:
+                given_p = list(p)
+                want = _tail_oracle(p, e, e)
+                for top in range(e + 1):
+                    assert _palindromic_horner(p, top, e) == want[:top + 1], (e, top)
+                assert p == given_p
+
     @pytest.mark.parametrize("length", [1, 2, 3, 4, 7, 12, 25, 40])
     @pytest.mark.parametrize("first", [0, 1, -10 ** 30],
                              ids=["x0=0", "x0=1", "x0=-1e30"])
     def test_every_exponent_to_ten_times_the_length(self, length, first):
-        # every e from its least value 2 top; e + 1 multiplies the sum by 1+z
+        # top = L for every e from its least value 2L; e + 1 multiplies
+        # the sum by 1+z
         rng = random.Random(length)
         p = self._dense(rng, length, first)
         given_p = list(p)
         e = 2 * (length - 1)
-        want = _tail_oracle(p, e)
+        want = _tail_oracle(p, e, length - 1)
         while e <= 10 * length + 10:
-            assert _catalan_tail(p, e) == want, e
+            assert _palindromic_horner(p, length - 1, e) == want, e
             e += 1
             want = one_plus_z_power_steps(want, 1)
         assert p == given_p
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.data())
-    def test_random_vectors_and_exponents(self, data):
+    def test_random_vectors_exponents_and_tops(self, data):
         entry = st.one_of(st.just(0), st.integers(-1, 1),
                           st.integers(-10 ** 30, 10 ** 30))
-        p = data.draw(st.lists(entry, min_size=1, max_size=40))
+        p = data.draw(st.lists(entry, min_size=1, max_size=30))
         e = data.draw(st.integers(2 * (len(p) - 1), 10 * len(p) + 10))
-        assert _catalan_tail(p, e) == _tail_oracle(p, e)
+        top = data.draw(st.integers(0, min(e, 3 * len(p))))
+        assert _palindromic_horner(p, top, e) == _tail_oracle(p, e, top)
 
     @pytest.mark.parametrize("a", [*range(-41, 0), *range(1, 6)])
     def test_catalan_power_against_series(self, a):

@@ -14,7 +14,7 @@ import minshadow
 from minshadow import gleason, solver
 from minshadow.exact import (AffineForm, VerificationFailure, poly_eval,
                              taylor_shift)
-from minshadow.gleason import enumerators_from_gleason
+from minshadow.gleason import enumerators_from_gleason, expand_scaled
 from minshadow.solver import (FAMILY_CASES, Admissibility, FreeParameterError,
                               admissible, admissible_at, beta_family_for_length,
                               beta_range, closed_form_a2m1, closed_form_bm,
@@ -23,7 +23,7 @@ from minshadow.solver import (FAMILY_CASES, Admissibility, FreeParameterError,
                               minimal_shadow_constraints, minimal_shadow_r,
                               nonexistence_scan, rains_bound, solve)
 from minshadow.cli import M_CAP
-from oracles import pinned_system_gleason, window_by_delta
+from oracles import full_by_direct_sum, pinned_system_gleason, window_by_delta
 
 C2 = family_case("24m+2")
 C4 = family_case("24m+4")
@@ -325,10 +325,10 @@ class TestCertificateHint:
     @pytest.mark.parametrize("case,m", [(C2, 155), (C4, 156), (C10, 160)],
                              ids=lambda x: getattr(x, "tag", x))
     def test_window_tail_cost(self, monkeypatch, case, m):
-        # the pins leave at most four nonzero entries in the difference
-        # that the tail multiplies out, so its big-int products stay
-        # linear in the window; a dense difference (for example, with
-        # (1+z)^r left out of the tail) costs about (2m+4)^2 / 2
+        # the pins leave d = p - p_0 gamma zero below 2m+1, so the big-int
+        # products (p_0 gamma, and the binomial convolution over four
+        # entries) stay linear in the window; a dense difference (for
+        # example, with (1+z)^r left out of e) costs about (2m+4)^2 / 2
         calls = []
 
         def counting(x, y):
@@ -357,35 +357,30 @@ class TestCertificateHint:
     @pytest.mark.parametrize("case,m", [(C2, 155), (C2, 156), (C4, 156),
                                         (C4, 157), (C10, 160), (C10, 161)],
                              ids=lambda x: getattr(x, "tag", x))
-    def test_window_runs_no_pass_2_step(self, monkeypatch, case, m):
-        # the benchmark's scan-reject m: both sides of the window end in
-        # the one-step tail, whose difference d = p - p_0 gamma is nonzero
-        # only past the pins (a_(2m+1..2m+4) on the code side, b_m on the
-        # shadow side), and no Horner step of pass 2 runs at all
+    def test_window_steps_only_past_the_pins(self, case, m):
+        # the benchmark's scan-reject m: the pins leave d = p - p_0 gamma
+        # zero below a_(2m+1) on the code side, so pass 2 runs three Horner
+        # steps, on d_(2m+1..2m+4); on the shadow side they leave at most
+        # one nonzero entry, b_m, and no step runs
         fam = case.params(m)
-        tail = gleason._catalan_tail
-        nonzero = {}
-
-        def recording(p, e):
-            gamma = gleason._catalan_power(-e, len(p) - 1)
-            nonzero[e] = sum(pk != p[0] * g for pk, g in zip(p, gamma))
-            return tail(p, e)
-
         source, first = inspect.getsourcelines(gleason._palindromic_horner)
         [step] = [first + i for i, line in enumerate(source)
-                  if line.strip() == "x[k] += p[k]"]
-        lines = set()
+                  if line.strip() == "x[-1] += dk"]
+        calls = []
 
         def trace_lines(frame, event, arg):
-            lines.add(frame.f_lineno)
+            if event == "line" and frame.f_lineno == step:
+                calls[-1]["steps"] += 1
             return trace_lines
 
         def trace_calls(frame, event, arg):
             if frame.f_code is gleason._palindromic_horner.__code__:
+                args = frame.f_locals
+                calls.append({"p": list(args["p"]), "top": args["top"],
+                              "e": args["e"], "steps": 0})
                 return trace_lines
             return None
 
-        monkeypatch.setattr(gleason, "_catalan_tail", recording)
         previous = sys.gettrace()
         sys.settrace(trace_calls)
         try:
@@ -393,10 +388,16 @@ class TestCertificateHint:
         finally:
             sys.settrace(previous)
         assert result[:3] == (False, "a", 2 * m + 4)
-        code_e, shadow_e = fam.half, 2 * (fam.c_count - 1)
-        assert sorted(nonzero) == sorted([code_e, shadow_e])
-        assert nonzero[code_e] <= 4 and nonzero[shadow_e] <= 1
-        assert lines and step not in lines
+        code, shadow = calls
+        assert (code["e"], shadow["e"]) == (fam.half, 2 * (fam.c_count - 1))
+        for call in calls:
+            t = min(call["top"], call["e"] // 2)
+            p = call["p"] + [0] * (t + 1 - len(call["p"]))
+            gamma = gleason._catalan_power(-call["e"], t)
+            call["d"] = [k for k in range(t + 1) if p[k] != p[0] * gamma[k]]
+        assert len(code["d"]) <= 4 and code["d"][0] == 2 * m + 1
+        assert code["steps"] == 3
+        assert len(shadow["d"]) <= 1 and shadow["steps"] == 0
 
 
 def _check_window_certificate(case, m):
@@ -437,6 +438,38 @@ class TestWindowCertificatesByDelta:
         assert len(pairs) == 732
         for case, m in pairs:
             _check_window_certificate(case, m)
+
+
+def _check_full_vectors(case, m):
+    """An admissible verdict's full vectors: expand_scaled equals the
+    oracle's term-by-term sums, and every entry is a nonnegative integer."""
+    a, b = full_by_direct_sum(case, m)
+    assert all(x.denominator == 1 and x >= 0 for x in a + b), (case.tag, m)
+    a_hat, da, b_hat, db = expand_scaled(solver._gleason(case, m), case.params(m))
+    assert a == [Fraction(x, da) for x in a_hat], (case.tag, m)
+    assert b == [Fraction(x, db) for x in b_hat], (case.tag, m)
+    assert admissible_at(case, m).ok, (case.tag, m)
+
+
+LAST_ADMISSIBLE = [(C2, 154), (C4, 155), (C10, 159)]
+
+
+class TestAdmissibleVerdictsByDirectSum:
+    """admissible_at's verdict "admissible" against the full vectors summed
+    term by term (oracles.full_by_direct_sum), with no Horner pass."""
+
+    # about 1 s each on 2 cores with Python 3.11
+    @pytest.mark.parametrize("case,m", LAST_ADMISSIBLE,
+                             ids=lambda x: getattr(x, "tag", x))
+    def test_last_admissible_m(self, case, m):
+        _check_full_vectors(case, m)
+
+    # slow: every tenth m of each family up to its last admissible m
+    @pytest.mark.slow
+    def test_stride_of_m(self):
+        for case, last in LAST_ADMISSIBLE:
+            for m in range(1, last + 1, 10):
+                _check_full_vectors(case, m)
 
 
 class TestClosedFormValues:
