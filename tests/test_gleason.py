@@ -642,7 +642,7 @@ def _catalan_series_power(a, top):
     return out
 
 
-class TestPalindromicKernel:
+class TestBinomialTail:
     """The one pass-2 kernel: p[0] plus the half-vector Horner steps on
     d = p - p[0] gamma from its first nonzero entry h', one binomial
     convolution and the mirror past e/2, against the sum
@@ -706,7 +706,7 @@ class TestPalindromicKernel:
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.data())
-    def test_random_vectors_exponents_and_tops(self, data):
+    def test_random_vectors_and_exponents(self, data):
         entry = st.one_of(st.just(0), st.integers(-1, 1),
                           st.integers(-10 ** 30, 10 ** 30))
         p = data.draw(st.lists(entry, min_size=1, max_size=30))

@@ -354,15 +354,11 @@ class TestCertificateHint:
         assert admissible_at(C2, 5).ok
         assert calls == [5]
 
-    @pytest.mark.parametrize("case,m", [(C2, 155), (C2, 156), (C4, 156),
-                                        (C4, 157), (C10, 160), (C10, 161)],
-                             ids=lambda x: getattr(x, "tag", x))
-    def test_window_steps_only_past_the_pins(self, case, m):
-        # the benchmark's scan-reject m: the pins leave d = p - p_0 gamma
-        # zero below a_(2m+1) on the code side, so pass 2 runs three Horner
-        # steps, on d_(2m+1..2m+4); on the shadow side they leave at most
-        # one nonzero entry, b_m, and no step runs
-        fam = case.params(m)
+    @staticmethod
+    def _window_kernel_calls(case, m):
+        # admissible_at(case, m) under a tracer: for each call of the
+        # kernel, its e, the support of d = p - p_0 gamma up to
+        # t = min(top, e/2), and the Horner steps run on d
         source, first = inspect.getsourcelines(gleason._palindromic_horner)
         [step] = [first + i for i, line in enumerate(source)
                   if line.strip() == "x[-1] += dk"]
@@ -388,6 +384,7 @@ class TestCertificateHint:
         finally:
             sys.settrace(previous)
         assert result[:3] == (False, "a", 2 * m + 4)
+        fam = case.params(m)
         code, shadow = calls
         assert (code["e"], shadow["e"]) == (fam.half, 2 * (fam.c_count - 1))
         for call in calls:
@@ -395,9 +392,28 @@ class TestCertificateHint:
             p = call["p"] + [0] * (t + 1 - len(call["p"]))
             gamma = gleason._catalan_power(-call["e"], t)
             call["d"] = [k for k in range(t + 1) if p[k] != p[0] * gamma[k]]
+        return code, shadow
+
+    SCAN_REJECT = [(C2, 155), (C2, 156), (C4, 156), (C4, 157), (C10, 160),
+                   (C10, 161)]
+
+    @pytest.mark.parametrize("case,m", SCAN_REJECT,
+                             ids=lambda x: getattr(x, "tag", x))
+    def test_window_runs_no_pass_2_step(self, case, m):
+        # the benchmark's scan-reject m, shadow side of the window: the pin
+        # on b_m leaves d = p - p_0 gamma at most one nonzero entry, and no
+        # Horner step of pass 2 runs
+        _, shadow = self._window_kernel_calls(case, m)
+        assert len(shadow["d"]) <= 1 and shadow["steps"] == 0
+
+    @pytest.mark.parametrize("case,m", SCAN_REJECT,
+                             ids=lambda x: getattr(x, "tag", x))
+    def test_window_steps_only_past_the_pins(self, case, m):
+        # the same m, code side: the pins leave d zero below a_(2m+1), so
+        # pass 2 runs exactly three Horner steps, on d_(2m+1..2m+4)
+        code, _ = self._window_kernel_calls(case, m)
         assert len(code["d"]) <= 4 and code["d"][0] == 2 * m + 1
         assert code["steps"] == 3
-        assert len(shadow["d"]) <= 1 and shadow["steps"] == 0
 
 
 def _check_window_certificate(case, m):
