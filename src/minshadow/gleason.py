@@ -300,8 +300,10 @@ def _palindromic_horner(p: list[int], top: int, e: int) -> list[int]:
         for _ in range(2):
             x[1:] = map(add, x[1:], x)
         x[-1] += dk
-    row = list(map(math.comb, repeat(e - 2 * t), range(min(e - 2 * t, t - h) + 1)))
-    x = [p[0]] + [0] * (h - 1) + [sum(map(mul, row, x[i::-1])) for i in range(len(x))]
+    y = x[:]
+    for j in range(1, min(e - 2 * t, t - h) + 1):
+        y[j:] = map(add, y[j:], map(mul, repeat(math.comb(e - 2 * t, j)), x))
+    x = [p[0]] + [0] * (h - 1) + y
     return x + x[e - t - 1::-1][:top - t]
 
 

@@ -709,7 +709,7 @@ class TestBinomialTail:
     def test_random_vectors_and_exponents(self, data):
         entry = st.one_of(st.just(0), st.integers(-1, 1),
                           st.integers(-10 ** 30, 10 ** 30))
-        p = data.draw(st.lists(entry, min_size=1, max_size=30))
+        p = data.draw(st.lists(entry, min_size=1, max_size=40))
         e = data.draw(st.integers(2 * (len(p) - 1), 10 * len(p) + 10))
         top = data.draw(st.integers(0, min(e, 3 * len(p))))
         assert _palindromic_horner(p, top, e) == _tail_oracle(p, e, top)

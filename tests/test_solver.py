@@ -474,7 +474,7 @@ class TestAdmissibleVerdictsByDirectSum:
     """admissible_at's verdict "admissible" against the full vectors summed
     term by term (oracles.full_by_direct_sum), with no Horner pass."""
 
-    # about 1 s each on 2 cores with Python 3.11
+    # about 2 s each on 2 cores with Python 3.11
     @pytest.mark.parametrize("case,m", LAST_ADMISSIBLE,
                              ids=lambda x: getattr(x, "tag", x))
     def test_last_admissible_m(self, case, m):
