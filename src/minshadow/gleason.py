@@ -26,12 +26,14 @@ exact division at every step, its columns j > 0 by the Catalan peel,
 and each shadow inverse entry as one Fraction of integers.
 Coefficient vectors are affine forms so that one-parameter enumerator
 families flow through unchanged.  Every expansion of Gleason
-coefficients goes through expand_scaled: both Horner passes on plain
-integers, pass 1 of the code side in sigma = 4s, and pass 2 on the
-difference between its input and a Catalan power, which the pins make
-zero up to the first unpinned coefficient, for every top alike.  Column
-j of both bases is that kernel applied to the unit Gleason vector e_j,
-and build_transform_tables checks the closed-form inverses against them.
+coefficients goes through expand_scaled: both Horner passes on Python
+integers held in two numpy object buffers used in turn, so that a step
+is one or two ufunc calls of CPython int arithmetic, pass 1 of the code
+side in sigma = 4s, and pass 2 on the difference between its input and
+a Catalan power, which the pins make zero up to the first unpinned
+coefficient, for every top alike.  Column j of both bases is that
+kernel applied to the unit Gleason vector e_j, and
+build_transform_tables checks the closed-form inverses against them.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ from fractions import Fraction
 from itertools import product, repeat
 from operator import add, mul, sub
 from typing import Sequence
+
+import numpy as np
 
 from .exact import (AffineForm, Scalar, VerificationFailure, as_affine,
                     binomial)
@@ -282,9 +286,11 @@ def _palindromic_horner(p: list[int], top: int, e: int) -> list[int]:
     S is p[0] plus the same sum over d = p - p[0] gamma, from its first
     nonzero entry d_h' (h' >= 1) to d_t: z^h' (1+z)^(e-2t) x_(t-h'), with
     x_k = (1+z)^2 x_(k-1) + d_(h'+k) z^k.  Every x_k is palindromic about
-    degree k, so only its lower half x_k[0..k] is kept: a step appends the
-    mirrored entry x_(k-1)[k-2] (0 when k = 1), multiplies by 1+z twice as
-    x[1:] = map(add, x[1:], x) (the map is listed, then written) and adds
+    degree k, so only its lower half x_k[0..k] is kept, at indices
+    1..k+1 of one of two object buffers whose index 0 stays 0: a step
+    copies the mirrored entry x_(k-1)[k-2] (the 0 at index 0 when k = 1),
+    multiplies by 1+z twice, each time as one np.add into the other
+    buffer (so no entry is overwritten before it is read), and adds
     d_(h'+k) at index k.  (1+z)^(e-2t) is one binomial convolution cut to
     those entries, and the entries past e/2 are the mirror.  As z <-> s is
     triangular, d_1..d_(h-1) = 0 exactly when S vanishes at 1..h-1: h'
@@ -294,12 +300,14 @@ def _palindromic_horner(p: list[int], top: int, e: int) -> list[int]:
     d = list(map(sub, p[:t + 1] + [0] * (t + 1 - len(p)),
                  map(mul, repeat(p[0]), _catalan_power(-e, t))))
     h = next((k for k, v in enumerate(d) if v), t + 1)
-    x = d[h:h + 1]
-    for dk in d[h + 1:]:
-        x.append(x[-2] if len(x) > 1 else 0)
-        for _ in range(2):
-            x[1:] = map(add, x[1:], x)
-        x[-1] += dk
+    x, w = np.zeros((2, t - h + 2), dtype=object)
+    x[1:2] = d[h:h + 1]
+    for n, dk in enumerate(d[h + 1:], 2):
+        x[n] = x[n - 2]
+        np.add(x[1:n + 1], x[:n], out=w[1:n + 1])
+        np.add(w[1:n + 1], w[:n], out=x[1:n + 1])
+        x[n] += dk
+    x = x[1:].tolist()
     y = x[:]
     for j in range(1, min(e - 2 * t, t - h) + 1):
         y[j:] = map(add, y[j:], map(mul, repeat(math.comb(e - 2 * t, j)), x))
@@ -335,30 +343,38 @@ def horner_code_side(coeffs: Sequence[int], fam: FamilyParams,
     denominators first).  With s = z/(1+z)^2 one has
     ((1-z)/(1+z))^2 = 1 - 4s, so each term equals
     (1+z)^(n/2) coeffs[j] (s - 4s^2)^j.  Pass 1 expands
-    P(s) = sum_j coeffs[j] (s - 4s^2)^j = sum_k p_k s^k, of degree 2K, in
-    sigma = 4s: s - 4s^2 = (sigma - sigma^2)/4, so R(sigma) = 4^j0 P(sigma/4)
-    has integer coefficients r_k = 4^(j0-k) p_k, j0 = min(K, top).  Horner
-    R <- (sigma - sigma^2) R + coeffs[j] 4^(j0-j) does one subtraction per
-    entry; then p_k = r_k >> 2(j0-k), exact, for k <= j0, else
-    r_k << 2(k-j0).  Pass 2 is _palindromic_horner(p, top, n/2), the sum
-    of p_k z^k (1+z)^(n/2-2k), (1+z)^r with r = n/2 - 4K included.  Its
+    P(s) = sum_j coeffs[j] (s - 4s^2)^j = sum_k p_k s^k, of degree at most
+    2K, in sigma = 4s: s - 4s^2 = (sigma - sigma^2)/4, so
+    R(sigma) = 4^j0 P(sigma/4) has integer coefficients r_k = 4^(j0-k) p_k,
+    j0 the last index up to min(K, top) with a nonzero coefficient.  Horner
+    R <- (sigma - sigma^2) R + coeffs[j] 4^(j0-j) is one np.subtract, from
+    one object buffer into the other, shifted by one index; then
+    p_k = r_k >> 2(j0-k), exact, for k <= j0, else r_k << 2(k-j0).  Pass 2
+    is _palindromic_horner(p, top, n/2), the sum of
+    p_k z^k (1+z)^(n/2-2k), (1+z)^r with r = n/2 - 4K included.  Its
     Horner steps run on d = p - p_0 gamma from the first nonzero entry,
     which the code pins put at 2m+1 in the unique families: on the window
     top = 2m+4, d is nonzero only at 2m+1..2m+4 and three steps run.
 
-    For top < n/2 pass 1 starts at j0, as (s - 4s^2)^j = O(s^j), and step
-    j keeps only r_0..r_(top-j).
+    Pass 1 starts at j0, as the terms above it are zero or, since
+    (s - 4s^2)^j = O(s^j), reach only past top, and step j keeps only
+    r_0..r_(top-j); a unit vector e_j (build_transform_tables) runs j
+    steps.
     """
     k_top = fam.c_count - 1
     top = fam.half if top is None else top
     if not 0 <= top <= fam.half:
         raise ValueError(f"top degree {top} out of range 0..{fam.half}")
-    j0 = min(k_top, top)
-    p = [coeffs[j0]]
+    j0 = next((j for j in range(min(k_top, top), 0, -1) if coeffs[j]), 0)
+    r, w = np.zeros((2, min(2 * j0, top) + 2), dtype=object)
+    r[1], n = coeffs[j0], 1
     for j in range(j0 - 1, -1, -1):
-        p = [coeffs[j] << 2 * (j0 - j), p[0], *map(sub, p[1:], p), -p[-1]]
-        del p[top + 1 - j:]
-    p = [v >> 2 * (j0 - k) if k <= j0 else v << 2 * (k - j0) for k, v in enumerate(p)]
+        n = min(n + 2, top + 1 - j)
+        np.subtract(r[1:n], r[:n - 1], out=w[2:n + 1])
+        w[1] = coeffs[j] << 2 * (j0 - j)
+        r, w = w, r
+    p = [v >> 2 * (j0 - k) if k <= j0 else v << 2 * (k - j0)
+         for k, v in enumerate(r[1:n + 1].tolist())]
     x = _palindromic_horner(p, top, fam.half)
     if len(x) != top + 1:
         raise VerificationFailure(

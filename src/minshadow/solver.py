@@ -366,10 +366,17 @@ class Admissibility(NamedTuple):
 
 def _certify(sides) -> Admissibility:
     """The first coefficient that is negative or not an integer, over
-    (side, numerators, denominator) triples."""
+    (side, numerators, denominator) triples; the numerators are ints, or
+    exact values over den = 1.  With den = odd 2^s, den divides an int v
+    exactly when the low s bits of v are zero and odd divides v, so the
+    2^s part (s about 6m on the shadow side) costs a mask, not a long
+    division, and odd = 1 costs nothing."""
     for side, values, den in sides:
+        mask = (den & -den) - 1
+        odd = den // (mask + 1)
         for i, v in enumerate(values):
-            if v < 0 or v % den:
+            if (v < 0 or v.denominator > 1 or (mask and v & mask)
+                    or (odd > 1 and v % odd)):
                 return Admissibility(False, side, i, Fraction(v, den))
     return Admissibility(True, None, None, None)
 
@@ -439,10 +446,11 @@ def nonexistence_scan(case: FamilyCase, m_max: int,
     results do not depend on the worker count.  The cost of one m grows
     steeply with m and depends on admissible_at's hint: where g(m) > 0
     the code side is expanded only to degree 2m+4 and the shadow side
-    only to its last pinned index, about a tenth of the time of a full
-    expansion at the paper's thresholds (0.105, median of 45 interleaved
-    pairs on 2-core x86-64 with Python 3.11).  The m are
-    submitted largest first, so the costliest chunks do not run last.
+    only to its last pinned index, about a ninth of the time of a full
+    expansion at the paper's thresholds (0.114 and 0.117, medians of two
+    runs of 45 interleaved pairs on 2-core x86-64 with Python 3.11).  The
+    m are submitted largest first, so the costliest chunks do not run
+    last.
     """
     if case.tag not in UNIQUE_FAMILIES:
         raise ValueError(f"scan applies to unique-enumerator families, not {case.tag}")

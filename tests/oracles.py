@@ -265,9 +265,11 @@ def code_inverse_col0_lagrange(i: int, n: int) -> Fraction:
     the first factor's binomials taken with a possibly negative top."""
     top = 4 * i - n // 2 - 1
     total, c1 = 0, 1                    # c1 = C(top, t), updated in t
+    c2 = binomial(3 * i - 2, i - 1)     # c2 = C(3i-t-2, i-1-t) = [z^(i-1-t)] (1-z)^(-2i)
     for t in range(i):
-        total += c1 * binomial(3 * i - t - 2, i - 1 - t)    # [z^(i-1-t)] (1-z)^(-2i)
+        total += c1 * c2
         c1 = c1 * (top - t) // (t + 1)  # exact: a falling factorial over t!
+        c2 = c2 * (i - 1 - t) // (3 * i - t - 2)    # exact: C(a-1, b-1) = C(a, b) b/a
     return Fraction(-n, 2 * i) * total
 
 

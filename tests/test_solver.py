@@ -2,6 +2,7 @@
 
 import inspect
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -361,7 +362,7 @@ class TestCertificateHint:
         # t = min(top, e/2), and the Horner steps run on d
         source, first = inspect.getsourcelines(gleason._palindromic_horner)
         [step] = [first + i for i, line in enumerate(source)
-                  if line.strip() == "x[-1] += dk"]
+                  if line.strip() == "x[n] += dk"]
         calls = []
 
         def trace_lines(frame, event, arg):
@@ -548,6 +549,39 @@ class TestAdmissibility:
         with pytest.raises(ValueError):
             nonexistence_scan(C6, 3)
 
+    # den = 3 * 2^7: an entry can fail through either factor alone
+    CERTIFY_DEN = 3 << 7
+
+    def test_certify_odd_part_of_the_denominator(self):
+        # 5 * 2^7 passes the 2^7 mask, and 3 does not divide it
+        den = self.CERTIFY_DEN
+        values = [0, den, 5 * den, 5 << 7, -den]
+        assert solver._certify([("a", [den, 0], den), ("b", values, den)]) \
+            == Admissibility(False, "b", 3, Fraction(5, 3))
+
+    def test_certify_two_adic_part_of_the_denominator(self):
+        # 3 * 2^6 is a multiple of the odd part 3, and not of 2^7
+        den = self.CERTIFY_DEN
+        values = [0, den, 7 * den, 3 << 6, -den]
+        assert solver._certify([("a", [den, 0], den), ("b", values, den)]) \
+            == Admissibility(False, "b", 3, Fraction(1, 2))
+
+    def test_certify_agrees_with_the_remainder(self):
+        rng = random.Random(22)
+        for den in (1, 2, 3, 5 << 40, self.CERTIFY_DEN, 45 << 920):
+            for _ in range(200):
+                v = rng.choice([den * rng.randrange(10 ** 6),
+                                rng.randrange(10 ** 6) << rng.randrange(1000)])
+                ok = solver._certify([("a", [v], den)]).ok
+                assert ok == (v % den == 0), (den, v)
+
+    def test_certify_fractions_over_one(self):
+        # admissible() passes exact values with denominator 1
+        values = [Fraction(2), Fraction(0), Fraction(7, 3), Fraction(-1)]
+        assert solver._certify([("a", values, 1)]) \
+            == Admissibility(False, "a", 2, Fraction(7, 3))
+        assert solver._certify([("a", values[:2], 1)]).ok
+
     def test_scan_jobs_deterministic(self):
         assert nonexistence_scan(C4, 4, jobs=2) == nonexistence_scan(C4, 4)
 
@@ -594,6 +628,50 @@ class TestAdmissibility:
         # largest m first into the pool, results back in m order
         assert submitted == ([] if workers is None
                              else list(range(m_max, 0, -1)))
+
+
+class TestPlainIntOutputs:
+    """expand_scaled and both Horner passes hand back lists of exact
+    Python ints, never numpy objects: the JSON output and Fraction(v, den)
+    rely on it."""
+
+    NAMES = ("expand_scaled", "horner_code_side", "horner_shadow_side")
+
+    def _run_checked(self, monkeypatch, run):
+        # run() with the three kernels wrapped; returns their calls as
+        # (name, positional arguments)
+        calls = []
+
+        def checked(fn):
+            def call(*args):
+                out = fn(*args)
+                vectors = out[::2] if fn.__name__ == "expand_scaled" else [out]
+                for v in vectors:
+                    assert type(v) is list and all(type(x) is int for x in v)
+                if fn.__name__ == "expand_scaled":
+                    assert type(out) is tuple and all(type(x) is int for x in out[1::2])
+                calls.append((fn.__name__, args))
+                return out
+            return call
+
+        for name in self.NAMES:
+            monkeypatch.setattr(gleason, name, checked(getattr(gleason, name)))
+        monkeypatch.setattr(solver, "expand_scaled", gleason.expand_scaled)
+        run()
+        assert {name for name, _ in calls} == set(self.NAMES)
+        return calls
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("tag", sorted(FAMILY_CASES))
+    def test_solve(self, monkeypatch, tag, m):
+        self._run_checked(monkeypatch, lambda: solve(FAMILY_CASES[tag], m))
+
+    @pytest.mark.parametrize("m,tops", [(154, [None]), (155, [2 * 155 + 4])])
+    def test_full_path_and_window(self, monkeypatch, m, tops):
+        # (24m+2, 154) is admissible and expands in full; 155 is rejected
+        # on its window, the code side to degree 2m+4
+        calls = self._run_checked(monkeypatch, lambda: admissible_at(C2, m))
+        assert [args[2] for name, args in calls if name == "expand_scaled"] == tops
 
 
 SRC = Path(minshadow.__file__).resolve().parents[1]
