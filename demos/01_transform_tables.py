@@ -10,7 +10,6 @@ already checks basis x inverse = I; the demo multiplies them again.
 """
 
 from minshadow import FamilyParams, build_transform_tables, code_inverse_col0
-from minshadow.exact import format_exact
 
 fam = FamilyParams.from_length(26)
 print(f"n = {fam.n}: m={fam.m}, l={fam.l}, r={fam.r}, "
@@ -23,13 +22,13 @@ for name, mat in (("code basis (columns = basis polynomials)", tables.code_basis
                   ("shadow inverse", tables.shadow_inverse)):
     print(name)
     for row in mat:
-        print("   [" + ", ".join(f"{format_exact(x):>8}" for x in row) + "]")
+        print("   [" + ", ".join(f"{str(x):>8}" for x in row) + "]")
     print()
 
 print("closed forms for the inverse entries:")
 col0 = code_inverse_col0(fam)
 for i in range(1, fam.c_count):
-    print(f"   code_inverse[{i}][0]  = {format_exact(col0[i])}")
+    print(f"   code_inverse[{i}][0]  = {col0[i]}")
 
 k = fam.c_count
 eye = [[int(i == j) for j in range(k)] for i in range(k)]

@@ -9,7 +9,6 @@ have closed forms; the solver and the closed forms must agree exactly.
 
 from minshadow import (closed_form_a2m1, closed_form_bm, closed_form_bm1,
                        family_case, solve)
-from minshadow.exact import format_exact
 
 for tag in ("24m+2", "24m+4", "24m+10"):
     case = family_case(tag)
@@ -22,12 +21,12 @@ for tag in ("24m+2", "24m+4", "24m+10"):
         assert bm == closed_form_bm(case, m)
         assert bm1 == closed_form_bm1(case, m)
         line = (f"   n={fam.n}: d={case.d(m)},  "
-                f"b at y^{fam.shadow_exponent(m)} = {format_exact(bm)},  "
-                f"b at y^{fam.shadow_exponent(m + 1)} = {format_exact(bm1)}")
+                f"b at y^{fam.shadow_exponent(m)} = {bm},  "
+                f"b at y^{fam.shadow_exponent(m + 1)} = {bm1}")
         if tag == "24m+10":
             a = enum.a[2 * m + 1].as_fraction()
             assert a == closed_form_a2m1(m) == bm
-            line += f",  a at y^{2 * (2 * m + 1)} = {format_exact(a)} (= b_m)"
+            line += f",  a at y^{2 * (2 * m + 1)} = {a} (= b_m)"
         print(line)
     print()
 

@@ -6,7 +6,7 @@ integrality, and an exhaustive GF(2) code engine for cross-checking
 against real codes."""
 
 from .exact import (AffineForm, LinearSystemError, VerificationFailure,
-                    binomial, format_exact, parametric_linear_solve)
+                    parametric_linear_solve)
 from .gf2 import (BinaryCode, NEIGHBOR_TABLE, ShadowPartition, circulant,
                   extract_beta, is_minimal_shadow, is_self_dual, min_weight,
                   neighbor, parity_class, reference_code_46, shadow,

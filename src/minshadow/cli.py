@@ -18,7 +18,7 @@ import functools
 import json
 import sys
 
-from .exact import AffineForm, VerificationFailure, format_exact
+from .exact import VerificationFailure
 from .gf2 import (BetaMismatchError, GeneratorFileError, extract_beta,
                   format_generator_file, is_minimal_shadow, is_self_dual,
                   min_weight, neighbor, parity_class, parse_generator_file,
@@ -34,20 +34,14 @@ PRINT_CAP = 64   # tables grid side K + 1; bounds the output, 4 (K+1)^2 entries
 Output = tuple[dict, list[str]]   # a command's JSON document and text lines
 
 
-def _fmt(x) -> str:
-    if isinstance(x, AffineForm):
-        return str(x)
-    return format_exact(x)
-
-
 def _enumerator_doc(enum: ParametricEnumerator) -> dict:
     fam = enum.fam
     return {
         "n": str(fam.n),
         "family": {"m": str(fam.m), "l": str(fam.l), "r": str(fam.r)},
         "free_parameters": list(enum.free),
-        "code_coefficients": [[str(2 * i), _fmt(v)] for i, v in enumerate(enum.a)],
-        "shadow_coefficients": [[str(fam.shadow_exponent(i)), _fmt(v)]
+        "code_coefficients": [[str(2 * i), str(v)] for i, v in enumerate(enum.a)],
+        "shadow_coefficients": [[str(fam.shadow_exponent(i)), str(v)]
                                 for i, v in enumerate(enum.b)],
     }
 
@@ -58,7 +52,7 @@ def _enumerator_text(enum: ParametricEnumerator) -> list[str]:
         for exp, v in pairs:
             if not v:
                 continue
-            body = _fmt(v)
+            body = str(v)
             if " " in body or "/" in body:
                 body = f"({body})"
             shown.append("1" if (body == "1" and exp == 0)
@@ -93,7 +87,7 @@ def _scan_certificate(case, m, cert) -> dict:
     weight = (2 * cert.index if cert.side == "a"
               else case.params(m).shadow_exponent(cert.index))
     return {"side": cert.side, "index": str(cert.index), "weight": str(weight),
-            "value": format_exact(cert.value),
+            "value": str(cert.value),
             "reason": "negative" if cert.value < 0 else "non-integer"}
 
 
@@ -166,7 +160,7 @@ def cmd_tables(args) -> Output:
            "closed_form_shadow_inverse_ok": True}
     lines = [f"n={fam.n}: {k}x{k} transform tables"]
     for name in ("code_basis", "code_inverse", "shadow_basis", "shadow_inverse"):
-        doc[name] = [[_fmt(x) for x in row] for row in getattr(tables, name)]
+        doc[name] = [[str(x) for x in row] for row in getattr(tables, name)]
         lines.append(f"{name}:")
         lines.extend("  [" + ", ".join(row) + "]" for row in doc[name])
     lines.append("closed-form checks: col0 OK, shadow OK")

@@ -1,17 +1,16 @@
-"""Exact arithmetic substrate: binomials, polynomial evaluation and
-Taylor shifts, affine forms over named parameters, and the parametric
-linear solve.
+"""Exact arithmetic substrate: polynomial evaluation and Taylor shifts,
+affine forms over named parameters, and the parametric linear solve.
 
 Integers are Python ints, rationals are fractions.Fraction, a polynomial
 is a coefficient list indexed by exponent, and a matrix is a rectangular
 list of rows.  Every routine is a pure function over
 immutable-by-convention values; nothing here ever touches floating
-point.
+point.  str() is the one serialization of an exact number: decimal for
+an int or a Fraction over 1, "p/q" for any other Fraction.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -25,19 +24,6 @@ class LinearSystemError(ValueError):
 class VerificationFailure(Exception):
     """An identity the library checks, or a recorded value, failed to
     hold; the command line exits with status 1."""
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) with the out-of-range convention C(n, k) = 0 for k < 0 or k > n.
-
-    A negative upper index is rejected: callers are expected to rewrite
-    such binomials into nonnegative-top form first.
-    """
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def poly_eval(p: Sequence[Scalar], x: Scalar) -> Scalar:
@@ -172,12 +158,12 @@ class AffineForm:
     def __str__(self):
         parts: list[str] = []
         if self.constant or not self.terms:
-            parts.append(format_exact(self.constant))
+            parts.append(str(self.constant))
         for name in sorted(self.terms):
             coeff = self.terms[name]
             sign = "-" if coeff < 0 else "+"
             mag = abs(coeff)
-            body = name if mag == 1 else f"{format_exact(mag)}*{name}"
+            body = name if mag == 1 else f"{mag}*{name}"
             if not parts:
                 parts.append(body if coeff > 0 else f"-{body}")
             else:
@@ -257,11 +243,3 @@ def parametric_linear_solve(
     free_names = set().union(*(form.parameters() for form in solution.values()))
     return solution, sorted(free_names)
 
-
-def format_exact(x: Scalar) -> str:
-    """Serialize an exact number: integers in decimal, rationals as "p/q"."""
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    return str(x)

@@ -16,10 +16,7 @@ instead of streaming a 32 MB block and a 32 MB int64 copy through
 memory.  The b half of the XOR takes as many rows as fit in one block,
 but never fewer than the a half, so a block holds few a rows and numpy
 walks each one against a long b.  uint8 weights are counted two at a
-time, as one uint16 each, which halves bincount's work.  A
-2^23-codeword distribution of a length-46 code, 2^22 of them walked,
-takes about 0.01 s with about 1.2 MB of temporaries (best of three,
-2-core x86-64, numpy 2.4).
+time, as one uint16 each, which halves bincount's work.
 
 Includes the bundled length-46 circulant code (identity block next to a
 23 x 23 circulant) and the table of ten recorded even-weight vectors
@@ -359,7 +356,7 @@ def enumerator_vectors(code: BinaryCode) -> tuple[list[int], list[int]]:
     for w, cnt in enumerate(sh):
         if cnt and (w - fam.r) % 4:
             raise ValueError(f"shadow weight {w} incompatible with r={fam.r}")
-    b = [sh[4 * i + fam.r] for i in range(fam.b_count)]
+    b = [sh[fam.shadow_exponent(i)] for i in range(fam.b_count)]
     return a, b
 
 
@@ -382,7 +379,7 @@ def extract_beta(code: BinaryCode) -> int:
         for i, (form, obs) in enumerate(zip(forms, obs_vec)):
             want = form.substitute({BETA: beta}).as_fraction()
             if want != obs:
-                w = 2 * i if side == "a" else 4 * i + enum.fam.r
+                w = 2 * i if side == "a" else enum.fam.shadow_exponent(i)
                 raise BetaMismatchError(
                     f"mismatch at weight {w} ({side}[{i}]): "
                     f"expected {want} at beta={beta}, observed {obs}")

@@ -47,8 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import (AffineForm, Scalar, VerificationFailure, as_affine,
-                    binomial)
+from .exact import AffineForm, Scalar, VerificationFailure, as_affine
 
 Matrix = list[list[Fraction]]
 
@@ -116,7 +115,7 @@ def shadow_basis_column(j: int, fam: FamilyParams) -> list[Fraction]:
     col = [Fraction(0)] * fam.b_count
     lead = Fraction(2) ** (fam.half - 6 * j) * (-1) ** j
     for t in range(2 * j + 1):
-        col[k_top - j + t] = lead * (-1) ** t * binomial(2 * j, t)
+        col[k_top - j + t] = lead * (-1) ** t * math.comb(2 * j, t)
     return col
 
 

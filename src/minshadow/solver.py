@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .exact import (AffineForm, LinearSystemError, VerificationFailure,
-                    binomial, parametric_linear_solve, poly_eval, taylor_shift)
+                    parametric_linear_solve, poly_eval, taylor_shift)
 from .gleason import (FamilyParams, ParametricEnumerator, code_inverse_col0,
                       enumerators_from_gleason, expand_scaled,
                       shadow_basis_column, shadow_inverse_entry)
@@ -153,7 +153,7 @@ def minimal_shadow_constraints(case: FamilyCase, m: int) -> ConstraintSet:
     if 2 * ds < d:
         pinned_b[0] = Fraction(1)
     i = 1
-    while 4 * i + fam.r < d - ds:
+    while fam.shadow_exponent(i) < d - ds:
         pinned_b[i] = Fraction(0)
         i += 1
     equalities: tuple[tuple[int, int], ...] = ()
@@ -248,11 +248,11 @@ def closed_form_bm(case: FamilyCase, m: int) -> Fraction:
     """The forced shadow coefficient b_m at weight 4m + r."""
     _check_unique(case, m)
     if case.tag == "24m+2":
-        return Fraction(4 * (24 * m + 1), 5 * m) * binomial(5 * m, m - 1)
+        return Fraction(4 * (24 * m + 1), 5 * m) * math.comb(5 * m, m - 1)
     if case.tag == "24m+4":
         return (Fraction(2 * (12 * m + 1) * (38 * m + 7), 5 * m * (2 * m + 1))
-                * binomial(5 * m, m - 1))
-    return Fraction(binomial(5 * m + 1, m))
+                * math.comb(5 * m, m - 1))
+    return Fraction(math.comb(5 * m + 1, m))
 
 
 def closed_form_bm1(case: FamilyCase, m: int) -> Fraction:
@@ -262,26 +262,22 @@ def closed_form_bm1(case: FamilyCase, m: int) -> Fraction:
     if case.tag == "24m+2":
         pre = Fraction(-64 * (24 * m + 1),
                        (5 * m - 1) * (4 * m + 2) * (4 * m + 3)
-                       * (4 * m + 4) * (4 * m + 5)) * binomial(5 * m, m - 1)
+                       * (4 * m + 4) * (4 * m + 5)) * math.comb(5 * m, m - 1)
     elif case.tag == "24m+4":
         pre = Fraction(-128 * (12 * m + 1),
                        (5 * m - 1) * (4 * m + 2) * (4 * m + 3)
-                       * (4 * m + 4) * (4 * m + 5) * (4 * m + 6)) * binomial(5 * m, m - 1)
+                       * (4 * m + 4) * (4 * m + 5) * (4 * m + 6)) * math.comb(5 * m, m - 1)
     else:
         pre = Fraction(-16 * (5 * m + 2),
                        (4 * m + 1) * (4 * m + 2) * (4 * m + 3)
-                       * (4 * m + 4) * (4 * m + 5)) * binomial(5 * m, m)
+                       * (4 * m + 4) * (4 * m + 5)) * math.comb(5 * m, m)
     return pre * fm
 
 
 def closed_form_a2m1(m: int) -> Fraction:
-    """The forced code coefficient a_{2m+1} = b_m in the 24m+10 family:
-    (shadow_col0 - code_inverse_col0(fam)) / 3 at index 2m+1."""
-    if m < 1:
-        raise ValueError(f"requires m >= 1, got {m}")
-    fam = FamilyParams(m, 1, 1)
-    i = 2 * m + 1
-    return (shadow_inverse_entry(i, 0, fam) - code_inverse_col0(fam, i)[i]) / 3
+    """The forced code coefficient a_{2m+1} in the 24m+10 family: the
+    coincidence a_{2m+1} = b_m makes it closed_form_bm there."""
+    return closed_form_bm(FAMILY_CASES["24m+10"], m)
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +442,9 @@ def nonexistence_scan(case: FamilyCase, m_max: int,
     results do not depend on the worker count.  The cost of one m grows
     steeply with m and depends on admissible_at's hint: where g(m) > 0
     the code side is expanded only to degree 2m+4 and the shadow side
-    only to its last pinned index, about a ninth of the time of a full
-    expansion at the paper's thresholds (0.114 and 0.117, medians of two
-    runs of 45 interleaved pairs on 2-core x86-64 with Python 3.11).  The
-    m are submitted largest first, so the costliest chunks do not run
-    last.
+    only to its last pinned index, a small fraction of the time of a
+    full expansion at the paper's thresholds.  The m are submitted
+    largest first, so the costliest chunks do not run last.
     """
     if case.tag not in UNIQUE_FAMILIES:
         raise ValueError(f"scan applies to unique-enumerator families, not {case.tag}")

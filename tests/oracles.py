@@ -17,7 +17,8 @@ and the inverse code column, from the Lagrange sum, replays the scan
 certificates without a Horner pass, and the full vectors summed term by
 term, the code basis by the same multiply-and-divide recurrence carried
 to degree n/2, replay the admissible verdicts; the whole pinned
-linear system in all K + 1 Gleason coefficients checks the solver's
+linear system in all K + 1 Gleason coefficients, and for the beta
+families the same coefficients in closed form, check the solver's
 derivation; the dual code, the MacWilliams fixed-point identity and a
 codeword-by-codeword count check the GF(2) engine.
 """
@@ -29,15 +30,30 @@ from fractions import Fraction
 from typing import Sequence
 
 from minshadow.exact import (AffineForm, LinearSystemError, Scalar, as_affine,
-                             binomial, parametric_linear_solve)
+                             parametric_linear_solve)
 from minshadow.gf2 import BinaryCode, code_weight_distribution
 from minshadow.gleason import (FamilyParams, Matrix, TransformTables,
-                               shadow_basis_column, shadow_inverse_entry)
-from minshadow.solver import FamilyCase, _gleason, minimal_shadow_constraints
+                               code_inverse_col0, shadow_basis_column,
+                               shadow_inverse_entry)
+from minshadow.solver import (BETA, FamilyCase, _gleason,
+                              minimal_shadow_constraints)
 
 
 class SingularMatrixError(ValueError):
     """Raised when a matrix inverse is requested for a singular matrix."""
+
+
+def binomial(n: int, k: int) -> int:
+    """C(n, k) with the out-of-range convention C(n, k) = 0 for k < 0 or k > n.
+
+    A negative upper index is rejected: callers are expected to rewrite
+    such binomials into nonnegative-top form first.
+    """
+    if n < 0:
+        raise ValueError(f"binomial requires n >= 0, got n={n}")
+    if k < 0 or k > n:
+        return 0
+    return math.comb(n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +434,19 @@ def pinned_system_gleason(case: FamilyCase, m: int) -> list[AffineForm]:
     if any(name.startswith("c") for name in free_names):
         raise LinearSystemError(f"underdetermined: {free_names} free")
     return [solution[name] for name in unknowns]
+
+
+def beta_tail_gleason(case: FamilyCase, m: int) -> list[AffineForm | Scalar]:
+    """Gleason coefficients c_0..c_K of a beta family in closed form, with
+    h = d/2: c_0..c_(h-1) from code_inverse_col0, c_h = beta times entry
+    (h, K-h) of the inverse shadow block, and c_j = entry (j, 0) of that
+    block for j > h, with no linear solve."""
+    fam = case.params(m)
+    h = case.d(m) // 2
+    k_top = fam.c_count - 1
+    return (code_inverse_col0(fam, h)[:h]
+            + [AffineForm.parameter(BETA, shadow_inverse_entry(h, k_top - h, fam))]
+            + [shadow_inverse_entry(j, 0, fam) for j in range(h + 1, k_top + 1)])
 
 
 # ---------------------------------------------------------------------------

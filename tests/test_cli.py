@@ -233,6 +233,71 @@ class TestTablesCommand:
         assert "closed forms disagree" in err
 
 
+def _reads_back(s, want):
+    """s is the exact value want, and the one string str gives for it."""
+    assert isinstance(s, str)
+    assert Fraction(s) == want and str(Fraction(s)) == s, (s, want)
+
+
+class TestNumbersReadBack:
+    """The JSON prints every number as a decimal or "p/q" string, nothing
+    truncated: Fraction reads each back to the library's exact value, and
+    str of that value gives the same string."""
+
+    @staticmethod
+    def _check_enumerator(doc, enum):
+        fam = enum.fam
+        _reads_back(doc["n"], fam.n)
+        _reads_back(doc["m"], fam.m)
+        for key in ("m", "l", "r"):
+            _reads_back(doc["family"][key], getattr(fam, key))
+        for pairs, forms, weight in (
+                (doc["code_coefficients"], enum.a, lambda i: 2 * i),
+                (doc["shadow_coefficients"], enum.b, fam.shadow_exponent)):
+            assert len(pairs) == len(forms)
+            for i, ((w, v), form) in enumerate(zip(pairs, forms)):
+                _reads_back(w, weight(i))
+                _reads_back(v, form.as_fraction())
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("tag", solver.UNIQUE_FAMILIES)
+    def test_solve_unique_families(self, capsys, tag, m):
+        doc = run_json(capsys, "solve", "--family", tag, "--m", str(m))
+        self._check_enumerator(doc, solver.solve(solver.family_case(tag), m))
+
+    @pytest.mark.parametrize("end", [0, 1], ids=["beta_min", "beta_max"])
+    @pytest.mark.parametrize("n", [22, 30, 46, 54, 70])
+    def test_solve_at_the_beta_range_ends(self, capsys, n, end):
+        case, m = solver.beta_family_for_length(n)
+        beta = solver.beta_range(case, m)[end]
+        doc = run_json(capsys, "solve", "--family", case.tag, "--m", str(m),
+                       "--beta", str(beta))
+        _reads_back(doc["beta"], beta)
+        assert doc["free_parameters"] == []
+        self._check_enumerator(
+            doc, solver.solve(case, m).substitute({solver.BETA: beta}))
+
+    @pytest.mark.parametrize("tag,m", [(tag, m)
+                                       for tag, case in solver.FAMILY_CASES.items()
+                                       for m in range(case.min_m, 3)])
+    def test_tables(self, capsys, tag, m):
+        doc = run_json(capsys, "tables", "--family", tag, "--m", str(m))
+        case = solver.family_case(tag)
+        fam = case.params(m)
+        _reads_back(doc["m"], m)
+        _reads_back(doc["n"], fam.n)
+        _reads_back(doc["c_count"], fam.c_count)
+        tables = gleason.build_transform_tables(fam)
+        for name in ("code_basis", "code_inverse", "shadow_basis",
+                     "shadow_inverse"):
+            want = getattr(tables, name)
+            assert len(doc[name]) == len(want)
+            for row, want_row in zip(doc[name], want):
+                assert len(row) == len(want_row)
+                for s, x in zip(row, want_row):
+                    _reads_back(s, x)
+
+
 class TestBoundsCommand:
     def test_n22(self, capsys):
         doc = run_json(capsys, "bounds", "--n", "22")

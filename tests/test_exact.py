@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minshadow.exact import (AffineForm, LinearSystemError, as_affine,
-                             binomial, format_exact, parametric_linear_solve,
-                             poly_eval, taylor_shift)
-from oracles import (SingularMatrixError, identity_matrix, matrix_inverse,
-                     matrix_product, poly_product, poly_trim)
+                             parametric_linear_solve, poly_eval, taylor_shift)
+from oracles import (SingularMatrixError, binomial, identity_matrix,
+                     matrix_inverse, matrix_product, poly_product, poly_trim)
 
 
 class TestBinomial:
@@ -372,6 +371,11 @@ class TestSparseSolveStructure:
 
 
 def test_format_exact():
-    assert format_exact(19051200) == "19051200"
-    assert format_exact(Fraction(-9, 128)) == "-9/128"
-    assert format_exact(Fraction(4, 2)) == "2"
+    # str is the one serialization of an exact number: decimal for an int
+    # or a Fraction over 1, "p/q" otherwise, in AffineForm terms too
+    assert str(19051200) == "19051200"
+    assert str(Fraction(-9, 128)) == "-9/128"
+    assert str(Fraction(4, 2)) == "2"
+    assert str(AffineForm(Fraction(4, 2), {"beta": Fraction(-9, 128)})) \
+        == "2 - 9/128*beta"
+    assert str(AffineForm(0, {"beta": Fraction(6, 3)})) == "2*beta"

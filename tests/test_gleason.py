@@ -15,14 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minshadow
-from minshadow.exact import AffineForm, binomial
+from minshadow.exact import AffineForm
 from minshadow.gleason import (FamilyParams, _catalan_power, _palindromic_horner,
                                _shadow_shift, build_transform_tables,
                                code_inverse_col0, enumerators_from_gleason,
                                horner_code_side, horner_shadow_side,
                                shadow_basis_column, shadow_inverse_entry)
-from oracles import (code_basis_block, code_basis_poly, code_inverse_col0_lagrange,
-                     code_inverse_col0_peel, code_inverse_col0_sum,
+from oracles import (binomial, code_basis_block, code_basis_poly,
+                     code_inverse_col0_lagrange, code_inverse_col0_peel,
+                     code_inverse_col0_sum,
                      gleason_from_code, gleason_from_shadow, identity_matrix,
                      inverse_blocks, matrix_product, one_plus_z_power_steps,
                      poly_product, shadow_inverse_entry_product)

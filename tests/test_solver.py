@@ -1,6 +1,7 @@
 """Minimal-shadow solver, closed forms, scans, and beta ranges."""
 
 import inspect
+import math
 import os
 import random
 import subprocess
@@ -24,7 +25,8 @@ from minshadow.solver import (FAMILY_CASES, Admissibility, FreeParameterError,
                               minimal_shadow_constraints, minimal_shadow_r,
                               nonexistence_scan, rains_bound, solve)
 from minshadow.cli import M_CAP
-from oracles import full_by_direct_sum, pinned_system_gleason, window_by_delta
+from oracles import (beta_tail_gleason, full_by_direct_sum, pinned_system_gleason,
+                     window_by_delta)
 
 C2 = family_case("24m+2")
 C4 = family_case("24m+4")
@@ -117,7 +119,7 @@ class TestSolveUniqueFamilies:
         assert e.b[m].as_fraction() == closed_form_bm(case, m)
         assert e.b[m + 1].as_fraction() == closed_form_bm1(case, m)
         if case.tag == "24m+10":
-            assert e.a[2 * m + 1].as_fraction() == closed_form_a2m1(m)
+            assert e.a[2 * m + 1].as_fraction() == math.comb(5 * m + 1, m)
 
     def test_mass(self):
         for case, m in ((C2, 2), (C10, 2)):
@@ -489,6 +491,25 @@ class TestAdmissibleVerdictsByDirectSum:
                 _check_full_vectors(case, m)
 
 
+class TestBetaTailClosedForm:
+    """The beta families' Gleason coefficients from _gleason's linear solve
+    equal their closed form: oracles.beta_tail_gleason."""
+
+    @pytest.mark.parametrize("case", [C6, C22], ids=lambda c: c.tag)
+    def test_every_m_to_40(self, case):
+        for m in range(case.min_m, 41):
+            assert solver._gleason(case, m) == beta_tail_gleason(case, m), m
+
+    # slow: the linear solve takes about 4 s at the beta edge, the first m
+    # whose beta range is empty
+    @pytest.mark.slow
+    @pytest.mark.parametrize("case,edge", [(C6, 158), (C22, 159)],
+                             ids=["24m+6", "24m+22"])
+    def test_stride_to_the_beta_edge(self, case, edge):
+        for m in [*range(case.min_m, edge, 20), edge]:
+            assert solver._gleason(case, m) == beta_tail_gleason(case, m), m
+
+
 class TestClosedFormValues:
     def test_bm_values(self):
         assert closed_form_bm(C2, 1) == 20
@@ -504,6 +525,8 @@ class TestClosedFormValues:
         assert closed_form_a2m1(1) == 6
         assert closed_form_a2m1(2) == 55          # C(11, 2)
         assert closed_form_a2m1(5) == 65780       # C(26, 5)
+        with pytest.raises(ValueError):
+            closed_form_a2m1(0)
 
     def test_a2m1_ingredients_at_m1(self):
         from minshadow.gleason import (FamilyParams, code_inverse_col0,
@@ -513,8 +536,14 @@ class TestClosedFormValues:
         assert code_inverse_col0(fam)[3] == -34
 
     def test_a2m1_equals_bm(self):
+        # oracle: a_{2m+1} from the inverse blocks, (shadow entry - code
+        # column entry) / 3 at index 2m+1
+        from minshadow.gleason import code_inverse_col0, shadow_inverse_entry
         for m in range(1, 41):
-            assert closed_form_a2m1(m) == closed_form_bm(C10, m)
+            fam, i = C10.params(m), 2 * m + 1
+            via_blocks = (shadow_inverse_entry(i, 0, fam)
+                          - code_inverse_col0(fam, i)[i]) / 3
+            assert via_blocks == closed_form_a2m1(m) == closed_form_bm(C10, m)
 
     def test_beta_families_rejected(self):
         with pytest.raises(ValueError):
