@@ -90,20 +90,6 @@ class BinaryCode:
         self._dist: list[int] | None = None
         self._shadow: "ShadowPartition | None" = None
 
-    @classmethod
-    def from_vectors(cls, vectors: Sequence[Sequence[int]]) -> "BinaryCode":
-        if not vectors:
-            raise ValueError("need at least one generator row")
-        n = len(vectors[0])
-        if any(len(v) != n for v in vectors):
-            raise ValueError("generator rows have unequal lengths")
-        rows = []
-        for v in vectors:
-            if any(bit not in (0, 1) for bit in v):
-                raise ValueError("generator entries must be 0 or 1")
-            rows.append(sum(bit << i for i, bit in enumerate(v)))
-        return cls(rows, n)
-
     @property
     def k(self) -> int:
         return len(self.rows)

@@ -271,10 +271,6 @@ class ParametricEnumerator:
         free = tuple(n for n in self.free if n not in values)
         return ParametricEnumerator(self.fam, a, b, free)
 
-    @property
-    def is_concrete(self) -> bool:
-        return not self.free
-
 
 def _palindromic_horner(p: list[int], top: int, e: int) -> list[int]:
     """Entries 0..top (top <= e) of S = sum_k p[k] z^k (1+z)^(e-2k), for

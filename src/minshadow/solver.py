@@ -40,11 +40,6 @@ from .gleason import (FamilyParams, ParametricEnumerator, code_inverse_col0,
 BETA = "beta"
 
 
-class FreeParameterError(ValueError):
-    """Raised when a parametrized enumerator is used where a concrete one
-    is required; substitute beta first (see beta_range)."""
-
-
 class EmptyBetaRangeError(ValueError):
     """Raised when no integer beta yields an admissible enumerator."""
 
@@ -362,33 +357,17 @@ class Admissibility(NamedTuple):
 
 def _certify(sides) -> Admissibility:
     """The first coefficient that is negative or not an integer, over
-    (side, numerators, denominator) triples; the numerators are ints, or
-    exact values over den = 1.  With den = odd 2^s, den divides an int v
-    exactly when the low s bits of v are zero and odd divides v, so the
-    2^s part (s about 6m on the shadow side) costs a mask, not a long
-    division, and odd = 1 costs nothing."""
+    (side, numerators, denominator) triples of ints.  With den = odd 2^s,
+    den divides v exactly when the low s bits of v are zero and odd
+    divides v, so the 2^s part (s about 6m on the shadow side) costs a
+    mask, not a long division, and odd = 1 costs nothing."""
     for side, values, den in sides:
         mask = (den & -den) - 1
         odd = den // (mask + 1)
         for i, v in enumerate(values):
-            if (v < 0 or v.denominator > 1 or (mask and v & mask)
-                    or (odd > 1 and v % odd)):
+            if v < 0 or (mask and v & mask) or (odd > 1 and v % odd):
                 return Admissibility(False, side, i, Fraction(v, den))
     return Admissibility(True, None, None, None)
-
-
-def admissible(enum: ParametricEnumerator) -> Admissibility:
-    """Whether every coefficient is a nonnegative integer.
-
-    On failure the certificate carries the first offending side, index
-    and exact value.  A parametrized enumerator is rejected outright.
-    """
-    if not enum.is_concrete:
-        raise FreeParameterError(
-            f"enumerator has free parameters {enum.free}; substitute beta "
-            "first (beta_range gives the admissible interval)")
-    return _certify((side, (form.as_fraction() for form in vec), 1)
-                    for side, vec in (("a", enum.a), ("b", enum.b)))
 
 
 def admissible_at(case: FamilyCase, m: int) -> Admissibility:
@@ -478,7 +457,7 @@ def beta_range(case: FamilyCase, m: int) -> tuple[int, int]:
     """
     if not case.parametrized:
         raise ValueError(f"family {case.tag} has a unique enumerator; "
-                         "use solve/admissible directly")
+                         "use solve or admissible_at")
     enum = solve(case, m)
     fam = enum.fam
     ds = minimal_shadow_r(fam.n)

@@ -19,8 +19,11 @@ term, the code basis by the same multiply-and-divide recurrence carried
 to degree n/2, replay the admissible verdicts; the whole pinned
 linear system in all K + 1 Gleason coefficients, and for the beta
 families the same coefficients in closed form, check the solver's
-derivation; the dual code, the MacWilliams fixed-point identity and a
-codeword-by-codeword count check the GF(2) engine.
+derivation; admissibility read off the exact coefficients of a
+concrete enumerator one by one checks the scaled-integer certificates of
+admissible_at and the beta ranges; the dual code, the MacWilliams
+fixed-point identity and a codeword-by-codeword count check the GF(2)
+engine, on codes built from generator rows of 0/1 entries.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ from typing import Sequence
 from minshadow.exact import (AffineForm, LinearSystemError, Scalar, as_affine,
                              parametric_linear_solve)
 from minshadow.gf2 import BinaryCode, code_weight_distribution
-from minshadow.gleason import (FamilyParams, Matrix, TransformTables,
-                               code_inverse_col0, shadow_basis_column,
-                               shadow_inverse_entry)
-from minshadow.solver import (BETA, FamilyCase, _gleason,
+from minshadow.gleason import (FamilyParams, Matrix, ParametricEnumerator,
+                               TransformTables, code_inverse_col0,
+                               shadow_basis_column, shadow_inverse_entry)
+from minshadow.solver import (BETA, Admissibility, FamilyCase, _gleason,
                               minimal_shadow_constraints)
 
 
@@ -450,15 +453,40 @@ def beta_tail_gleason(case: FamilyCase, m: int) -> list[AffineForm | Scalar]:
 
 
 # ---------------------------------------------------------------------------
+# admissibility
+
+
+def admissible(enum: ParametricEnumerator) -> Admissibility:
+    """Whether every coefficient of a concrete enumerator is a nonnegative
+    integer, read off its exact values side a first, in index order; on
+    failure the certificate carries the first offending side, index and
+    value, as admissible_at's does.  An enumerator with free parameters
+    raises ValueError naming them."""
+    free = sorted(set().union(*(f.parameters() for f in enum.a + enum.b)))
+    if free:
+        raise ValueError(f"enumerator has free parameters {free}; "
+                         "substitute them first")
+    for side, vec in (("a", enum.a), ("b", enum.b)):
+        for i, form in enumerate(vec):
+            v = form.as_fraction()
+            if v < 0 or v.denominator > 1:
+                return Admissibility(False, side, i, v)
+    return Admissibility(True, None, None, None)
+
+
+# ---------------------------------------------------------------------------
 # binary codes
 
 
-def build_code(rows: Sequence[Sequence[int]] | Sequence[int],
-               n: int | None = None) -> BinaryCode:
-    """Build a code from bit-vector rows, or from row ints when n is given."""
-    if n is not None:
-        return BinaryCode([int(r) for r in rows], n)
-    return BinaryCode.from_vectors(rows)  # type: ignore[arg-type]
+def build_code(rows: Sequence[Sequence[int]]) -> BinaryCode:
+    """Build a code from generator rows given as 0/1 vectors of one length,
+    entry i of a row being bit i of its row int."""
+    if not rows:
+        raise ValueError("need at least one generator row")
+    n = len(rows[0])
+    if any(len(v) != n or any(bit not in (0, 1) for bit in v) for v in rows):
+        raise ValueError("generator rows must be 0/1 vectors of one length")
+    return BinaryCode([sum(bit << i for i, bit in enumerate(v)) for v in rows], n)
 
 
 def dual(code: BinaryCode) -> BinaryCode:

@@ -16,17 +16,18 @@ import minshadow
 from minshadow import gleason, solver
 from minshadow.exact import (AffineForm, VerificationFailure, poly_eval,
                              taylor_shift)
-from minshadow.gleason import enumerators_from_gleason, expand_scaled
-from minshadow.solver import (FAMILY_CASES, Admissibility, FreeParameterError,
-                              admissible, admissible_at, beta_family_for_length,
-                              beta_range, closed_form_a2m1, closed_form_bm,
-                              closed_form_bm1, evaluate_f, f_poly, family_case,
-                              g_poly, largest_root_bracket, max_admissible,
+from minshadow.gleason import (ParametricEnumerator, enumerators_from_gleason,
+                               expand_scaled)
+from minshadow.solver import (FAMILY_CASES, Admissibility, admissible_at,
+                              beta_family_for_length, beta_range,
+                              closed_form_a2m1, closed_form_bm, closed_form_bm1,
+                              evaluate_f, f_poly, family_case, g_poly,
+                              largest_root_bracket, max_admissible,
                               minimal_shadow_constraints, minimal_shadow_r,
                               nonexistence_scan, rains_bound, solve)
 from minshadow.cli import M_CAP
-from oracles import (beta_tail_gleason, full_by_direct_sum, pinned_system_gleason,
-                     window_by_delta)
+from oracles import (admissible, beta_tail_gleason, full_by_direct_sum,
+                     pinned_system_gleason, window_by_delta)
 
 C2 = family_case("24m+2")
 C4 = family_case("24m+4")
@@ -185,7 +186,7 @@ class TestBetaRange:
         assert beta_range(case, m) == BETA_RANGES[n]
 
     def test_unique_family_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="admissible_at"):
             beta_range(C2, 1)
 
     @pytest.mark.parametrize("n", sorted(BETA_RANGES))
@@ -198,14 +199,10 @@ class TestBetaRange:
 
         def fully_admissible(beta):
             sub = e.substitute({"beta": beta})
-            ok = admissible(sub)
-            return bool(ok) and sub.b[ds_slot].as_fraction() >= 1
+            return bool(admissible(sub)) and sub.b[ds_slot].as_fraction() >= 1
 
-        probe = {lo, hi, (lo + hi) // 2}
-        for beta in probe:
-            assert fully_admissible(beta)
-        assert not fully_admissible(lo - 1)
-        assert not fully_admissible(hi + 1)
+        for beta in range(lo - 1, hi + 2):
+            assert fully_admissible(beta) == (lo <= beta <= hi), beta
 
 
 class TestNonexistencePolynomials:
@@ -554,7 +551,7 @@ class TestClosedFormValues:
 
 class TestAdmissibility:
     def test_free_parameters_rejected(self):
-        with pytest.raises(FreeParameterError):
+        with pytest.raises(ValueError, match="beta"):
             admissible(solve(C6, 1))
 
     @pytest.mark.parametrize("case", [C2, C4, C10], ids=lambda c: c.tag)
@@ -605,11 +602,16 @@ class TestAdmissibility:
                 assert ok == (v % den == 0), (den, v)
 
     def test_certify_fractions_over_one(self):
-        # admissible() passes exact values with denominator 1
+        # the oracle reads exact values, which may be Fractions
         values = [Fraction(2), Fraction(0), Fraction(7, 3), Fraction(-1)]
-        assert solver._certify([("a", values, 1)]) \
+
+        def enum(a):
+            return ParametricEnumerator(C2.params(1), tuple(map(AffineForm, a)),
+                                        (AffineForm(1),), ())
+
+        assert admissible(enum(values)) \
             == Admissibility(False, "a", 2, Fraction(7, 3))
-        assert solver._certify([("a", values[:2], 1)]).ok
+        assert admissible(enum(values[:2])).ok
 
     def test_scan_jobs_deterministic(self):
         assert nonexistence_scan(C4, 4, jobs=2) == nonexistence_scan(C4, 4)
