@@ -26,14 +26,30 @@ exact division at every step, its columns j > 0 by the Catalan peel,
 and each shadow inverse entry as one Fraction of integers.
 Coefficient vectors are affine forms so that one-parameter enumerator
 families flow through unchanged.  Every expansion of Gleason
-coefficients goes through expand_scaled: both Horner passes on Python
-integers held in two numpy object buffers used in turn, so that a step
-is one or two ufunc calls of CPython int arithmetic, pass 1 of the code
-side in sigma = 4s, and pass 2 on the difference between its input and
-a Catalan power, which the pins make zero up to the first unpinned
-coefficient, for every top alike.  Column j of both bases is that
-kernel applied to the unit Gleason vector e_j, and
-build_transform_tables checks the closed-form inverses against them.
+coefficients goes through expand_scaled: both Horner passes on two
+numpy work buffers used in turn, so that a step is one or two ufunc
+calls, pass 1 of the code side in sigma = 4s, and pass 2 on the
+difference between its input and a Catalan power, which the pins make
+zero up to the first unpinned coefficient, for every top alike.  Column
+j of both bases is that kernel applied to the unit Gleason vector e_j,
+and build_transform_tables checks the closed-form inverses against them.
+
+The work buffers come in two formats, picked per pass from its step
+count, with one constant: below LIMB_STEPS = 120 steps they hold Python
+ints in dtype=object, so a step is CPython int arithmetic; from there on
+each entry is a row of L signed radix-2^32 limbs in an int64 matrix, L
+from a bound on every entry of the pass that the kernel computes from
+its input, plus one spare limb.  The same statements step both.  A lazy
+carry every 14 pass-2 and 28 pass-1 steps keeps every limb below 2^63,
+so the int64 sums are exact, and the entries come back as Python ints
+through int.from_bytes.  An object step costs about 35-170 ns per entry
+(30 to 3000 bits); a limb step costs a few ns per entry but more ufunc
+calls, and the conversions about 1 us per entry, so limbs gain on long
+passes only: on the scan inputs of 24m+2 both formats took the same
+time at 100 to 120 steps (m = 25-30 on the code side's second pass,
+35-40 on its first, 50-60 on the shadow side), and limbs never gained
+on the window's three-step pass.  Every full expansion checks its sum
+at z = 1, so a limb that overflowed shows as VerificationFailure.
 """
 
 from __future__ import annotations
@@ -272,6 +288,90 @@ class ParametricEnumerator:
         return ParametricEnumerator(self.fam, a, b, free)
 
 
+# passes of LIMB_STEPS steps or more run on int64 limbs, carried every
+# _PASS1_CARRY (pass 1) or _PASS2_CARRY (pass 2) steps; see the module docstring
+LIMB_STEPS = 120
+_PASS1_CARRY = 28
+_PASS2_CARRY = 14
+_MASK = (1 << 32) - 1
+
+
+def _work_buffers(values: list[int], rows: int, growth: int):
+    """Two zeroed work buffers of `rows` entries, the first holding
+    values[0] at index 1, and the rest of values, the entries that a pass
+    feeds in, one per step, in the same format.
+
+    Below LIMB_STEPS steps the buffers hold Python ints in dtype=object
+    and the rest stays a list.  From LIMB_STEPS up, each entry is a row of
+    L int64 limbs, and the rest is read in as such rows, 64 at a time,
+    through one to_bytes join of the magnitudes and a sign flip.  A step
+    multiplies the sum of the absolute entries by at most 2^growth and
+    adds the next value, so bound, the Horner sum of |values| in
+    2^growth, exceeds every entry of every step, and L has 32 bits for
+    each of its bits and its sign, plus one spare limb."""
+    if len(values) - 1 < LIMB_STEPS:
+        x, w = np.zeros((2, rows), dtype=object)
+        if values:
+            x[1] = values[0]
+        return (x, w), values[1:]
+    bound = 0
+    for v in values:
+        bound = (bound << growth) + abs(v)
+    limbs = bound.bit_length() // 32 + 2
+
+    def limb_rows():
+        for i in range(0, len(values), 64):
+            part = values[i:i + 64]
+            block = np.frombuffer(b"".join(abs(v).to_bytes(4 * limbs, "little")
+                                           for v in part), "<u4")
+            block = block.astype("<i8").reshape(-1, limbs)
+            block[[v < 0 for v in part]] *= -1
+            yield from block
+
+    x, w = np.zeros((2, rows, limbs), dtype="<i8")
+    feed = limb_rows()
+    x[1] = next(feed)
+    return (x, w), feed
+
+
+def _carry(x: np.ndarray, c: np.ndarray) -> None:
+    """One lazy carry over a run of limb rows, in place, with c a scratch
+    array of the same shape: every limb but the last keeps its low 32 bits
+    and passes the rest, floored, to the next (>> on a negative int64 is
+    arithmetic).  From |limb| < 2^63 it leaves |limb| < 2^33 and the value
+    of each row unchanged.  The carries run along the flattened rows, so x
+    must be C-contiguous; the last limb of each row takes its own carry
+    back, and the next row's first limb gives it up."""
+    np.right_shift(x, 32, out=c)
+    x &= _MASK
+    flat = x.reshape(-1)
+    flat[1:] += c.reshape(-1)[:-1]
+    x[1:, 0] -= c[:-1, -1]
+    x[:, -1] += c[:, -1] << 32
+
+
+def _entries(x: np.ndarray, w: np.ndarray, n: int) -> list[int]:
+    """Entries 1..n of work buffer x as plain Python ints, the other
+    buffer w serving as scratch.  Limb rows are carried once, which leaves
+    every limb but the last in [-2^31, 2^32 + 2^31), biased by 2^31 per
+    limb so that none is negative, and carried until every such limb is
+    below 2^32; the bound of _work_buffers leaves the spare limb at -1, 0
+    or 1, else VerificationFailure.  Then each row is one int.from_bytes
+    of the low halves of its limbs, minus the bias."""
+    if x.ndim == 1:
+        return x[1:n + 1].tolist()
+    x, c = x[1:n + 1], w[1:n + 1]
+    _carry(x, c)
+    x[:, :-1] += 1 << 31
+    while np.right_shift(x, 32, out=c)[:, :-1].any():
+        _carry(x, c)
+    if (abs(x[:, -1]) > 1).any():
+        raise VerificationFailure("a Horner entry outgrew its limb bound")
+    bias = ((1 << 32 * x.shape[1] - 32) - 1) // _MASK << 31
+    return [int.from_bytes(row.tobytes(), "little", signed=True) - bias
+            for row in x.view("<u4")[:, ::2]]
+
+
 def _palindromic_horner(p: list[int], top: int, e: int) -> list[int]:
     """Entries 0..top (top <= e) of S = sum_k p[k] z^k (1+z)^(e-2k), for
     2(len(p) - 1) <= e.  Every term is palindromic about e/2, so S is.
@@ -282,7 +382,7 @@ def _palindromic_horner(p: list[int], top: int, e: int) -> list[int]:
     nonzero entry d_h' (h' >= 1) to d_t: z^h' (1+z)^(e-2t) x_(t-h'), with
     x_k = (1+z)^2 x_(k-1) + d_(h'+k) z^k.  Every x_k is palindromic about
     degree k, so only its lower half x_k[0..k] is kept, at indices
-    1..k+1 of one of two object buffers whose index 0 stays 0: a step
+    1..k+1 of one of two work buffers whose index 0 stays 0: a step
     copies the mirrored entry x_(k-1)[k-2] (the 0 at index 0 when k = 1),
     multiplies by 1+z twice, each time as one np.add into the other
     buffer (so no entry is overwritten before it is read), and adds
@@ -290,19 +390,29 @@ def _palindromic_horner(p: list[int], top: int, e: int) -> list[int]:
     those entries, and the entries past e/2 are the mirror.  As z <-> s is
     triangular, d_1..d_(h-1) = 0 exactly when S vanishes at 1..h-1: h'
     comes from the computed d, so a wrong p shows below h.
+
+    The same step loop runs on both formats of _work_buffers: Python ints
+    below LIMB_STEPS steps, int64 limb rows from there on.  A step at
+    most multiplies the largest |entry| by 4 and adds |d_(h'+k)|, so the
+    limb count comes from the Horner sum of |d| in 4.  Limb by limb, a
+    step at most multiplies by 4 and adds a limb of d, below 2^32, so a
+    limb below 2^33 after a carry stays below 4^14 2^33 + 4^14 2^32 / 3
+    < 2^62 over the _PASS2_CARRY = 14 steps to the next carry.
     """
     t = min(top, e // 2)
     d = list(map(sub, p[:t + 1] + [0] * (t + 1 - len(p)),
                  map(mul, repeat(p[0]), _catalan_power(-e, t))))
     h = next((k for k, v in enumerate(d) if v), t + 1)
-    x, w = np.zeros((2, t - h + 2), dtype=object)
-    x[1:2] = d[h:h + 1]
-    for n, dk in enumerate(d[h + 1:], 2):
+    (x, w), dh = _work_buffers(d[h:], t - h + 2, 2)
+    for n, dk in enumerate(dh, 2):
         x[n] = x[n - 2]
         np.add(x[1:n + 1], x[:n], out=w[1:n + 1])
         np.add(w[1:n + 1], w[:n], out=x[1:n + 1])
         x[n] += dk
-    x = x[1:].tolist()
+        if x.ndim > 1 and n % _PASS2_CARRY == 0:
+            _carry(x[1:n + 1], w[1:n + 1])
+    x = _entries(x, w, t - h + 1)
+    del w
     y = x[:]
     for j in range(1, min(e - 2 * t, t - h) + 1):
         y[j:] = map(add, y[j:], map(mul, repeat(math.comb(e - 2 * t, j)), x))
@@ -354,26 +464,43 @@ def horner_code_side(coeffs: Sequence[int], fam: FamilyParams,
     Pass 1 starts at j0, as the terms above it are zero or, since
     (s - 4s^2)^j = O(s^j), reach only past top, and step j keeps only
     r_0..r_(top-j); a unit vector e_j (build_transform_tables) runs j
-    steps.
+    steps.  Its buffers take the format that _work_buffers picks from the
+    step count j0: a step at most doubles the largest |r_k| and adds the
+    next coefficient, so in limbs the bound is the Horner sum of the
+    |coeffs[j]| 4^(j0-j) in 2, and a carry every _PASS1_CARRY = 28 steps
+    keeps each limb below 2^28 2^33 + 2^28 2^32 < 2^62.  The pass-1
+    buffers are freed before pass 2 allocates its own.
+
+    The full vector (top = n/2) must sum to coeffs[0] 2^(n/2), its value
+    at z = 1, where every term but j = 0 vanishes; else
+    VerificationFailure.  That catches a limb that overflowed.
     """
     k_top = fam.c_count - 1
     top = fam.half if top is None else top
     if not 0 <= top <= fam.half:
         raise ValueError(f"top degree {top} out of range 0..{fam.half}")
     j0 = next((j for j in range(min(k_top, top), 0, -1) if coeffs[j]), 0)
-    r, w = np.zeros((2, min(2 * j0, top) + 2), dtype=object)
-    r[1], n = coeffs[j0], 1
-    for j in range(j0 - 1, -1, -1):
+    (r, w), scaled = _work_buffers([coeffs[j] << 2 * (j0 - j)
+                                    for j in range(j0, -1, -1)],
+                                   min(2 * j0, top) + 2, 1)
+    n = 1
+    for j, cj in zip(range(j0 - 1, -1, -1), scaled):
         n = min(n + 2, top + 1 - j)
         np.subtract(r[1:n], r[:n - 1], out=w[2:n + 1])
-        w[1] = coeffs[j] << 2 * (j0 - j)
+        w[1] = cj
         r, w = w, r
+        if r.ndim > 1 and j % _PASS1_CARRY == 0:
+            _carry(r[1:n + 1], w[1:n + 1])
     p = [v >> 2 * (j0 - k) if k <= j0 else v << 2 * (k - j0)
-         for k, v in enumerate(r[1:n + 1].tolist())]
+         for k, v in enumerate(_entries(r, w, n))]
+    del r, w, scaled
     x = _palindromic_horner(p, top, fam.half)
     if len(x) != top + 1:
         raise VerificationFailure(
             f"code expansion has {len(x)} coefficients, expected {top + 1}")
+    if top == fam.half and sum(x) != coeffs[0] << fam.half:
+        raise VerificationFailure(
+            f"code coefficients of n={fam.n} do not sum to c_0 2^(n/2)")
     return x
 
 
@@ -392,7 +519,9 @@ def horner_shadow_side(coeffs: Sequence[int], fam: FamilyParams,
     q_i = coeffs[K-i] 2^(n/2+s-6(K-i)), _palindromic_horner with e = 2K;
     on the window to b_m, d has at most one nonzero entry and no step
     runs.  It runs on q / 2^v, v the least 2-adic valuation of a nonzero
-    q_i (s in the unique families), and shifts back."""
+    q_i (s in the unique families), and shifts back.  The full vector
+    (top = 2K) must sum to coeffs[0] 2^(n/2+s), W_S(1) scaled, else
+    VerificationFailure."""
     k_top = fam.c_count - 1
     top = 2 * k_top if top is None else top
     if not 0 <= top <= 2 * k_top:
@@ -405,6 +534,9 @@ def horner_shadow_side(coeffs: Sequence[int], fam: FamilyParams,
     if len(x) != top + 1:
         raise VerificationFailure(
             f"shadow expansion has {len(x)} coefficients, expected {top + 1}")
+    if top == 2 * k_top and sum(x) != coeffs[0] << scale:
+        raise VerificationFailure(
+            f"shadow coefficients of n={fam.n} do not sum to c_0 2^(n/2+s)")
     return x
 
 

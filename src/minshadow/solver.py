@@ -417,7 +417,9 @@ def nonexistence_scan(case: FamilyCase, m_max: int,
     """Admissibility certificate of every m in 1..m_max, in m order,
     each m evaluated independently.
 
-    At most min(jobs, cpu count, m_max) worker processes run; the
+    At most min(jobs, usable CPUs, m_max) worker processes run, the
+    usable CPUs being those of the process's affinity mask where the
+    platform has one (os.sched_getaffinity), else os.cpu_count(); the
     results do not depend on the worker count.  The cost of one m grows
     steeply with m and depends on admissible_at's hint: where g(m) > 0
     the code side is expanded only to degree 2m+4 and the shadow side
@@ -431,7 +433,9 @@ def nonexistence_scan(case: FamilyCase, m_max: int,
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     ms = range(m_max, 0, -1)
     check = functools.partial(admissible_at, case)
-    workers = min(jobs or 1, os.cpu_count() or 1, len(ms))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(jobs or 1, cpus, len(ms))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(check, ms, chunksize=4))

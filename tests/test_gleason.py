@@ -15,18 +15,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minshadow
-from minshadow.exact import AffineForm
+from minshadow import gleason, solver
+from minshadow.exact import AffineForm, VerificationFailure
 from minshadow.gleason import (FamilyParams, _catalan_power, _palindromic_horner,
                                _shadow_shift, build_transform_tables,
                                code_inverse_col0, enumerators_from_gleason,
-                               horner_code_side, horner_shadow_side,
-                               shadow_basis_column, shadow_inverse_entry)
+                               expand_scaled, horner_code_side,
+                               horner_shadow_side, shadow_basis_column,
+                               shadow_inverse_entry)
 from oracles import (binomial, code_basis_block, code_basis_poly,
                      code_inverse_col0_lagrange, code_inverse_col0_peel,
                      code_inverse_col0_sum,
                      gleason_from_code, gleason_from_shadow, identity_matrix,
                      inverse_blocks, matrix_product, one_plus_z_power_steps,
-                     poly_product, shadow_inverse_entry_product)
+                     poly_product, shadow_inverse_entry_product, window_by_delta)
 
 SRC = Path(minshadow.__file__).resolve().parents[1]
 
@@ -748,3 +750,168 @@ class TestBinomialTail:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "raised: C(s)^(-1861) does not divide exactly at s^1" in proc.stdout
+
+
+# LIMB_STEPS values that force each format of the Horner work buffers
+FORMATS = {"object": 10 ** 9, "limbs": 0}
+# entries +-(2^B - 1) around the limb size, twice it and far past it
+STRESS_BITS = (31, 32, 33, 63, 64, 65, 3000)
+STRESS_SIGNS = {"plus": lambda k: 1, "minus": lambda k: -1,
+                "alternating": lambda k: (-1) ** k}
+
+
+class TestBothKernelFormats:
+    """Each Horner pass forced to Python ints in object buffers and to
+    int64 limb rows, by the selection constant LIMB_STEPS, against the
+    oracles of the tests above: both formats must give the same ints."""
+
+    @staticmethod
+    def _each_format(monkeypatch, fn, *args):
+        out = []
+        for steps in FORMATS.values():
+            monkeypatch.setattr(gleason, "LIMB_STEPS", steps)
+            out.append(fn(*args))
+        return out
+
+    @pytest.mark.parametrize("last", range(31))
+    def test_every_top_start_and_exponent(self, monkeypatch, last):
+        # the inputs of TestBinomialTail: every top 0..e for e = 2L..2L+3
+        rng = random.Random(last)
+        for e in range(2 * last, 2 * last + 4):
+            inputs = [TestBinomialTail._dense(rng, last + 1, first)
+                      for first in TestBinomialTail.FIRSTS]
+            inputs += [TestBinomialTail._from(rng, last + 1, e,
+                                              TestBinomialTail.FIRSTS[(h + e) % 3], h)
+                       for h in range(1, last + 2)]
+            for p in inputs:
+                want = _tail_oracle(p, e, e)
+                for top in range(e + 1):
+                    got = self._each_format(monkeypatch, _palindromic_horner, p, top, e)
+                    assert got == [want[:top + 1]] * 2, (e, top)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_random_vectors_and_exponents(self, data):
+        # the draw of TestBinomialTail; hypothesis runs the examples of one
+        # test call, so the constant is set and restored here
+        entry = st.one_of(st.just(0), st.integers(-1, 1),
+                          st.integers(-10 ** 30, 10 ** 30))
+        p = data.draw(st.lists(entry, min_size=1, max_size=40))
+        e = data.draw(st.integers(2 * (len(p) - 1), 10 * len(p) + 10))
+        top = data.draw(st.integers(0, min(e, 3 * len(p))))
+        want = _tail_oracle(p, e, top)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert self._each_format(monkeypatch, _palindromic_horner,
+                                     p, top, e) == [want] * 2
+
+    @pytest.mark.parametrize("fam", LARGE_K_FAMILIES, ids=lambda f: f"n{f.n}")
+    def test_unit_vectors_at_large_k(self, monkeypatch, fam):
+        # the inputs of test_code_side_at_large_k and
+        # test_shadow_side_at_large_k
+        k_top = fam.c_count - 1
+        scale = 2 ** _shadow_shift(fam)
+        for j in sorted({0, 1, k_top // 2, k_top}):
+            unit = [int(i == j) for i in range(k_top + 1)]
+            want = code_basis_poly(j, fam)
+            want += [0] * (fam.half + 1 - len(want))
+            assert self._each_format(monkeypatch, horner_code_side,
+                                     unit, fam) == [want] * 2, j
+            want = [x * scale for x in shadow_basis_column(j, fam)]
+            assert self._each_format(monkeypatch, horner_shadow_side,
+                                     unit, fam) == [want] * 2, j
+
+    @pytest.mark.parametrize("tag,m", [("24m+2", 154), ("24m+2", 155),
+                                       ("24m+10", 159), ("24m+10", 160)])
+    def test_expand_scaled_at_the_thresholds(self, monkeypatch, tag, m):
+        # the last admissible and the first rejected m: the full vectors
+        # and the window of admissible_at (a to 2m+4, b to b_m), the
+        # window also against a_i from the Gleason differences
+        case = solver.family_case(tag)
+        fam = case.params(m)
+        c = solver._gleason(case, m)
+        full = self._each_format(monkeypatch, expand_scaled, c, fam)
+        assert full[0] == full[1]
+        assert len(full[0][0]) == fam.half + 1 and len(full[0][2]) == fam.b_count
+        window = self._each_format(monkeypatch, expand_scaled, c, fam, 2 * m + 4, m)
+        assert window[0] == window[1]
+        a_hat, da, b_hat, db = window[0]
+        assert [Fraction(v, da) for v in a_hat] == window_by_delta(case, m)
+        assert (a_hat, b_hat) == (full[0][0][:2 * m + 5], full[0][2][:m + 1])
+
+    @pytest.mark.parametrize("sign", STRESS_SIGNS)
+    @pytest.mark.parametrize("bits", STRESS_BITS)
+    def test_carry_stress_in_pass_2(self, monkeypatch, bits, sign):
+        # p_0 = 0 makes d = p, so every step adds +-(2^B - 1); 46 steps run
+        # past three carry periods of pass 2
+        big = (1 << bits) - 1
+        p = [0] + [STRESS_SIGNS[sign](k) * big for k in range(1, 48)]
+        for e in (2 * 47, 2 * 47 + 1, 2 * 47 + 6):
+            want = _tail_oracle(p, e, e)
+            for top in (46, 47, e // 2, e):
+                assert self._each_format(monkeypatch, _palindromic_horner,
+                                         p, top, e) == [want[:top + 1]] * 2, (e, top)
+
+    @pytest.mark.parametrize("sign", STRESS_SIGNS)
+    @pytest.mark.parametrize("bits", STRESS_BITS)
+    def test_carry_stress_in_both_passes(self, monkeypatch, bits, sign):
+        # K = 87: pass 1 runs 87 steps, past three of its carry periods,
+        # and the dense shadow pass about as many
+        fam = FamilyParams(29, 0, 0)
+        big = (1 << bits) - 1
+        c = [STRESS_SIGNS[sign](j) * big for j in range(fam.c_count)]
+        code_cols, shadow_cols = _basis_columns(fam)
+        want_a = [0] * (fam.half + 1)
+        want_b = [0] * fam.b_count
+        for cj, a_col, b_col in zip(c, code_cols, shadow_cols):
+            for i, x in enumerate(a_col):
+                want_a[i] += cj * x
+            for i, x in enumerate(b_col):
+                want_b[i] += cj * x
+        scale = 2 ** _shadow_shift(fam)
+        assert self._each_format(monkeypatch, horner_code_side,
+                                 c, fam) == [want_a] * 2
+        assert self._each_format(monkeypatch, horner_shadow_side, c, fam) == [
+            [int(x * scale) for x in want_b]] * 2
+
+    def test_sum_identities_catch_a_skipped_carry(self, monkeypatch):
+        # with no pass-2 carry the int64 limbs wrap in passes of hundreds
+        # of steps; both sides of a full expansion must stop at their sum
+        # at z = 1
+        fam = FamilyParams(154, 0, 1)
+        rng = random.Random(fam.n)
+        c = [rng.randrange(-10 ** 30, 10 ** 30 + 1) for _ in range(fam.c_count)]
+        monkeypatch.setattr(gleason, "_PASS2_CARRY", 10 ** 9)
+        with pytest.raises(VerificationFailure,
+                           match=r"code coefficients of n=3698 do not sum"):
+            horner_code_side(c, fam)
+        with pytest.raises(VerificationFailure,
+                           match=r"shadow coefficients of n=3698 do not sum"):
+            horner_shadow_side(c, fam)
+
+    @pytest.mark.parametrize("name,period", [("_PASS2_CARRY", "10 ** 9"),
+                                             ("_PASS1_CARRY", "40")],
+                             ids=["pass-2-carry-skipped", "pass-1-period-40"])
+    def test_sabotaged_carry_raises_under_optimize_flag(self, name, period):
+        # a skipped or too rare carry lets a limb wrap at (24m+2, 154),
+        # where both passes run on limbs; the sum identity is not an
+        # assert, so the scan still stops under python -O
+        script = textwrap.dedent(f"""
+            import sys
+            from minshadow import gleason, solver
+            from minshadow.exact import VerificationFailure
+            if not sys.flags.optimize:
+                sys.exit("asserts are still enabled")
+            gleason.{name} = {period}
+            try:
+                verdict = solver.admissible_at(solver.family_case("24m+2"), 154)
+            except VerificationFailure as exc:
+                print("raised:", exc)
+            else:
+                sys.exit(f"gave a verdict: {{verdict}}")
+        """)
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert ("raised: code coefficients of n=3698 do not sum to c_0 2^(n/2)"
+                in proc.stdout)

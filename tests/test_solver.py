@@ -651,6 +651,8 @@ class TestAdmissibility:
                 return map(fn, submitted)
 
         monkeypatch.setattr(solver, "ProcessPoolExecutor", StubPool)
+        # a platform without an affinity mask: the cap is cpu_count
+        monkeypatch.delattr(solver.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(solver.os, "cpu_count", lambda: cpus)
         scan = nonexistence_scan(C4, m_max, jobs=jobs)
         assert ([(m, a.ok) for m, a in scan]
@@ -659,6 +661,36 @@ class TestAdmissibility:
         # largest m first into the pool, results back in m order
         assert submitted == ([] if workers is None
                              else list(range(m_max, 0, -1)))
+
+    @pytest.mark.parametrize("jobs,mask,workers", [
+        (1000, {0, 5, 7}, 3), (2, {0, 5, 7}, 2), (1000, {3}, None),
+    ])
+    def test_scan_workers_follow_affinity_mask(self, monkeypatch, jobs, mask,
+                                               workers):
+        # cpu_count counts CPUs the process may not run on; the affinity
+        # mask caps the pool where the platform has one
+        started = []
+
+        class StubPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(solver, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(solver.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: mask,
+                            raising=False)
+        scan = nonexistence_scan(C4, 10, jobs=jobs)
+        assert [m for m, a in scan if a.ok] == list(range(1, 11))
+        assert started == ([] if workers is None else [workers])
 
 
 class TestPlainIntOutputs:
