@@ -23,7 +23,9 @@ vectors, builds the four blocks and provides closed forms for the
 inverse entries, which serve both the solver and the inverse blocks:
 column 0 of the code inverse by a three-term recurrence checked for
 exact division at every step, its columns j > 0 by the Catalan peel,
-and each shadow inverse entry as one Fraction of integers.
+each shadow inverse entry as one Fraction of integers, and a run of
+column 0 of the shadow inverse by a ratio walk from one binomial, again
+checked for exact division at every step.
 Coefficient vectors are affine forms so that one-parameter enumerator
 families flow through unchanged.  Every expansion of Gleason
 coefficients goes through expand_scaled: both Horner passes on two
@@ -186,10 +188,10 @@ def _col0_recurrence(i: int, n_half: int) -> tuple[int, int, int]:
     """(P0(i), P1(i), P2(i)) of the recurrence of column 0 of the inverse
     code block, P2(i) c_(i+2) = -P0(i) c_i - P1(i) c_(i+1), at N = n/2."""
     a, n = 4 * i - n_half, n_half
-    return (2 * a * (a + 1) * (a + 2) * (a + 3),
-            -(i + 1) * (-2 * n ** 3 + 12 * n * n * i + 15 * n * n - 64 * n * i * i
-                        - 116 * n * i - 61 * n + 64 * i ** 3 + 192 * i * i
-                        + 206 * i + 78),
+    b = a * (a + 3)                     # (a + 1)(a + 2) = b + 2
+    return (2 * b * (b + 2),
+            -(i + 1) * (((64 * i + 192 - 64 * n) * i + (12 * n - 116) * n + 206) * i
+                        + ((15 - 2 * n) * n - 61) * n + 78),
             (i + 1) * (i + 2) * (2 * i + 3) * (i + 2 - n))
 
 
@@ -222,9 +224,10 @@ def code_inverse_col0(fam: FamilyParams, top: int | None = None,
     if not (0 <= top <= k_top and 0 <= j <= k_top):
         raise ValueError(f"top entry {top} or column {j} out of range 0..{k_top}")
     if j == 0:
-        col = [1, -fam.half][:top + 1]
+        n_half = fam.half
+        col = [1, -n_half][:top + 1]
         for i in range(top - 1):
-            p0, p1, p2 = _col0_recurrence(i, fam.half)
+            p0, p1, p2 = _col0_recurrence(i, n_half)
             c, rem = divmod(-p0 * col[i] - p1 * col[i + 1], p2)
             if rem:
                 raise VerificationFailure(
@@ -252,6 +255,33 @@ def shadow_inverse_entry(i: int, j: int, fam: FamilyParams) -> Fraction:
     num = (k_top - j) * math.comb(k_top + i - j - 1, k_top - i - j)
     e = 6 * i - fam.half
     return Fraction((-num if i % 2 else num) << max(e, 0), i << max(-e, 0))
+
+
+def _shadow_col0_step(k_top: int, i: int) -> tuple[int, int]:
+    """(num, den) with K C(K+i, K-i-1) = K C(K+i-1, K-i) num/den."""
+    return (k_top + i) * (k_top - i), 2 * i * (2 * i + 1)
+
+
+def shadow_inverse_col0(fam: FamilyParams, start: int) -> list[Fraction]:
+    """Entries (start..K, 0) of the inverse shadow-side block, 1 <= start,
+    as shadow_inverse_entry(i, 0) gives them but with one binomial in all:
+    entry i is (-1)^i 2^(6i - n/2) num_i / i, num_i = K C(K+i-1, K-i), and
+    after num_start the ratio walk num_(i+1) = num_i (K+i)(K-i) / (2i(2i+1))
+    (_shadow_col0_step) must divide exactly, else VerificationFailure."""
+    k_top, n_half, col = fam.c_count - 1, fam.half, []
+    if not 1 <= start <= k_top:
+        raise ValueError(f"start row {start} out of range 1..{k_top}")
+    num = k_top * math.comb(k_top + start - 1, k_top - start)
+    for i in range(start, k_top + 1):
+        e = 6 * i - n_half
+        col.append(Fraction((-num if i % 2 else num) << max(e, 0), i << max(-e, 0)))
+        step, den = _shadow_col0_step(k_top, i)
+        num, rem = divmod(num * step, den)
+        if rem:
+            raise VerificationFailure(
+                f"column 0 of the inverse shadow block of n={fam.n}: the "
+                f"ratio walk does not divide exactly at entry {i + 1}")
+    return col
 
 
 def _shadow_inverse_row(i: int, fam: FamilyParams) -> list[Fraction]:

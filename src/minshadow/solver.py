@@ -12,7 +12,8 @@ families 24m+2, 24m+4 and 24m+10, and up to one integer parameter beta
 for 24m+6 and 24m+22.
 
 solve() and the scan path take the Gleason coefficients from one
-derivation, _gleason: closed forms for the unique families, and a linear
+derivation, _gleason: closed forms for the unique families (the code
+column, then the shadow tail in one exact ratio walk), and a linear
 solve of the shadow pins alone for the two beta families.  Both expand
 them with the one kernel gleason.expand_scaled and verify the pins with
 one check; one loop certifies the scan by its first negative or
@@ -35,7 +36,8 @@ from .exact import (AffineForm, LinearSystemError, VerificationFailure,
                     parametric_linear_solve, poly_eval, taylor_shift)
 from .gleason import (FamilyParams, ParametricEnumerator, code_inverse_col0,
                       enumerators_from_gleason, expand_scaled,
-                      shadow_basis_column, shadow_inverse_entry)
+                      shadow_basis_column, shadow_inverse_col0,
+                      shadow_inverse_entry)
 
 BETA = "beta"
 
@@ -141,16 +143,10 @@ def minimal_shadow_constraints(case: FamilyCase, m: int) -> ConstraintSet:
     fam = case.params(m)
     d = case.d(m)
     ds = minimal_shadow_r(fam.n)
-    pinned_a: dict[int, Fraction] = {0: Fraction(1)}
-    for i in range(1, (d - 2) // 2 + 1):
-        pinned_a[i] = Fraction(0)
-    pinned_b: dict[int, Fraction] = {}
-    if 2 * ds < d:
-        pinned_b[0] = Fraction(1)
-    i = 1
-    while fam.shadow_exponent(i) < d - ds:
-        pinned_b[i] = Fraction(0)
-        i += 1
+    zero, one = Fraction(0), Fraction(1)
+    pinned_a = {0: one} | dict.fromkeys(range(1, d // 2), zero)
+    pinned_b = ({0: one} if 2 * ds < d else {}) | dict.fromkeys(
+        range(1, (d - ds - fam.r + 3) // 4), zero)     # 0 < 4i + r < d - ds
     equalities: tuple[tuple[int, int], ...] = ()
     if fam.n % 8 == 2 and d % 4 == 2:
         equalities = ((d // 2, (d - 2) // 4),)
@@ -169,8 +165,11 @@ def _gleason(case: FamilyCase, m: int) -> list:
     The code pins fix c_0..c_{d/2-1}: the first d/2 entries of
     code_inverse_col0.  The shadow block is anti-triangular, so every
     pinned shadow row and the beta slot touch only c_{d/2}..c_K.  The
-    unique families read those off column 0 of the inverse shadow block,
-    and for l = 1 slot d/2 comes from the coincidence (closed_form_a2m1).
+    unique families take those from column 0 of the inverse shadow block,
+    rows d/2..K, in one ratio walk (shadow_inverse_col0), and for l = 1
+    slot d/2 comes from the coincidence (closed_form_a2m1).  The shadow
+    pins and the coincidence are triangular in c_{d/2}..c_K, so the pin
+    check of solve and admissible_at still meets every tail entry.
     The beta families solve the shadow pins and the beta row in
     c_{d/2}..c_K, with c_{K-s} = beta times entry (K-s, s) of the inverse
     shadow block, s the free shadow slot.
@@ -178,12 +177,12 @@ def _gleason(case: FamilyCase, m: int) -> list:
     fam = case.params(m)
     h = case.d(m) // 2
     col = code_inverse_col0(fam, h)
-    tail = range(h, fam.c_count)
     if not case.parametrized:
-        c = col[:h] + [shadow_inverse_entry(j, 0, fam) for j in tail]
+        c = col[:h] + shadow_inverse_col0(fam, h)
         if case.l == 1:
             c[h] = col[h] + (c[h] - col[h]) / 3
         return c
+    tail = range(h, fam.c_count)
     cs = minimal_shadow_constraints(case, m)
     shadow_cols = [shadow_basis_column(j, fam) for j in tail]
     rows = [[sc[i] for sc in shadow_cols] for i in cs.pinned_b]
@@ -216,16 +215,16 @@ def _check_pins(case: FamilyCase, m: int, cs: ConstraintSet, a: Sequence, da: in
                 b: Sequence, db: int) -> None:
     """Raise VerificationFailure unless a[i]/da and b[i]/db meet every pin
     and coincidence of cs: x dy = y dx, or x = y for solve's unscaled forms."""
-    checks = [(f"{s}[{i}]", vec[i], den, v.numerator, v.denominator)
+    checks = [(s, i, vec[i], den, v.numerator, v.denominator)
               for s, vec, den, pins in (("a", a, da, cs.pinned_a),
                                         ("b", b, db, cs.pinned_b))
               for i, v in pins.items()]
-    checks += [(f"a[{ai}]", a[ai], da, b[bi], db) for ai, bi in cs.equalities]
-    for label, x, dx, y, dy in checks:
+    checks += [("a", ai, a[ai], da, b[bi], db) for ai, bi in cs.equalities]
+    for s, i, x, dx, y, dy in checks:
         if x != y if dx == dy == 1 else x * dy != y * dx:
             got, want = (v if d == 1 else Fraction(v, d) for v, d in ((x, dx), (y, dy)))
             raise VerificationFailure(
-                f"{case.tag}, m={m}: {label} = {got}, expected {want}")
+                f"{case.tag}, m={m}: {s}[{i}] = {got}, expected {want}")
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ time checks its binomial convolution; their truncations to degree K, built
 column by column by multiplying with z(1-z)^2 and dividing out (1+z)^4,
 check the code block that the kernel builds and feed the pinned system;
 the Catalan peel, the Lagrange single sum and a binomial double sum
-check the three-term recurrence of the inverse code column, and a
-product of three Fractions checks the shadow inverse entries; forward substitution over Fractions inverts the kernel's bases
+check the three-term recurrence of the inverse code column, whose
+polynomials written out in i and N check their Horner form, and a
+product of three Fractions checks the shadow inverse entries; the pins
+built one entry at a time check the minimal-shadow constraint sets; forward substitution over Fractions inverts the kernel's bases
 and checks the closed-form inverse blocks; Gleason coefficients read
 back through the inverse blocks check the enumerators; the code window
 a_0..a_(2m+4) read off the differences between the Gleason coefficients
@@ -38,8 +40,9 @@ from minshadow.gf2 import BinaryCode, code_weight_distribution
 from minshadow.gleason import (FamilyParams, Matrix, ParametricEnumerator,
                                TransformTables, code_inverse_col0,
                                shadow_basis_column, shadow_inverse_entry)
-from minshadow.solver import (BETA, Admissibility, FamilyCase, _gleason,
-                              minimal_shadow_constraints)
+from minshadow.solver import (BETA, Admissibility, ConstraintSet, FamilyCase,
+                              _gleason, minimal_shadow_constraints,
+                              minimal_shadow_r)
 
 
 class SingularMatrixError(ValueError):
@@ -275,6 +278,18 @@ def code_inverse_col0_peel(fam: FamilyParams) -> list[int]:
     return col
 
 
+def col0_recurrence_expanded(i: int, n_half: int) -> tuple[int, int, int]:
+    """(P0(i), P1(i), P2(i)) of the recurrence of column 0 of the inverse
+    code block, P2(i) c_(i+2) = -P0(i) c_i - P1(i) c_(i+1), with N = n/2,
+    each polynomial written out in i and N as it was fitted."""
+    a, n = 4 * i - n_half, n_half
+    return (2 * a * (a + 1) * (a + 2) * (a + 3),
+            -(i + 1) * (-2 * n ** 3 + 12 * n * n * i + 15 * n * n - 64 * n * i * i
+                        - 116 * n * i - 61 * n + 64 * i ** 3 + 192 * i * i
+                        + 206 * i + 78),
+            (i + 1) * (i + 2) * (2 * i + 3) * (i + 2 - n))
+
+
 def code_inverse_col0_lagrange(i: int, n: int) -> Fraction:
     """Entry (i, 0) of the inverse code-side block, for i >= 1, by Lagrange
     inversion in u = z(1-z)^2/(1+z)^4:
@@ -404,6 +419,36 @@ def gleason_from_shadow(b: Sequence[AffineForm | Scalar],
     """Gleason coefficients from the leading shadow coefficients:
     c_i = sum_{j<=K-i} shadow_inverse[i][j] * b_j."""
     return _gleason_from(b, tables.shadow_inverse, "shadow")
+
+
+def minimal_shadow_constraints_loop(case: FamilyCase, m: int) -> ConstraintSet:
+    """The pins of solver.minimal_shadow_constraints built one entry at a
+    time, each its own Fraction: a_0 = 1, a_i = 0 for 0 < 2i < d, b_0 = 1
+    when 2 d(S) < d, b_i = 0 while 0 < 4i + r < d - d(S), the coincidence
+    at n = 2 (mod 8), d = 2 (mod 4), and beta at the first unpinned slot."""
+    fam = case.params(m)
+    d = case.d(m)
+    ds = minimal_shadow_r(fam.n)
+    pinned_a: dict[int, Fraction] = {0: Fraction(1)}
+    for i in range(1, (d - 2) // 2 + 1):
+        pinned_a[i] = Fraction(0)
+    pinned_b: dict[int, Fraction] = {}
+    if 2 * ds < d:
+        pinned_b[0] = Fraction(1)
+    i = 1
+    while fam.shadow_exponent(i) < d - ds:
+        pinned_b[i] = Fraction(0)
+        i += 1
+    equalities: tuple[tuple[int, int], ...] = ()
+    if fam.n % 8 == 2 and d % 4 == 2:
+        equalities = ((d // 2, (d - 2) // 4),)
+    free: tuple[tuple[str, str, int], ...] = ()
+    if case.parametrized:
+        slot = 0
+        while slot in pinned_b:
+            slot += 1
+        free = ((BETA, "b", slot),)
+    return ConstraintSet(pinned_a, pinned_b, equalities, free)
 
 
 def pinned_system_gleason(case: FamilyCase, m: int) -> list[AffineForm]:

@@ -22,10 +22,10 @@ from minshadow.gleason import (FamilyParams, _catalan_power, _palindromic_horner
                                code_inverse_col0, enumerators_from_gleason,
                                expand_scaled, horner_code_side,
                                horner_shadow_side, shadow_basis_column,
-                               shadow_inverse_entry)
+                               shadow_inverse_col0, shadow_inverse_entry)
 from oracles import (binomial, code_basis_block, code_basis_poly,
                      code_inverse_col0_lagrange, code_inverse_col0_peel,
-                     code_inverse_col0_sum,
+                     code_inverse_col0_sum, col0_recurrence_expanded,
                      gleason_from_code, gleason_from_shadow, identity_matrix,
                      inverse_blocks, matrix_product, one_plus_z_power_steps,
                      poly_product, shadow_inverse_entry_product, window_by_delta)
@@ -259,6 +259,14 @@ class TestCatalanPeelOracle:
             assert col[i] == code_inverse_col0_sum(i, fam.n), i
         assert code_inverse_col0(fam, 2 * fam.m + 1) == col[:2 * fam.m + 2]
 
+    @pytest.mark.parametrize("n_half", [1, 5, 13, 29, 1861, 1874, 2833, 2861])
+    def test_recurrence_polynomials_in_expanded_form(self, n_half):
+        # the Horner-form body of _col0_recurrence against the polynomials
+        # as first written, expanded in i and N
+        for i in range(400):
+            assert (gleason._col0_recurrence(i, n_half)
+                    == col0_recurrence_expanded(i, n_half)), i
+
     def test_inexact_step_raises_under_optimize_flag(self):
         # a wrong recurrence polynomial leaves a remainder at the first
         # step (c_0 = 1 and |P2(0)| = 6(N - 2) > 1); the check is not an
@@ -320,6 +328,69 @@ class TestShadowInverseEntry:
             for i, j in pairs:
                 assert (shadow_inverse_entry(i, j, fam)
                         == shadow_inverse_entry_product(i, j, fam)), (fam, i, j)
+
+
+class TestShadowInverseCol0:
+    """Column 0 of the inverse shadow block by the ratio walk against the
+    one-Fraction closed form of shadow_inverse_entry."""
+
+    @pytest.mark.parametrize("m", range(41))
+    def test_every_family_to_m40(self, m):
+        for l, r in product(range(3), range(4)):
+            if 24 * m + 8 * l + 2 * r == 0:
+                continue
+            fam = FamilyParams(m, l, r)
+            k_top = fam.c_count - 1
+            for start in {1, 2 * m + 1, k_top} & set(range(1, k_top + 1)):
+                assert shadow_inverse_col0(fam, start) == [
+                    shadow_inverse_entry(i, 0, fam)
+                    for i in range(start, k_top + 1)], (fam, start)
+
+    @pytest.mark.parametrize("m", [155, 156, 160, 231, 236])
+    def test_from_the_code_pins_at_large_m(self, m):
+        # start 2m+1 is the tail that solver._gleason reads
+        for l, r in product(range(3), range(4)):
+            fam = FamilyParams(m, l, r)
+            col = shadow_inverse_col0(fam, 2 * m + 1)
+            assert all(type(x) is Fraction for x in col)
+            assert col == [shadow_inverse_entry(i, 0, fam)
+                           for i in range(2 * m + 1, fam.c_count)], fam
+
+    def test_start_out_of_range(self):
+        fam = FamilyParams.from_length(34)
+        with pytest.raises(ValueError):
+            shadow_inverse_col0(fam, 0)
+        with pytest.raises(ValueError):
+            shadow_inverse_col0(fam, fam.c_count)
+
+    def test_inexact_step_raises_under_optimize_flag(self):
+        # a ratio off by one leaves a remainder within the first steps of
+        # the tail at (24m+2, 155); the check is not an assert, so the
+        # scan still stops under python -O
+        script = textwrap.dedent("""
+            import sys
+            from minshadow import gleason, solver
+            from minshadow.exact import VerificationFailure
+            if not sys.flags.optimize:
+                sys.exit("asserts are still enabled")
+            step = gleason._shadow_col0_step
+            def perturbed(k_top, i):
+                num, den = step(k_top, i)
+                return num + 1, den
+            gleason._shadow_col0_step = perturbed
+            try:
+                solver.admissible_at(solver.family_case("24m+2"), 155)
+            except VerificationFailure as exc:
+                print("raised:", exc)
+            else:
+                sys.exit("accepted an inexact ratio step")
+        """)
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert ("raised: column 0 of the inverse shadow block of n=3722: the "
+                "ratio walk does not divide exactly at entry 314") in proc.stdout
 
 
 class TestConversions:

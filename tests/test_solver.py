@@ -1,6 +1,6 @@
 """Minimal-shadow solver, closed forms, scans, and beta ranges."""
 
-import inspect
+import dis
 import math
 import os
 import random
@@ -27,7 +27,8 @@ from minshadow.solver import (FAMILY_CASES, Admissibility, admissible_at,
                               nonexistence_scan, rains_bound, solve)
 from minshadow.cli import M_CAP
 from oracles import (admissible, beta_tail_gleason, full_by_direct_sum,
-                     pinned_system_gleason, window_by_delta)
+                     minimal_shadow_constraints_loop, pinned_system_gleason,
+                     window_by_delta)
 
 C2 = family_case("24m+2")
 C4 = family_case("24m+4")
@@ -84,6 +85,17 @@ class TestConstraints:
         assert cs.pinned_a == {i: (1 if i == 0 else 0) for i in range(6)}
         assert cs.pinned_b == {0: 1, 1: 0}
         assert cs.free == (("beta", "b", 2),)
+
+    @pytest.mark.parametrize("case", list(FAMILY_CASES.values()),
+                             ids=lambda c: c.tag)
+    def test_same_pins_as_the_loop_construction(self, case):
+        # contents and order: _check_pins reports the first failing pin
+        for m in range(case.min_m, 61):
+            cs = minimal_shadow_constraints(case, m)
+            want = minimal_shadow_constraints_loop(case, m)
+            assert cs == want, m
+            assert list(cs.pinned_a.items()) == list(want.pinned_a.items()), m
+            assert list(cs.pinned_b.items()) == list(want.pinned_b.items()), m
 
     def test_m_zero_only_for_24m22(self):
         assert minimal_shadow_constraints(C22, 0).free == (("beta", "b", 0),)
@@ -358,10 +370,13 @@ class TestCertificateHint:
     def _window_kernel_calls(case, m):
         # admissible_at(case, m) under a tracer: for each call of the
         # kernel, its e, the support of d = p - p_0 gamma up to
-        # t = min(top, e/2), and the Horner steps run on d
-        source, first = inspect.getsourcelines(gleason._palindromic_horner)
-        [step] = [first + i for i, line in enumerate(source)
-                  if line.strip() == "x[n] += dk"]
+        # t = min(top, e/2), and the Horner steps run on d, counted on the
+        # line of x[n] += dk, which the loaded code object gives
+        code = gleason._palindromic_horner.__code__
+        [load] = [ins.offset for ins in dis.get_instructions(code)
+                  if ins.opname.startswith("LOAD_FAST") and ins.argval == "dk"]
+        [step] = {line for start, end, line in code.co_lines()
+                  if start <= load < end}
         calls = []
 
         def trace_lines(frame, event, arg):
@@ -826,7 +841,7 @@ def test_window_tail_verification_survives_optimize_flag():
 
 def _perturbed_shadow_entry_run(call: str, i: int) -> subprocess.CompletedProcess:
     """Run call under python -O with entry (i, 0) of
-    solver.shadow_inverse_entry off by one; it prints "raised: <message>"
+    solver.shadow_inverse_col0 off by one; it prints "raised: <message>"
     on VerificationFailure."""
     script = textwrap.dedent("""
         import sys
@@ -834,10 +849,12 @@ def _perturbed_shadow_entry_run(call: str, i: int) -> subprocess.CompletedProces
         from minshadow.exact import VerificationFailure
         if not sys.flags.optimize:
             sys.exit("asserts are still enabled")
-        entry = solver.shadow_inverse_entry
-        def perturbed(i, j, fam):
-            return entry(i, j, fam) + (1 if (i, j) == (%d, 0) else 0)
-        solver.shadow_inverse_entry = perturbed
+        column = solver.shadow_inverse_col0
+        def perturbed(fam, start):
+            col = column(fam, start)
+            col[%d - start] += 1
+            return col
+        solver.shadow_inverse_col0 = perturbed
         try:
             %s
         except VerificationFailure as exc:
