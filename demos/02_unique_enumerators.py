@@ -16,15 +16,14 @@ for tag in ("24m+2", "24m+4", "24m+10"):
     for m in (1, 2, 3):
         enum = solve(case, m)
         fam = enum.fam
-        bm = enum.b[m].as_fraction()
-        bm1 = enum.b[m + 1].as_fraction()
+        (bm, _), (bm1, _) = enum.b[m], enum.b[m + 1]     # (p, q): q = 0 here
         assert bm == closed_form_bm(case, m)
         assert bm1 == closed_form_bm1(case, m)
         line = (f"   n={fam.n}: d={case.d(m)},  "
                 f"b at y^{fam.shadow_exponent(m)} = {bm},  "
                 f"b at y^{fam.shadow_exponent(m + 1)} = {bm1}")
         if tag == "24m+10":
-            a = enum.a[2 * m + 1].as_fraction()
+            a, _ = enum.a[2 * m + 1]
             assert a == closed_form_a2m1(m) == bm
             line += f",  a at y^{2 * (2 * m + 1)} = {a} (= b_m)"
         print(line)

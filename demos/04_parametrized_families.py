@@ -9,6 +9,7 @@ beta to an interval.
 """
 
 from minshadow import beta_range, solve
+from minshadow.cli import affine_text
 from minshadow.solver import beta_family_for_length
 
 
@@ -19,9 +20,9 @@ def series(enum, side, terms=4):
             for i, v in enumerate(vec))
     shown = []
     for exp, v in exps:
-        if not v:
+        if not any(v):
             continue
-        body = str(v)
+        body = affine_text(v)     # v = (p, q), the value p + q*beta
         if " " in body:
             body = f"({body})"
         if exp == 0:
@@ -40,6 +41,6 @@ for n in (22, 30, 46, 54, 70):
     print(f"n = {n} (family {case.tag}, m = {m}), beta in [{lo}, {hi}]")
     print(f"   W_C = {series(enum, 'a')}")
     print(f"   W_S = {series(enum, 'b')}")
-    edge = enum.substitute({"beta": lo})
+    edge = enum.substitute(lo)
     print(f"   at beta = {lo}: W_C = {series(edge, 'a')}")
     print()

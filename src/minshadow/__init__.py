@@ -5,7 +5,7 @@ families), nonexistence scans by coefficient nonnegativity and
 integrality, and an exhaustive GF(2) code engine for cross-checking
 against real codes."""
 
-from .exact import (AffineForm, LinearSystemError, VerificationFailure,
+from .exact import (LinearSystemError, VerificationFailure,
                     parametric_linear_solve)
 from .gf2 import (BinaryCode, NEIGHBOR_TABLE, ShadowPartition, circulant,
                   extract_beta, is_minimal_shadow, is_self_dual, min_weight,

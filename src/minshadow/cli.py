@@ -24,7 +24,7 @@ from .gf2 import (BetaMismatchError, GeneratorFileError, extract_beta,
                   min_weight, neighbor, parity_class, parse_generator_file,
                   reference_code_46, shadow, verify_neighbor_table)
 from .gleason import FamilyParams, ParametricEnumerator, build_transform_tables
-from .solver import (BETA, BETA_FAMILIES, FAMILY_CASES, UNIQUE_FAMILIES,
+from .solver import (BETA_FAMILIES, FAMILY_CASES, UNIQUE_FAMILIES,
                      beta_range, family_case, max_admissible, minimal_shadow_r,
                      nonexistence_scan, rains_bound, solve)
 
@@ -34,14 +34,27 @@ PRINT_CAP = 64   # tables grid side K + 1; bounds the output, 4 (K+1)^2 entries
 Output = tuple[dict, list[str]]   # a command's JSON document and text lines
 
 
+def affine_text(pair) -> str:
+    """The value p + q beta of a pair (p, q) as text: str(p) when q = 0,
+    else as in "35 - 8*beta", "2*beta" and "-10 + beta"."""
+    p, q = pair
+    if not q:
+        return str(p)
+    body = "beta" if abs(q) == 1 else f"{abs(q)}*beta"
+    if not p:
+        return body if q > 0 else f"-{body}"
+    return f"{p} {'+' if q > 0 else '-'} {body}"
+
+
 def _enumerator_doc(enum: ParametricEnumerator) -> dict:
     fam = enum.fam
     return {
         "n": str(fam.n),
         "family": {"m": str(fam.m), "l": str(fam.l), "r": str(fam.r)},
-        "free_parameters": list(enum.free),
-        "code_coefficients": [[str(2 * i), str(v)] for i, v in enumerate(enum.a)],
-        "shadow_coefficients": [[str(fam.shadow_exponent(i)), str(v)]
+        "free_parameters": ["beta"] if any(q for _, q in enum.a + enum.b) else [],
+        "code_coefficients": [[str(2 * i), affine_text(v)]
+                              for i, v in enumerate(enum.a)],
+        "shadow_coefficients": [[str(fam.shadow_exponent(i)), affine_text(v)]
                                 for i, v in enumerate(enum.b)],
     }
 
@@ -50,9 +63,9 @@ def _enumerator_text(enum: ParametricEnumerator) -> list[str]:
     def series(pairs):
         shown = []
         for exp, v in pairs:
-            if not v:
+            if not any(v):
                 continue
-            body = str(v)
+            body = affine_text(v)
             if " " in body or "/" in body:
                 body = f"({body})"
             shown.append("1" if (body == "1" and exp == 0)
@@ -127,7 +140,7 @@ def cmd_solve(args) -> Output:
         if not lo <= args.beta <= hi:
             warn = (f"beta={args.beta} is outside the admissible "
                     f"interval [{lo}, {hi}]")
-        enum = enum.substitute({BETA: args.beta})
+        enum = enum.substitute(args.beta)
         doc["beta"] = str(args.beta)
         doc["beta_in_range"] = warn is None
     doc.update(_enumerator_doc(enum))

@@ -1,5 +1,7 @@
 """Exact arithmetic substrate: polynomial evaluation and Taylor shifts,
-affine forms over named parameters, and the parametric linear solve.
+and one exact elimination, the parametric linear solve, whose right-hand
+side has one numeric column per parameter: two for the library's one
+free parameter beta, the constant term and the beta coefficient.
 
 Integers are Python ints, rationals are fractions.Fraction, a polynomial
 is a coefficient list indexed by exponent, and a matrix is a rectangular
@@ -12,13 +14,13 @@ an int or a Fraction over 1, "p/q" for any other Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 Scalar = int | Fraction
 
 
 class LinearSystemError(ValueError):
-    """Raised when a linear system has no solution."""
+    """Raised when a linear system has no solution, or no unique one."""
 
 
 class VerificationFailure(Exception):
@@ -43,155 +45,17 @@ def taylor_shift(p: Sequence[Scalar], t: Scalar) -> list[Scalar]:
     return q
 
 
-# ---------------------------------------------------------------------------
-# affine forms
-
-
-class AffineForm:
-    """An exact affine expression  constant + sum(coeff * parameter).
-
-    Parameters are identified by name; zero coefficients are never
-    stored, so equality is plain structural equality.  Instances are
-    immutable.
-    """
-
-    __slots__ = ("constant", "terms")
-
-    def __init__(self, constant: Scalar = 0,
-                 terms: Mapping[str, Scalar] | None = None):
-        object.__setattr__(self, "constant", Fraction(constant))
-        clean = {}
-        if terms:
-            for name, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff:
-                    clean[name] = coeff
-        object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def parameter(cls, name: str, coeff: Scalar = 1) -> "AffineForm":
-        return cls(0, {name: coeff})
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("AffineForm is immutable")
-
-    def as_fraction(self) -> Fraction:
-        if self.terms:
-            raise ValueError(f"affine form {self} is not constant")
-        return self.constant
-
-    def parameters(self) -> frozenset[str]:
-        return frozenset(self.terms)
-
-    def substitute(self, values: Mapping[str, Scalar]) -> "AffineForm":
-        const = self.constant
-        rest = {}
-        for name, coeff in self.terms.items():
-            if name in values:
-                const += coeff * Fraction(values[name])
-            else:
-                rest[name] = coeff
-        return AffineForm(const, rest)
-
-    @staticmethod
-    def _coerce(other) -> "AffineForm | None":
-        if isinstance(other, AffineForm):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return AffineForm(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for name, coeff in o.terms.items():
-            terms[name] = terms.get(name, Fraction(0)) + coeff
-        return AffineForm(self.constant + o.constant, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return AffineForm(-self.constant, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return AffineForm(self.constant * other,
-                              {k: v * other for k, v in self.terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return AffineForm(self.constant / other,
-                              {k: v / other for k, v in self.terms.items()})
-        return NotImplemented
-
-    def __bool__(self):
-        return bool(self.constant) or bool(self.terms)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.constant == o.constant and self.terms == o.terms
-
-    def __hash__(self):  # a form without terms hashes as its constant
-        if not self.terms:
-            return hash(self.constant)
-        return hash((self.constant, tuple(sorted(self.terms.items()))))
-
-    def __str__(self):
-        parts: list[str] = []
-        if self.constant or not self.terms:
-            parts.append(str(self.constant))
-        for name in sorted(self.terms):
-            coeff = self.terms[name]
-            sign = "-" if coeff < 0 else "+"
-            mag = abs(coeff)
-            body = name if mag == 1 else f"{mag}*{name}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"{sign} {body}")
-        return " ".join(parts)
-
-    def __repr__(self):
-        return f"AffineForm({self})"
-
-
-def as_affine(x) -> AffineForm:
-    if isinstance(x, AffineForm):
-        return x
-    return AffineForm(x)
-
-
 def parametric_linear_solve(
     a: Sequence[Sequence[Scalar]],
-    rhs: Sequence[AffineForm | Scalar],
-    unknowns: Sequence[str],
-) -> tuple[dict[str, AffineForm], list[str]]:
-    """Solve a * x = rhs exactly, where rhs entries may carry free parameters.
+    rhs: Sequence[Sequence[Scalar]],
+) -> list[tuple[Fraction, ...]]:
+    """Solve a x = rhs exactly for every column of rhs at once.
 
-    Returns each unknown as an AffineForm over the parameters that remain
-    free, together with the sorted list of free parameter names.  Extra
-    consistent equations are fine.  An unknown whose column acquires no
-    pivot is reported as a free parameter under its own name rather than
-    being silently resolved; an inconsistent system raises
+    Every right-hand side row has the same width, one number per
+    parameter column (the library's two: the constant term and the beta
+    coefficient).  Returns one tuple of that width per unknown, in column
+    order of a.  Extra consistent equations are fine; an inconsistent
+    system, or an unknown whose column acquires no pivot, raises
     LinearSystemError.
 
     Sparse row echelon: each row, in the given order, is cleared of the
@@ -201,17 +65,18 @@ def parametric_linear_solve(
     in descending lead order follows.  The triangular minimal-shadow
     systems see no fill-in, so they cost O(K^2).
     """
-    ncols = len(unknowns)
+    ncols = len(a[0]) if a else 0
+    width = len(rhs[0]) if rhs else 0
     if any(len(row) != ncols for row in a):
-        raise ValueError("row length does not match number of unknowns")
-    if len(a) != len(rhs):
-        raise ValueError("matrix and right-hand side sizes differ")
+        raise ValueError("rows of the matrix differ in length")
+    if len(a) != len(rhs) or any(len(r) != width for r in rhs):
+        raise ValueError("right-hand side rows do not match the matrix")
 
-    # pivots: lead column -> (sparse row right of the unit lead, affine rhs)
-    pivots: dict[int, tuple[dict[int, Fraction], AffineForm]] = {}
+    # pivots: lead column -> (sparse row right of the unit lead, right-hand side)
+    pivots: dict[int, tuple[dict[int, Fraction], list[Fraction]]] = {}
     for row, r in zip(a, rhs):
         coeffs = {c: Fraction(x) for c, x in enumerate(row) if x}
-        form = as_affine(r)
+        form = list(map(Fraction, r))
         for t in sorted(pivots):
             f = coeffs.pop(t, None)
             if f is not None:
@@ -220,26 +85,25 @@ def parametric_linear_solve(
                     v = coeffs.pop(c, 0) - f * y
                     if v:
                         coeffs[c] = v
-                form = form - pform * f
+                form = [x - f * y for x, y in zip(form, pform)]
         if not coeffs:
-            if form:
-                raise LinearSystemError(f"no solution: 0 = {form}")
+            if any(form):
+                raise LinearSystemError(f"no solution: 0 = {', '.join(map(str, form))}")
             continue
         lead = min(coeffs)
         f = coeffs.pop(lead)
         if f != 1:
             coeffs = {c: x / f for c, x in coeffs.items()}
-            form = form / f
+            form = [x / f for x in form]
         pivots[lead] = (coeffs, form)
+    if len(pivots) < ncols:
+        missing = min(set(range(ncols)) - set(pivots))
+        raise LinearSystemError(f"rank deficient: unknown {missing} has no pivot")
 
-    solution = {unknowns[c]: AffineForm.parameter(unknowns[c])
-                for c in range(ncols) if c not in pivots}
+    solution: list[tuple[Fraction, ...]] = [()] * ncols
     for t in sorted(pivots, reverse=True):
         prow, expr = pivots[t]
         for c, y in prow.items():
-            expr = expr - solution[unknowns[c]] * y
-        solution[unknowns[t]] = expr
-
-    free_names = set().union(*(form.parameters() for form in solution.values()))
-    return solution, sorted(free_names)
-
+            expr = [x - y * s for x, s in zip(expr, solution[c])]
+        solution[t] = tuple(expr)
+    return solution

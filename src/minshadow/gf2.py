@@ -27,7 +27,6 @@ with minimal shadow, together with their enumerator parameters beta.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from operator import xor
 from typing import Iterable, Sequence
@@ -36,7 +35,7 @@ import numpy as np
 
 from .exact import VerificationFailure
 from .gleason import FamilyParams
-from .solver import BETA, beta_family_for_length, minimal_shadow_r, solve
+from .solver import beta_family_for_length, minimal_shadow_r, solve
 
 ENUMERATION_CAP = 28    # dimension k: 2^k codewords
 LENGTH_CAP = 4096       # length n: each half of the XOR table is <= 8 MB
@@ -352,18 +351,14 @@ def extract_beta(code: BinaryCode) -> int:
     every code and shadow coefficient is verified at that beta."""
     enum = solve(*beta_family_for_length(code.n))
     a_obs, b_obs = enumerator_vectors(code)
-    beta = None
-    for form, obs in zip(list(enum.a) + list(enum.b), a_obs + b_obs):
-        q = form.terms.get(BETA, Fraction(0))
-        if q:
-            beta = Fraction(obs - form.constant, 1) / q
-            break
+    beta = next(((obs - p) / q for (p, q), obs in zip(enum.a + enum.b, a_obs + b_obs)
+                 if q), None)
     if beta is None or beta.denominator != 1:
         raise BetaMismatchError(f"no integer beta fits (got {beta})")
     beta = int(beta)
-    for side, forms, obs_vec in (("a", enum.a, a_obs), ("b", enum.b, b_obs)):
-        for i, (form, obs) in enumerate(zip(forms, obs_vec)):
-            want = form.substitute({BETA: beta}).as_fraction()
+    for side, pairs, obs_vec in (("a", enum.a, a_obs), ("b", enum.b, b_obs)):
+        for i, ((p, q), obs) in enumerate(zip(pairs, obs_vec)):
+            want = p + q * beta
             if want != obs:
                 w = 2 * i if side == "a" else enum.fam.shadow_exponent(i)
                 raise BetaMismatchError(

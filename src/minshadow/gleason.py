@@ -26,8 +26,9 @@ exact division at every step, its columns j > 0 by the Catalan peel,
 each shadow inverse entry as one Fraction of integers, and a run of
 column 0 of the shadow inverse by a ratio walk from one binomial, again
 checked for exact division at every step.
-Coefficient vectors are affine forms so that one-parameter enumerator
-families flow through unchanged.  Every expansion of Gleason
+An enumerator coefficient is an exact pair (p, q), the value p + q beta
+in the one free parameter beta, q = 0 in the unique families; a pair of
+Gleason vectors expands as two vectors.  Every expansion of Gleason
 coefficients goes through expand_scaled: both Horner passes on two
 numpy work buffers used in turn, so that a step is one or two ufunc
 calls, pass 1 of the code side in sigma = 4s, and pass 2 on the
@@ -65,9 +66,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import AffineForm, Scalar, VerificationFailure, as_affine
+from .exact import Scalar, VerificationFailure
 
 Matrix = list[list[Fraction]]
+Pair = tuple[Fraction, Fraction]    # (p, q): the value p + q beta
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -300,22 +303,23 @@ def _shadow_inverse_row(i: int, fam: FamilyParams) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class ParametricEnumerator:
-    """Full code and shadow coefficient vectors, affine in free parameters.
+    """Full code and shadow coefficient vectors, one (p, q) pair per
+    coefficient for the value p + q beta.
 
     a[i] is the coefficient of y^(2i) for i = 0..n/2; b[i] is the
-    coefficient of y^(4i+r) for i = 0..6m+2l.
+    coefficient of y^(4i+r) for i = 0..6m+2l.  q = 0 throughout in the
+    unique families and after substitute.
     """
 
     fam: FamilyParams
-    a: tuple[AffineForm, ...]
-    b: tuple[AffineForm, ...]
-    free: tuple[str, ...]
+    a: tuple[Pair, ...]
+    b: tuple[Pair, ...]
 
-    def substitute(self, values) -> "ParametricEnumerator":
-        a = tuple(x.substitute(values) for x in self.a)
-        b = tuple(x.substitute(values) for x in self.b)
-        free = tuple(n for n in self.free if n not in values)
-        return ParametricEnumerator(self.fam, a, b, free)
+    def substitute(self, beta: Scalar) -> "ParametricEnumerator":
+        """The concrete enumerator at beta: every pair (p + q beta, 0)."""
+        def at(vec):
+            return tuple((p + q * beta, _ZERO) for p, q in vec)
+        return ParametricEnumerator(self.fam, at(self.a), at(self.b))
 
 
 # passes of LIMB_STEPS steps or more run on int64 limbs, carried every
@@ -589,29 +593,22 @@ def expand_scaled(c: Sequence[Scalar], fam: FamilyParams, top: int | None = None
     return a_hat, da, b_hat, da << _shadow_shift(fam)
 
 
-def enumerators_from_gleason(c: Sequence[AffineForm | Scalar],
+def enumerators_from_gleason(c: Sequence[Scalar] | Sequence[tuple[Scalar, Scalar]],
                              fam: FamilyParams) -> ParametricEnumerator:
     """Expand Gleason coefficients into the full a and b vectors.
 
-    Affine inputs are split into a constant component plus one component
-    per parameter; each component goes through expand_scaled once, and
-    every entry is divided back exactly once.
+    c holds exact numbers, or (constant, beta coefficient) pairs of them.
+    Each component goes through expand_scaled once, every entry is
+    divided back exactly once, and a plain number has beta coefficient 0.
     """
     k = fam.c_count
     if len(c) != k:
         raise ValueError(f"need exactly {k} Gleason coefficients, got {len(c)}")
-    cv = [as_affine(x) for x in c]
-    names = sorted({n for form in cv for n in form.terms})
-    const = expand_scaled([form.constant for form in cv], fam)
-    parts = [(name, expand_scaled([form.terms.get(name, 0) for form in cv], fam))
-             for name in names]
+    parts = [expand_scaled(part, fam)
+             for part in (zip(*c) if isinstance(c[0], tuple) else [c])]
 
-    def combine(side):  # 0 picks (a_hat, Da), 2 picks (b_hat, Db)
-        out = []
-        for i, v in enumerate(const[side]):
-            terms = {name: Fraction(p[side][i], p[side + 1])
-                     for name, p in parts if p[side][i]}
-            out.append(AffineForm(Fraction(v, const[side + 1]), terms))
-        return tuple(out)
+    def pairs(side):  # 0 picks (a_hat, Da), 2 picks (b_hat, Db)
+        vecs = [[Fraction(v, x[side + 1]) for v in x[side]] for x in parts]
+        return tuple(zip(vecs[0], vecs[1] if len(vecs) > 1 else repeat(_ZERO)))
 
-    return ParametricEnumerator(fam, combine(0), combine(2), tuple(names))
+    return ParametricEnumerator(fam, pairs(0), pairs(2))

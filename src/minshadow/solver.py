@@ -2,22 +2,26 @@
 
 For a singly even self-dual [n, n/2, d] code with minimal shadow the
 low-order coefficients of both enumerators are forced: a_0 = 1 and all
-code coefficients vanish below the minimum weight; the shadow has a
-single vector of weight d(S) whenever 2 d(S) < d, and no weights
-strictly between d(S) and d - d(S) (two shadow vectors sum to a nonzero
-codeword, so their weights cannot both be small).  Those pins, together
-with the coincidence a_{d/2} = b_{(d-2)/4} that holds when n = 2 (mod 8)
-and d = 2 (mod 4), determine the Gleason coefficients uniquely for the
-families 24m+2, 24m+4 and 24m+10, and up to one integer parameter beta
-for 24m+6 and 24m+22.
+code coefficients vanish below the minimum weight; the shadow has no
+vector below weight d(S), a single vector of weight d(S) whenever
+2 d(S) < d, and no weights strictly between d(S) and d - d(S) (two
+shadow vectors sum to a nonzero codeword, so their weights cannot both
+be small).  The pins are built by weight, so d(S) = 4 at n = 0 (mod 8)
+lands in slot 1.  Those pins, together with the coincidence
+a_{d/2} = b_{(d-2)/4} that holds when n = 2 (mod 8) and d = 2 (mod 4),
+determine the Gleason coefficients uniquely for the families 24m+2,
+24m+4 and 24m+10, and up to one integer parameter beta for 24m+6 and
+24m+22.
 
 solve() and the scan path take the Gleason coefficients from one
 derivation, _gleason: closed forms for the unique families (the code
 column, then the shadow tail in one exact ratio walk), and a linear
-solve of the shadow pins alone for the two beta families.  Both expand
-them with the one kernel gleason.expand_scaled and verify the pins with
-one check; one loop certifies the scan by its first negative or
-non-integer coefficient.
+solve of the shadow pins alone for the two beta families, on a
+two-column right-hand side (the constant term and the beta
+coefficient), so that each coefficient is an exact pair (p, q) for
+p + q beta.  Both expand them with the one kernel gleason.expand_scaled
+and verify the pins with one check; one loop certifies the scan by its
+first negative or non-integer coefficient.
 The closed forms for b_m, b_{m+1} and the degree-five/six integer
 polynomials f(m) controlling the sign of b_{m+1} are provided alongside.
 """
@@ -32,14 +36,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exact import (AffineForm, LinearSystemError, VerificationFailure,
-                    parametric_linear_solve, poly_eval, taylor_shift)
+from .exact import (VerificationFailure, parametric_linear_solve, poly_eval,
+                    taylor_shift)
 from .gleason import (FamilyParams, ParametricEnumerator, code_inverse_col0,
                       enumerators_from_gleason, expand_scaled,
                       shadow_basis_column, shadow_inverse_col0,
                       shadow_inverse_entry)
-
-BETA = "beta"
 
 
 class EmptyBetaRangeError(ValueError):
@@ -127,36 +129,36 @@ class ConstraintSet:
     pinned_a: dict[int, Fraction]
     pinned_b: dict[int, Fraction]
     equalities: tuple[tuple[int, int], ...]     # (a index, b index) forced equal
-    free: tuple[tuple[str, str, int], ...]      # (name, "a" or "b", index)
+    beta_slot: int | None                       # shadow index of beta, if any
 
 
 def minimal_shadow_constraints(case: FamilyCase, m: int) -> ConstraintSet:
-    """Low-order pins for a minimal-shadow [n, n/2, d] enumerator.
+    """Low-order pins for a minimal-shadow [n, n/2, d] enumerator, by
+    weight, with d(S) = minimal_shadow_r(n).
 
-    a_0 = 1 and a_1..a_{(d-2)/2} = 0 from the minimum weight; b_0 = 1
-    exactly when two distinct minimal shadow vectors would sum to a
-    nonzero codeword below the minimum weight (2 d(S) < d), otherwise
-    b_0 stays free; and b_i = 0 while 0 < 4i + r < d - d(S).  For the
-    parametrized families the first unpinned shadow slot carries the
-    free parameter beta.
+    a_0 = 1 and a_1..a_{(d-2)/2} = 0 from the minimum weight.  On the
+    shadow side b = 0 below weight d(S); b = 1 at weight d(S), slot
+    (d(S) - r)/4, exactly when two distinct minimal shadow vectors would
+    sum to a nonzero codeword below the minimum weight (2 d(S) < d),
+    else that slot stays free; and b = 0 strictly between weights d(S)
+    and d - d(S).  For the parametrized families the first unpinned
+    shadow slot carries the free parameter beta.
     """
     fam = case.params(m)
     d = case.d(m)
     ds = minimal_shadow_r(fam.n)
+    s = (ds - fam.r) // 4
     zero, one = Fraction(0), Fraction(1)
     pinned_a = {0: one} | dict.fromkeys(range(1, d // 2), zero)
-    pinned_b = ({0: one} if 2 * ds < d else {}) | dict.fromkeys(
-        range(1, (d - ds - fam.r + 3) // 4), zero)     # 0 < 4i + r < d - ds
+    pinned_b = (dict.fromkeys(range(s), zero) | ({s: one} if 2 * ds < d else {})
+                | dict.fromkeys(range(s + 1, (d - ds - fam.r + 3) // 4), zero))
     equalities: tuple[tuple[int, int], ...] = ()
     if fam.n % 8 == 2 and d % 4 == 2:
         equalities = ((d // 2, (d - 2) // 4),)
-    free: tuple[tuple[str, str, int], ...] = ()
+    beta_slot = None
     if case.parametrized:
-        slot = 0
-        while slot in pinned_b:
-            slot += 1
-        free = ((BETA, "b", slot),)
-    return ConstraintSet(pinned_a, pinned_b, equalities, free)
+        beta_slot = next(i for i in range(fam.b_count) if i not in pinned_b)
+    return ConstraintSet(pinned_a, pinned_b, equalities, beta_slot)
 
 
 def _gleason(case: FamilyCase, m: int) -> list:
@@ -172,7 +174,8 @@ def _gleason(case: FamilyCase, m: int) -> list:
     check of solve and admissible_at still meets every tail entry.
     The beta families solve the shadow pins and the beta row in
     c_{d/2}..c_K, with c_{K-s} = beta times entry (K-s, s) of the inverse
-    shadow block, s the free shadow slot.
+    shadow block, s the free shadow slot, on a two-column right-hand side:
+    every coefficient comes back as a (constant, beta coefficient) pair.
     """
     fam = case.params(m)
     h = case.d(m) // 2
@@ -186,36 +189,36 @@ def _gleason(case: FamilyCase, m: int) -> list:
     cs = minimal_shadow_constraints(case, m)
     shadow_cols = [shadow_basis_column(j, fam) for j in tail]
     rows = [[sc[i] for sc in shadow_cols] for i in cs.pinned_b]
-    rhs = [AffineForm(v) for v in cs.pinned_b.values()]
-    [(name, _, slot)] = cs.free
+    rhs = [(v, 0) for v in cs.pinned_b.values()]
+    slot = cs.beta_slot
     istar = fam.c_count - 1 - slot
     rows.append([int(j == istar) for j in tail])
-    rhs.append(AffineForm.parameter(name, shadow_inverse_entry(istar, slot, fam)))
-    unknowns = [f"c{j}" for j in tail]
-    solution, free_names = parametric_linear_solve(rows, rhs, unknowns)
-    if free_names != [name]:  # pragma: no cover - implementation fault
-        raise LinearSystemError(
-            f"underdetermined system for {case.tag}, m={m}: {free_names} free")
-    return col[:h] + [solution[u] for u in unknowns]
+    rhs.append((0, shadow_inverse_entry(istar, slot, fam)))
+    return [(x, 0) for x in col[:h]] + parametric_linear_solve(rows, rhs)
 
 
 def solve(case: FamilyCase, m: int) -> ParametricEnumerator:
     """Exact minimal-shadow enumerator for (case, m): the expansion of
     _gleason(case, m), which admissible_at uses too, with every pin and
-    coincidence checked.  It keeps exactly the parameter beta for 24m+6
-    and 24m+22, normalized as in _gleason to reproduce the conventional
-    printed parametrizations, and none for the other families.
+    coincidence checked on both components of each (p, q) pair.  It keeps
+    exactly the parameter beta for 24m+6 and 24m+22, normalized as in
+    _gleason to reproduce the conventional printed parametrizations, and
+    none (q = 0) for the other families.
     """
     enum = enumerators_from_gleason(_gleason(case, m), case.params(m))
-    _check_pins(case, m, minimal_shadow_constraints(case, m), enum.a, 1, enum.b, 1)
+    cs = minimal_shadow_constraints(case, m)
+    for k in (0, 1):
+        _check_pins(case, m, cs, [x[k] for x in enum.a], 1,
+                    [x[k] for x in enum.b], 1, beta_part=bool(k))
     return enum
 
 
 def _check_pins(case: FamilyCase, m: int, cs: ConstraintSet, a: Sequence, da: int,
-                b: Sequence, db: int) -> None:
+                b: Sequence, db: int, beta_part: bool = False) -> None:
     """Raise VerificationFailure unless a[i]/da and b[i]/db meet every pin
-    and coincidence of cs: x dy = y dx, or x = y for solve's unscaled forms."""
-    checks = [(s, i, vec[i], den, v.numerator, v.denominator)
+    and coincidence of cs: x dy = y dx, or x = y for solve's unscaled
+    values.  The beta part of a pinned coefficient is pinned to 0."""
+    checks = [(s, i, vec[i], den, 0 if beta_part else v.numerator, v.denominator)
               for s, vec, den, pins in (("a", a, da, cs.pinned_a),
                                         ("b", b, db, cs.pinned_b))
               for i, v in pins.items()]
@@ -223,8 +226,9 @@ def _check_pins(case: FamilyCase, m: int, cs: ConstraintSet, a: Sequence, da: in
     for s, i, x, dx, y, dy in checks:
         if x != y if dx == dy == 1 else x * dy != y * dx:
             got, want = (v if d == 1 else Fraction(v, d) for v, d in ((x, dx), (y, dy)))
+            part = "beta part of " if beta_part else ""
             raise VerificationFailure(
-                f"{case.tag}, m={m}: {s}[{i}] = {got}, expected {want}")
+                f"{case.tag}, m={m}: {part}{s}[{i}] = {got}, expected {want}")
 
 
 # ---------------------------------------------------------------------------
@@ -463,23 +467,20 @@ def beta_range(case: FamilyCase, m: int) -> tuple[int, int]:
                          "use solve or admissible_at")
     enum = solve(case, m)
     fam = enum.fam
-    ds = minimal_shadow_r(fam.n)
-    ds_slot = (ds - fam.r) // 4
+    ds_slot = (minimal_shadow_r(fam.n) - fam.r) // 4
     lo, hi = None, None
     for side, vec in (("a", enum.a), ("b", enum.b)):
-        for i, form in enumerate(vec):
-            need = Fraction(1) if (side == "b" and i == ds_slot) else Fraction(0)
-            q = form.terms.get(BETA, Fraction(0))
-            p = form.constant
+        for i, (p, q) in enumerate(vec):
+            need = 1 if (side == "b" and i == ds_slot) else 0
             if q == 0:
                 if p < need or p.denominator != 1:
                     raise EmptyBetaRangeError(
-                        f"coefficient {side}[{i}] = {form} is never admissible")
+                        f"coefficient {side}[{i}] = {p} is never admissible")
                 continue
             if p.denominator != 1 or q.denominator != 1:
                 raise EmptyBetaRangeError(
-                    f"coefficient {side}[{i}] = {form} is not integral on "
-                    "integer beta")
+                    f"coefficient {side}[{i}] = {p} + {q}*beta is not integral "
+                    "on integer beta")
             bound = (need - p) / q
             if q > 0:
                 b = math.ceil(bound)

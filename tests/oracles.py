@@ -34,13 +34,12 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from minshadow.exact import (AffineForm, LinearSystemError, Scalar, as_affine,
-                             parametric_linear_solve)
+from minshadow.exact import LinearSystemError, Scalar, parametric_linear_solve
 from minshadow.gf2 import BinaryCode, code_weight_distribution
-from minshadow.gleason import (FamilyParams, Matrix, ParametricEnumerator,
+from minshadow.gleason import (FamilyParams, Matrix, Pair, ParametricEnumerator,
                                TransformTables, code_inverse_col0,
                                shadow_basis_column, shadow_inverse_entry)
-from minshadow.solver import (BETA, Admissibility, ConstraintSet, FamilyCase,
+from minshadow.solver import (Admissibility, ConstraintSet, FamilyCase,
                               _gleason, minimal_shadow_constraints,
                               minimal_shadow_r)
 
@@ -138,24 +137,19 @@ def matrix_product(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]])
 
 
 def matrix_inverse(m: Sequence[Sequence[Scalar]]) -> Matrix:
-    """Exact inverse, read off the parametric solution of m x = e.
-
-    The right-hand side is e_i = parameter "e{i}", so entry (j, i) of the
-    inverse is the coefficient of e_i in x_j.  A singular matrix leaves
-    some row 0 = (a nonzero combination of the e_i) and raises
-    SingularMatrixError.
+    """Exact inverse, the solution X of m X = I by the parametric solve
+    with the identity as its right-hand side: row j of the solution is
+    row j of the inverse.  A singular matrix leaves some row
+    0 = (a nonzero row of I combined) and raises SingularMatrixError.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix_inverse requires a square matrix")
-    unknowns = [f"x{j}" for j in range(n)]
-    rhs = [AffineForm.parameter(f"e{i}") for i in range(n)]
     try:
-        x, _ = parametric_linear_solve(m, rhs, unknowns)
+        x = parametric_linear_solve(m, identity_matrix(n))
     except LinearSystemError as exc:
         raise SingularMatrixError(f"matrix is singular ({exc})") from exc
-    return [[x[u].terms.get(f"e{i}", Fraction(0)) for i in range(n)]
-            for u in unknowns]
+    return [list(row) for row in x]
 
 
 # ---------------------------------------------------------------------------
@@ -389,33 +383,29 @@ def shadow_inverse_entry_product(i: int, j: int, fam: FamilyParams) -> Fraction:
             * Fraction(k_top - j, i) * binomial(k_top + i - j - 1, k_top - i - j))
 
 
-def _gleason_from(values: Sequence[AffineForm | Scalar], inverse: Matrix,
-                  side: str) -> list[AffineForm]:
-    """c_i = sum_j inverse[i][j] * values[j], skipping the zero entries
-    outside the support of the inverse block."""
+def _gleason_from(values: Sequence[Pair | Scalar], inverse: Matrix,
+                  side: str) -> list[Pair]:
+    """c_i = sum_j inverse[i][j] * values[j] as (p, q) pairs, a plain
+    number being (value, 0), skipping the zero entries outside the support
+    of the inverse block."""
     k = len(inverse)
     if len(values) < k:
         raise ValueError(f"need at least {k} {side} coefficients, got {len(values)}")
-    vv = [as_affine(x) for x in values[:k]]
-    out = []
-    for row in inverse:
-        c = AffineForm(0)
-        for v, e in zip(vv, row):
-            if e:
-                c = c + v * e
-        out.append(c)
-    return out
+    vv = [x if isinstance(x, tuple) else (x, 0) for x in values[:k]]
+    return [tuple(sum((e * v[t] for v, e in zip(vv, row) if e), Fraction(0))
+                  for t in (0, 1))
+            for row in inverse]
 
 
-def gleason_from_code(a: Sequence[AffineForm | Scalar],
-                      tables: TransformTables) -> list[AffineForm]:
+def gleason_from_code(a: Sequence[Pair | Scalar],
+                      tables: TransformTables) -> list[Pair]:
     """Gleason coefficients from the leading code coefficients:
     c_i = sum_{j<=i} code_inverse[i][j] * a_j."""
     return _gleason_from(a, tables.code_inverse, "code")
 
 
-def gleason_from_shadow(b: Sequence[AffineForm | Scalar],
-                        tables: TransformTables) -> list[AffineForm]:
+def gleason_from_shadow(b: Sequence[Pair | Scalar],
+                        tables: TransformTables) -> list[Pair]:
     """Gleason coefficients from the leading shadow coefficients:
     c_i = sum_{j<=K-i} shadow_inverse[i][j] * b_j."""
     return _gleason_from(b, tables.shadow_inverse, "shadow")
@@ -423,9 +413,10 @@ def gleason_from_shadow(b: Sequence[AffineForm | Scalar],
 
 def minimal_shadow_constraints_loop(case: FamilyCase, m: int) -> ConstraintSet:
     """The pins of solver.minimal_shadow_constraints built one entry at a
-    time, each its own Fraction: a_0 = 1, a_i = 0 for 0 < 2i < d, b_0 = 1
-    when 2 d(S) < d, b_i = 0 while 0 < 4i + r < d - d(S), the coincidence
-    at n = 2 (mod 8), d = 2 (mod 4), and beta at the first unpinned slot."""
+    time, each its own Fraction, by weight w: a_0 = 1, a_i = 0 for
+    0 < 2i < d; b = 0 at w < d(S) and at d(S) < w < d - d(S), b = 1 at
+    w = d(S) when 2 d(S) < d; the coincidence at n = 2 (mod 8),
+    d = 2 (mod 4), and beta at the first unpinned shadow slot."""
     fam = case.params(m)
     d = case.d(m)
     ds = minimal_shadow_r(fam.n)
@@ -433,68 +424,65 @@ def minimal_shadow_constraints_loop(case: FamilyCase, m: int) -> ConstraintSet:
     for i in range(1, (d - 2) // 2 + 1):
         pinned_a[i] = Fraction(0)
     pinned_b: dict[int, Fraction] = {}
-    if 2 * ds < d:
-        pinned_b[0] = Fraction(1)
-    i = 1
-    while fam.shadow_exponent(i) < d - ds:
-        pinned_b[i] = Fraction(0)
-        i += 1
+    for i in range(fam.b_count):
+        w = fam.shadow_exponent(i)
+        if w < ds or ds < w < d - ds:
+            pinned_b[i] = Fraction(0)
+        elif w == ds and 2 * ds < d:
+            pinned_b[i] = Fraction(1)
     equalities: tuple[tuple[int, int], ...] = ()
     if fam.n % 8 == 2 and d % 4 == 2:
         equalities = ((d // 2, (d - 2) // 4),)
-    free: tuple[tuple[str, str, int], ...] = ()
+    beta_slot = None
     if case.parametrized:
-        slot = 0
-        while slot in pinned_b:
-            slot += 1
-        free = ((BETA, "b", slot),)
-    return ConstraintSet(pinned_a, pinned_b, equalities, free)
+        beta_slot = 0
+        while beta_slot in pinned_b:
+            beta_slot += 1
+    return ConstraintSet(pinned_a, pinned_b, equalities, beta_slot)
 
 
-def pinned_system_gleason(case: FamilyCase, m: int) -> list[AffineForm]:
-    """Gleason coefficients c_0..c_K from every pin at once: the code
-    rows, the shadow rows, the coincidence rows and the beta row, over the
-    full code block and all K + 1 shadow columns, through the parametric
-    linear solve.  Beta is normalized as in solver.solve: c_{K-s} equals
-    beta times entry (K-s, s) of the inverse shadow block."""
+def pinned_system_gleason(case: FamilyCase, m: int) -> list[Pair]:
+    """Gleason coefficients c_0..c_K as (constant, beta coefficient)
+    pairs from every pin at once: the code rows, the shadow rows, the
+    coincidence rows and the beta row, over the full code block and all
+    K + 1 shadow columns, through the parametric linear solve with a
+    two-column right-hand side.  Beta is normalized as in solver.solve:
+    c_{K-s} equals beta times entry (K-s, s) of the inverse shadow block."""
     fam = case.params(m)
     cs = minimal_shadow_constraints(case, m)
     k = fam.c_count
     code_cols = code_basis_block(fam)
     shadow_cols = [shadow_basis_column(j, fam) for j in range(k)]
     rows: list[list[Scalar]] = []
-    rhs: list[AffineForm] = []
+    rhs: list[tuple[Scalar, Scalar]] = []
     for i, v in sorted(cs.pinned_a.items()):
         rows.append([code_cols[j][i] for j in range(k)])
-        rhs.append(AffineForm(v))
+        rhs.append((v, 0))
     for i, v in sorted(cs.pinned_b.items()):
         rows.append([shadow_cols[j][i] for j in range(k)])
-        rhs.append(AffineForm(v))
+        rhs.append((v, 0))
     for ai, bi in cs.equalities:
         rows.append([code_cols[j][ai] - shadow_cols[j][bi] for j in range(k)])
-        rhs.append(AffineForm(0))
-    for name, _, slot in cs.free:
-        istar = k - 1 - slot
+        rhs.append((0, 0))
+    if cs.beta_slot is not None:
+        istar = k - 1 - cs.beta_slot
         rows.append([int(j == istar) for j in range(k)])
-        rhs.append(AffineForm.parameter(name, shadow_inverse_entry(istar, slot, fam)))
-    unknowns = [f"c{i}" for i in range(k)]
-    solution, free_names = parametric_linear_solve(rows, rhs, unknowns)
-    if any(name.startswith("c") for name in free_names):
-        raise LinearSystemError(f"underdetermined: {free_names} free")
-    return [solution[name] for name in unknowns]
+        rhs.append((0, shadow_inverse_entry(istar, cs.beta_slot, fam)))
+    return parametric_linear_solve(rows, rhs)
 
 
-def beta_tail_gleason(case: FamilyCase, m: int) -> list[AffineForm | Scalar]:
-    """Gleason coefficients c_0..c_K of a beta family in closed form, with
-    h = d/2: c_0..c_(h-1) from code_inverse_col0, c_h = beta times entry
-    (h, K-h) of the inverse shadow block, and c_j = entry (j, 0) of that
-    block for j > h, with no linear solve."""
+def beta_tail_gleason(case: FamilyCase, m: int) -> list[Pair]:
+    """Gleason coefficients c_0..c_K of a beta family in closed form, as
+    (constant, beta coefficient) pairs, with h = d/2: c_0..c_(h-1) from
+    code_inverse_col0, c_h = beta times entry (h, K-h) of the inverse
+    shadow block, and c_j = entry (j, 0) of that block for j > h, with no
+    linear solve."""
     fam = case.params(m)
     h = case.d(m) // 2
     k_top = fam.c_count - 1
-    return (code_inverse_col0(fam, h)[:h]
-            + [AffineForm.parameter(BETA, shadow_inverse_entry(h, k_top - h, fam))]
-            + [shadow_inverse_entry(j, 0, fam) for j in range(h + 1, k_top + 1)])
+    return ([(x, 0) for x in code_inverse_col0(fam, h)[:h]]
+            + [(0, shadow_inverse_entry(h, k_top - h, fam))]
+            + [(shadow_inverse_entry(j, 0, fam), 0) for j in range(h + 1, k_top + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -505,15 +493,13 @@ def admissible(enum: ParametricEnumerator) -> Admissibility:
     """Whether every coefficient of a concrete enumerator is a nonnegative
     integer, read off its exact values side a first, in index order; on
     failure the certificate carries the first offending side, index and
-    value, as admissible_at's does.  An enumerator with free parameters
-    raises ValueError naming them."""
-    free = sorted(set().union(*(f.parameters() for f in enum.a + enum.b)))
-    if free:
-        raise ValueError(f"enumerator has free parameters {free}; "
-                         "substitute them first")
+    value, as admissible_at's does.  An enumerator that still depends on
+    beta (some q != 0) raises ValueError naming it."""
+    if any(q for _, q in enum.a + enum.b):
+        raise ValueError("enumerator depends on beta; substitute it first")
     for side, vec in (("a", enum.a), ("b", enum.b)):
-        for i, form in enumerate(vec):
-            v = form.as_fraction()
+        for i, (p, _) in enumerate(vec):
+            v = Fraction(p)
             if v < 0 or v.denominator > 1:
                 return Admissibility(False, side, i, v)
     return Admissibility(True, None, None, None)

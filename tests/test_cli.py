@@ -75,6 +75,14 @@ class TestSolveCommand:
         assert "W_C = 1 + (35 - 8*beta) y^6 + (345 + 24*beta) y^8" in out
         assert "W_S = beta y^3 + (240 - 6*beta) y^7" in out
 
+    def test_affine_text_forms(self):
+        # (p, q) prints as p + q*beta, and as str(p) alone when q = 0
+        assert cli.affine_text((35, -8)) == "35 - 8*beta"
+        assert cli.affine_text((0, 2)) == "2*beta"
+        assert cli.affine_text((-12, 1)) == "-12 + beta"
+        assert cli.affine_text((0, 0)) == "0"
+        assert cli.affine_text((Fraction(-9, 128), 0)) == "-9/128"
+
 
 class TestScanCommand:
     def test_small_scan(self, capsys):
@@ -255,9 +263,10 @@ class TestNumbersReadBack:
                 (doc["code_coefficients"], enum.a, lambda i: 2 * i),
                 (doc["shadow_coefficients"], enum.b, fam.shadow_exponent)):
             assert len(pairs) == len(forms)
-            for i, ((w, v), form) in enumerate(zip(pairs, forms)):
+            for i, ((w, v), (p, q)) in enumerate(zip(pairs, forms)):
                 _reads_back(w, weight(i))
-                _reads_back(v, form.as_fraction())
+                assert q == 0
+                _reads_back(v, p)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("tag", solver.UNIQUE_FAMILIES)
@@ -275,7 +284,7 @@ class TestNumbersReadBack:
         _reads_back(doc["beta"], beta)
         assert doc["free_parameters"] == []
         self._check_enumerator(
-            doc, solver.solve(case, m).substitute({solver.BETA: beta}))
+            doc, solver.solve(case, m).substitute(beta))
 
     @pytest.mark.parametrize("tag,m", [(tag, m)
                                        for tag, case in solver.FAMILY_CASES.items()

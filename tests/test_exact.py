@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minshadow.exact import (AffineForm, LinearSystemError, as_affine,
-                             parametric_linear_solve, poly_eval, taylor_shift)
+from minshadow.cli import affine_text
+from minshadow.exact import (LinearSystemError, parametric_linear_solve,
+                             poly_eval, taylor_shift)
 from oracles import (SingularMatrixError, binomial, identity_matrix,
                      matrix_inverse, matrix_product, poly_product, poly_trim)
 
@@ -76,43 +77,44 @@ def _rand_fraction(rng, nonzero=False):
 
 
 def _rhs_for(a, x_true):
-    rhs = []
-    for row in a:
-        acc = AffineForm(0)
-        for coef, x in zip(row, x_true):
-            acc = acc + x * coef
-        rhs.append(acc)
-    return rhs
+    """The right-hand side a x_true, column by column of the parameter
+    tuples in x_true."""
+    return [tuple(sum(coef * x[t] for coef, x in zip(row, x_true))
+                  for t in range(len(x_true[0])))
+            for row in a]
 
 
-def _assert_solves(a, rhs, sol, free, unknowns):
-    """a * x == rhs under two different assignments to every free name."""
-    for shift in (0, 7):
-        vals = {name: i + shift for i, name in enumerate(free)}
-        xs = [sol[u].substitute(vals).as_fraction() for u in unknowns]
-        for row, want in zip(a, rhs):
-            got = sum(c * x for c, x in zip(row, xs))
-            assert got == as_affine(want).substitute(vals).as_fraction()
+def _assert_solves(a, rhs, sol):
+    """a * x == rhs in every parameter column."""
+    assert _rhs_for(a, sol) == [tuple(r) for r in rhs]
+
+
+def _shuffled(rng, a, x_true):
+    """The system built from x_true with its rows in random order."""
+    rhs = _rhs_for(a, x_true)
+    order = list(range(len(a)))
+    rng.shuffle(order)
+    return [a[i] for i in order], [rhs[i] for i in order]
 
 
 def _solve_shuffled(rng, a, x_true):
     """Solve the system built from x_true with its rows in random order,
-    check it, and return (solution, free names, unknowns)."""
-    rhs = _rhs_for(a, x_true)
-    order = list(range(len(a)))
-    rng.shuffle(order)
-    a = [a[i] for i in order]
-    rhs = [rhs[i] for i in order]
-    unknowns = [f"x{i}" for i in range(len(x_true))]
-    sol, free = parametric_linear_solve(a, rhs, unknowns)
-    _assert_solves(a, rhs, sol, free, unknowns)
-    return sol, free, unknowns
+    check it, and return the solution."""
+    a, rhs = _shuffled(rng, a, x_true)
+    sol = parametric_linear_solve(a, rhs)
+    _assert_solves(a, rhs, sol)
+    return sol
 
 
 def _affine_unknowns(rng, n):
-    return [AffineForm(rng.randrange(-3, 4),
-                       {"t": rng.randrange(-2, 3), "u": rng.randrange(-2, 3)})
+    # (constant, coefficient of t, coefficient of u)
+    return [(rng.randrange(-3, 4), rng.randrange(-2, 3), rng.randrange(-2, 3))
             for _ in range(n)]
+
+
+def _parameters(xs):
+    """The parameter columns t > 0 with a nonzero entry in some tuple."""
+    return {t for x in xs for t in range(1, len(x)) if x[t]}
 
 
 def _lower_triangular(rng, n):
@@ -205,77 +207,38 @@ class TestTaylorShift:
         assert taylor_shift([Fraction(1, 2), 1], Fraction(1, 2)) == [1, 1]
 
 
-class TestAffineForm:
-    def test_str_forms(self):
-        assert str(AffineForm(35, {"beta": -8})) == "35 - 8*beta"
-        assert str(AffineForm(0, {"beta": 2})) == "2*beta"
-        assert str(AffineForm(-12, {"beta": 1})) == "-12 + beta"
-        assert str(AffineForm(0)) == "0"
-        assert str(AffineForm(Fraction(-9, 128))) == "-9/128"
-
-    def test_equality_is_structural(self):
-        x = AffineForm(1, {"beta": 2})
-        assert x == AffineForm(1, {"beta": 2})
-        assert x != AffineForm(1)
-        assert AffineForm(3, {"beta": 0}) == AffineForm(3) == 3
-
-    @pytest.mark.parametrize("value", [3, -7, Fraction(5, 2), Fraction(-1, 3)])
-    def test_constant_form_hashes_as_its_value(self, value):
-        assert AffineForm(value) == value
-        assert hash(AffineForm(value)) == hash(value)
-        assert len({AffineForm(value), value}) == 1
-        assert hash(AffineForm(value, {"beta": 0})) == hash(value)
-
-    def test_substitute(self):
-        x = AffineForm(35, {"beta": -8})
-        assert x.substitute({"beta": 4}) == AffineForm(3)
-        assert x.substitute({"other": 1}) == x
-
-    def test_arithmetic(self):
-        b = AffineForm.parameter("beta")
-        assert 2 * b + 1 - b == AffineForm(1, {"beta": 1})
-        assert (4 * b) / 2 == 2 * b
-        assert -(b - 1) == 1 - b
-
-
 class TestParametricSolve:
     def test_pinned_free_parameter(self):
-        # x + y = 1 with y kept as a free symbol on the right-hand side
-        sol, free = parametric_linear_solve(
-            [[1]], [AffineForm(1) - AffineForm.parameter("y")], ["x"])
-        assert sol["x"] == AffineForm(1, {"y": -1})
-        assert free == ["y"]
+        # x + y = 1 with y kept as a free symbol on the right-hand side:
+        # columns (constant, y)
+        sol = parametric_linear_solve([[1]], [(1, -1)])
+        assert sol == [(1, -1)]
+        assert _parameters(sol) == {1}
 
     def test_two_by_two(self):
-        sol, free = parametric_linear_solve(
-            [[1, 1], [1, -1]], [AffineForm(3), AffineForm(1)], ["x", "y"])
-        assert sol["x"] == AffineForm(2)
-        assert sol["y"] == AffineForm(1)
-        assert free == []
+        sol = parametric_linear_solve([[1, 1], [1, -1]], [(3,), (1,)])
+        assert sol == [(2,), (1,)]
+        assert _parameters(sol) == set()
 
     def test_inconsistent(self):
         with pytest.raises(LinearSystemError):
-            parametric_linear_solve([[1], [1]],
-                                    [AffineForm(1), AffineForm(2)], ["x"])
-        # row 3 = row 1 + row 2 on the left only, seen after elimination
+            parametric_linear_solve([[1], [1]], [(1,), (2,)])
+        # row 3 = row 1 + row 2 on the left only, seen after elimination;
+        # columns (constant, t)
         with pytest.raises(LinearSystemError, match="no solution: 0 = "):
             parametric_linear_solve(
                 [[1, 2, 0], [0, 1, 1], [1, 3, 1]],
-                [AffineForm(1), AffineForm.parameter("t"), AffineForm(0)],
-                ["x", "y", "z"])
+                [(1, 0), (0, 1), (0, 0)])
 
     def test_rank_deficiency_reported_as_free(self):
-        sol, free = parametric_linear_solve(
-            [[1, 1]], [AffineForm(1)], ["x", "y"])
-        assert free == ["y"]
-        assert sol["y"] == AffineForm.parameter("y")
-        assert sol["x"] == AffineForm(1, {"y": -1})
+        # y has no pivot: the rank deficiency is reported as an error
+        # naming the unknown, not resolved silently
+        with pytest.raises(LinearSystemError, match="rank deficient: unknown 1"):
+            parametric_linear_solve([[1, 1]], [(1,)])
 
     def test_overdetermined_consistent(self):
-        sol, free = parametric_linear_solve(
-            [[1, 0], [0, 1], [1, 1]],
-            [AffineForm(2), AffineForm(3), AffineForm(5)], ["x", "y"])
-        assert sol["x"] == AffineForm(2) and sol["y"] == AffineForm(3)
+        sol = parametric_linear_solve([[1, 0], [0, 1], [1, 1]], [(2,), (3,), (5,)])
+        assert sol == [(2,), (3,)]
 
     def test_substitution_satisfies_system(self):
         rng = random.Random(13)
@@ -283,26 +246,21 @@ class TestParametricSolve:
             n = rng.randrange(1, 5)
             a = [[Fraction(rng.randrange(-4, 5)) for _ in range(n)]
                  for _ in range(n + rng.randrange(0, 2))]
-            x_true = [AffineForm(rng.randrange(-3, 4),
-                                 {"t": rng.randrange(-2, 3)}) for _ in range(n)]
-            rhs = []
-            for row in a:
-                acc = AffineForm(0)
-                for coef, x in zip(row, x_true):
-                    acc = acc + x * coef
-                rhs.append(acc)
+            # (constant, coefficient of t)
+            x_true = [(rng.randrange(-3, 4), rng.randrange(-2, 3))
+                      for _ in range(n)]
+            rhs = _rhs_for(a, x_true)
             try:
-                sol, free = parametric_linear_solve(a, rhs, [f"x{i}" for i in range(n)])
-            except LinearSystemError:
-                pytest.fail("consistent system reported unsolvable")
-            t_val = rng.randrange(-5, 6)
-            xs = [sol[f"x{i}"].substitute({"t": t_val}) for i in range(n)]
-            # any reported free unknowns get arbitrary values
-            vals = {name: 1 for name in free if name != "t"}
-            xs = [x.substitute(vals).as_fraction() for x in xs]
-            for row, want in zip(a, rhs):
-                got = sum(c * x for c, x in zip(row, xs))
-                assert got == want.substitute({"t": t_val}).as_fraction()
+                sol = parametric_linear_solve(a, rhs)
+            except LinearSystemError as exc:
+                # a consistent system fails only for want of a pivot
+                assert "rank deficient" in str(exc)
+                continue
+            _assert_solves(a, rhs, sol)
+            for t_val in (0, rng.randrange(-5, 6)):
+                xs = [p + q * t_val for p, q in sol]
+                for row, (p, q) in zip(a, rhs):
+                    assert sum(c * x for c, x in zip(row, xs)) == p + q * t_val
 
 
 class TestSparseSolveStructure:
@@ -314,9 +272,9 @@ class TestSparseSolveStructure:
         rng = random.Random(31)
         for n in range(1, 11):
             x_true = _affine_unknowns(rng, n)
-            sol, free, unknowns = _solve_shuffled(rng, _lower_triangular(rng, n), x_true)
-            assert [sol[u] for u in unknowns] == x_true
-            assert set(free) == set().union(*(x.parameters() for x in x_true))
+            sol = _solve_shuffled(rng, _lower_triangular(rng, n), x_true)
+            assert sol == x_true
+            assert _parameters(sol) == _parameters(x_true)
 
     def test_anti_triangular_blocks_decreasing_leads(self):
         rng = random.Random(32)
@@ -326,11 +284,8 @@ class TestSparseSolveStructure:
             a = [row[::-1] for row in _lower_triangular(rng, n)]
             x_true = _affine_unknowns(rng, n)
             rhs = _rhs_for(a, x_true)
-            unknowns = [f"x{i}" for i in range(n)]
-            sol, free = parametric_linear_solve(a, rhs, unknowns)
-            assert [sol[u] for u in unknowns] == x_true
-            sol, free, unknowns = _solve_shuffled(rng, a, x_true)
-            assert [sol[u] for u in unknowns] == x_true
+            assert parametric_linear_solve(a, rhs) == x_true
+            assert _solve_shuffled(rng, a, x_true) == x_true
 
     def test_dense_coupling_row_last(self):
         rng = random.Random(33)
@@ -347,9 +302,7 @@ class TestSparseSolveStructure:
             dense[p] = _rand_fraction(rng, nonzero=True)
             a.append(dense)
             rhs = _rhs_for(a, x_true)
-            unknowns = [f"x{i}" for i in range(n)]
-            sol, free = parametric_linear_solve(a, rhs, unknowns)
-            assert [sol[u] for u in unknowns] == x_true
+            assert parametric_linear_solve(a, rhs) == x_true
 
     def test_rank_deficient(self):
         rng = random.Random(35)
@@ -363,19 +316,17 @@ class TestSparseSolveStructure:
                 a.append([sum(k * b[j] for k, b in zip(mix, basis))
                           for j in range(n)])
             x_true = _affine_unknowns(rng, n)
-            sol, free, unknowns = _solve_shuffled(rng, a, x_true)
-            free_unknowns = [name for name in free if name in unknowns]
-            assert len(free_unknowns) >= n - rank
-            for name in free_unknowns:
-                assert sol[name] == AffineForm.parameter(name)
+            a, rhs = _shuffled(rng, a, x_true)
+            # consistent, but at least n - rank unknowns have no pivot
+            with pytest.raises(LinearSystemError, match="rank deficient"):
+                parametric_linear_solve(a, rhs)
 
 
 def test_format_exact():
     # str is the one serialization of an exact number: decimal for an int
-    # or a Fraction over 1, "p/q" otherwise, in AffineForm terms too
+    # or a Fraction over 1, "p/q" otherwise, in p + q*beta text too
     assert str(19051200) == "19051200"
     assert str(Fraction(-9, 128)) == "-9/128"
     assert str(Fraction(4, 2)) == "2"
-    assert str(AffineForm(Fraction(4, 2), {"beta": Fraction(-9, 128)})) \
-        == "2 - 9/128*beta"
-    assert str(AffineForm(0, {"beta": Fraction(6, 3)})) == "2*beta"
+    assert affine_text((Fraction(4, 2), Fraction(-9, 128))) == "2 - 9/128*beta"
+    assert affine_text((0, Fraction(6, 3))) == "2*beta"

@@ -10,14 +10,16 @@ from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minshadow
 from minshadow import gleason, solver
-from minshadow.exact import AffineForm, VerificationFailure
-from minshadow.gleason import (FamilyParams, _catalan_power, _palindromic_horner,
+from minshadow.exact import VerificationFailure
+from minshadow.gleason import (FamilyParams, ParametricEnumerator,
+                               _catalan_power, _palindromic_horner,
                                _shadow_shift, build_transform_tables,
                                code_inverse_col0, enumerators_from_gleason,
                                expand_scaled, horner_code_side,
@@ -399,29 +401,35 @@ class TestConversions:
         t = build_transform_tables(fam)
         c = gleason_from_code([1, 0, 0, 0], t)
         for i in range(4):
-            assert c[i] == t.code_inverse[i][0]
+            assert c[i] == (t.code_inverse[i][0], 0)
 
     def test_length_two_code(self):
         fam = FamilyParams.from_length(2)
         t = build_transform_tables(fam)
-        assert gleason_from_code([1, 1], t) == [AffineForm(1)]
-        assert gleason_from_shadow([2], t) == [AffineForm(1)]
+        assert gleason_from_code([1, 1], t) == [(1, 0)]
+        assert gleason_from_shadow([2], t) == [(1, 0)]
         enum = enumerators_from_gleason([1], fam)
-        assert [x.as_fraction() for x in enum.a] == [1, 1]
-        assert [x.as_fraction() for x in enum.b] == [2]
+        assert list(enum.a) == [(1, 0), (1, 0)]
+        assert list(enum.b) == [(2, 0)]
 
     def test_delta_shadow_vector(self):
         fam = FamilyParams.from_length(26)
         t = build_transform_tables(fam)
         c = gleason_from_shadow([1, 0, 0, 0], t)
         for i in range(4):
-            assert c[i] == t.shadow_inverse[i][0]
+            assert c[i] == (t.shadow_inverse[i][0], 0)
+
+    def test_substitute(self):
+        # each (p, q) becomes (p + q beta, 0): 35 - 8 beta at beta = 4 is 3
+        fam = FamilyParams.from_length(2)
+        enum = ParametricEnumerator(fam, ((35, -8), (1, 0)), ((0, 1),))
+        assert enum.substitute(4) == ParametricEnumerator(fam, ((3, 0), (1, 0)),
+                                                          ((4, 0),))
 
     def test_pure_gleason_start_gives_binomials(self):
         fam = FamilyParams.from_length(26)
         enum = enumerators_from_gleason([1, 0, 0, 0], fam)
-        assert [x.as_fraction() for x in enum.a] == \
-            [binomial(13, i) for i in range(14)]
+        assert list(enum.a) == [(binomial(13, i), 0) for i in range(14)]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_round_trip_random_integer_gleason(self, seed):
@@ -432,8 +440,8 @@ class TestConversions:
         t = build_transform_tables(fam)
         back_a = gleason_from_code(list(enum.a), t)
         back_b = gleason_from_shadow(list(enum.b), t)
-        assert back_a == [AffineForm(x) for x in c]
-        assert back_b == [AffineForm(x) for x in c]
+        assert back_a == [(x, 0) for x in c]
+        assert back_b == [(x, 0) for x in c]
 
     def test_mass(self):
         # with c_0 = 1 both enumerators sum to 2^(n/2)
@@ -441,16 +449,16 @@ class TestConversions:
         for fam in (FamilyParams.from_length(26), FamilyParams.from_length(46)):
             c = [1] + [rng.randrange(-20, 21) for _ in range(fam.c_count - 1)]
             enum = enumerators_from_gleason(c, fam)
-            assert sum(x.as_fraction() for x in enum.a) == 2 ** fam.half
-            assert sum(x.as_fraction() for x in enum.b) == 2 ** fam.half
+            assert sum(p for p, _ in enum.a) == 2 ** fam.half
+            assert sum(p for p, _ in enum.b) == 2 ** fam.half
+            assert not any(q for _, q in enum.a + enum.b)
 
     def test_parametric_round_trip(self):
         fam = FamilyParams.from_length(46)
-        beta = AffineForm.parameter("beta")
-        c = [AffineForm(1), AffineForm(-3), 2 * beta + 5, AffineForm(0),
-             beta, AffineForm(7)]
+        # (constant, beta coefficient): 1, -3, 5 + 2 beta, 0, beta, 7
+        c = [(1, 0), (-3, 0), (5, 2), (0, 0), (0, 1), (7, 0)]
         enum = enumerators_from_gleason(c, fam)
-        assert enum.free == ("beta",)
+        assert any(q for _, q in enum.a + enum.b)
         t = build_transform_tables(fam)
         assert gleason_from_code(list(enum.a), t) == c
         assert gleason_from_shadow(list(enum.b), t) == c
@@ -490,22 +498,22 @@ class TestExpansionKernel:
     def test_matches_basis_oracles(self, fam):
         rng = random.Random(fam.n)
         k = fam.c_count
-        beta = AffineForm.parameter("beta")
         rational = self._rational_vector(rng, k)
-        affine = [p + beta * q for p, q in zip(self._rational_vector(rng, k),
-                                               self._rational_vector(rng, k))]
+        affine = list(zip(self._rational_vector(rng, k),
+                          self._rational_vector(rng, k)))
         for c in (rational, affine):
             enum = enumerators_from_gleason(c, fam)
-            want_a = [AffineForm(0)] * (fam.half + 1)
-            want_b = [AffineForm(0)] * fam.b_count
-            for j, cj in enumerate(c):
+            pairs = [x if isinstance(x, tuple) else (x, 0) for x in c]
+            want_a = [(0, 0)] * (fam.half + 1)
+            want_b = [(0, 0)] * fam.b_count
+            for j, (p, q) in enumerate(pairs):
                 for i, x in enumerate(code_basis_poly(j, fam)):
-                    want_a[i] = want_a[i] + cj * x
+                    want_a[i] = (want_a[i][0] + p * x, want_a[i][1] + q * x)
                 for i, x in enumerate(shadow_basis_column(j, fam)):
-                    want_b[i] = want_b[i] + cj * x
+                    want_b[i] = (want_b[i][0] + p * x, want_b[i][1] + q * x)
             assert list(enum.a) == want_a
             assert list(enum.b) == want_b
-        assert enum.free == ("beta",)
+        assert any(q for _, q in enum.a + enum.b)
 
     @pytest.mark.parametrize("fam", LARGE_K_FAMILIES, ids=lambda f: f"n{f.n}")
     def test_code_side_at_large_k(self, fam):
@@ -943,6 +951,23 @@ class TestBothKernelFormats:
                                  c, fam) == [want_a] * 2
         assert self._each_format(monkeypatch, horner_shadow_side, c, fam) == [
             [int(x * scale) for x in want_b]] * 2
+
+    @pytest.mark.parametrize("row,ok", [
+        ([5, 0, 1], True), ([5, 0, -1], True), ([0, 0, 2], False),
+        ([0, 0, -2], False), ([0, 1 << 33, 1], False)])
+    def test_entries_check_the_spare_limb(self, row, ok):
+        # a limb row whose spare (last) limb ends outside -1..1 after the
+        # carries is an entry past the bound that sized it; the rows that
+        # stay within read back as their value, sum of limb_k 2^(32k)
+        x, w = np.zeros((2, 3, 3), dtype="<i8")
+        x[1], x[2] = row, [1, 2, 0]
+        want = [sum(v << 32 * k for k, v in enumerate(r)) for r in (row, [1, 2, 0])]
+        if ok:
+            assert gleason._entries(x, w, 2) == want
+        else:
+            with pytest.raises(VerificationFailure,
+                               match="a Horner entry outgrew its limb bound"):
+                gleason._entries(x, w, 2)
 
     def test_sum_identities_catch_a_skipped_carry(self, monkeypatch):
         # with no pass-2 carry the int64 limbs wrap in passes of hundreds

@@ -14,8 +14,7 @@ import pytest
 
 import minshadow
 from minshadow import gleason, solver
-from minshadow.exact import (AffineForm, VerificationFailure, poly_eval,
-                             taylor_shift)
+from minshadow.exact import VerificationFailure, poly_eval, taylor_shift
 from minshadow.gleason import (ParametricEnumerator, enumerators_from_gleason,
                                expand_scaled)
 from minshadow.solver import (FAMILY_CASES, Admissibility, admissible_at,
@@ -63,7 +62,7 @@ class TestConstraints:
         assert cs.pinned_a == {0: 1, 1: 0, 2: 0, 3: 0, 4: 0}
         assert cs.pinned_b == {0: 1, 1: 0}
         assert cs.equalities == ((5, 2),)
-        assert cs.free == ()
+        assert cs.beta_slot is None
 
     def test_family_24m4_no_equality(self):
         cs = minimal_shadow_constraints(C4, 2)
@@ -73,18 +72,18 @@ class TestConstraints:
     def test_family_24m6_m1_free_slot0(self):
         cs = minimal_shadow_constraints(C6, 1)
         assert cs.pinned_b == {}
-        assert cs.free == (("beta", "b", 0),)
+        assert cs.beta_slot == 0
 
     def test_family_24m6_m2_pins_b0(self):
         cs = minimal_shadow_constraints(C6, 2)
         assert cs.pinned_b == {0: 1}
-        assert cs.free == (("beta", "b", 1),)
+        assert cs.beta_slot == 1
 
     def test_family_24m22_m2_zero_gap(self):
         cs = minimal_shadow_constraints(C22, 2)
         assert cs.pinned_a == {i: (1 if i == 0 else 0) for i in range(6)}
         assert cs.pinned_b == {0: 1, 1: 0}
-        assert cs.free == (("beta", "b", 2),)
+        assert cs.beta_slot == 2
 
     @pytest.mark.parametrize("case", list(FAMILY_CASES.values()),
                              ids=lambda c: c.tag)
@@ -97,8 +96,20 @@ class TestConstraints:
             assert list(cs.pinned_a.items()) == list(want.pinned_a.items()), m
             assert list(cs.pinned_b.items()) == list(want.pinned_b.items()), m
 
+    @pytest.mark.parametrize("m,pinned_b", [(1, {0: 0}), (2, {0: 0, 1: 1})])
+    def test_pins_by_weight_at_n_0_mod_8(self, m, pinned_b):
+        # n = 24m + 8 has r = 0 and d(S) = 4, slot 1: b_0 = 0 below d(S),
+        # and b_1 = 1 only when 2 d(S) < d (d = 8 at m = 1, 12 at m = 2)
+        case = solver.FamilyCase("24m+8", 1, 0, 4, 1, False)
+        cs = minimal_shadow_constraints(case, m)
+        assert minimal_shadow_r(case.n(m)) == 4
+        assert list(cs.pinned_b.items()) == list(pinned_b.items())
+        assert cs.pinned_a == {i: int(i == 0) for i in range(2 * m + 2)}
+        assert (cs.equalities, cs.beta_slot) == ((), None)
+        assert cs == minimal_shadow_constraints_loop(case, m)
+
     def test_m_zero_only_for_24m22(self):
-        assert minimal_shadow_constraints(C22, 0).free == (("beta", "b", 0),)
+        assert minimal_shadow_constraints(C22, 0).beta_slot == 0
         with pytest.raises(ValueError):
             minimal_shadow_constraints(C2, 0)
 
@@ -106,18 +117,18 @@ class TestConstraints:
 class TestSolveUniqueFamilies:
     def test_24m2_m1(self):
         e = solve(C2, 1)
-        assert e.free == ()
-        assert e.b[1] == AffineForm(20)
-        assert e.b[2] == AffineForm(1575)
+        assert not any(q for _, q in e.a + e.b)
+        assert e.b[1] == (20, 0)
+        assert e.b[2] == (1575, 0)
 
     def test_24m4_m1(self):
-        assert solve(C4, 1).b[1] == AffineForm(78)
+        assert solve(C4, 1).b[1] == (78, 0)
 
     def test_24m10_m1(self):
         e = solve(C10, 1)
-        assert e.b[1] == AffineForm(6)
-        assert e.b[2] == AffineForm(1576)
-        assert e.a[3] == AffineForm(6)
+        assert e.b[1] == (6, 0)
+        assert e.b[2] == (1576, 0)
+        assert e.a[3] == (6, 0)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_weight_coincidence_24m10(self, m):
@@ -129,17 +140,18 @@ class TestSolveUniqueFamilies:
     @pytest.mark.parametrize("m", range(1, 13))
     def test_solve_matches_closed_forms(self, case, m):
         e = solve(case, m)
-        assert e.b[m].as_fraction() == closed_form_bm(case, m)
-        assert e.b[m + 1].as_fraction() == closed_form_bm1(case, m)
+        assert e.b[m] == (closed_form_bm(case, m), 0)
+        assert e.b[m + 1] == (closed_form_bm1(case, m), 0)
         if case.tag == "24m+10":
-            assert e.a[2 * m + 1].as_fraction() == math.comb(5 * m + 1, m)
+            assert e.a[2 * m + 1] == (math.comb(5 * m + 1, m), 0)
 
     def test_mass(self):
         for case, m in ((C2, 2), (C10, 2)):
             e = solve(case, m)
             half = e.fam.half
-            assert sum(x.as_fraction() for x in e.a) == 2 ** half
-            assert sum(x.as_fraction() for x in e.b) == 2 ** half
+            assert sum(p for p, _ in e.a) == 2 ** half
+            assert sum(p for p, _ in e.b) == 2 ** half
+            assert not any(q for _, q in e.a + e.b)
 
 
 @pytest.mark.parametrize("case", list(FAMILY_CASES.values()), ids=lambda c: c.tag)
@@ -151,7 +163,7 @@ def test_solve_equals_pinned_system_oracle(case):
                                         case.params(m))
         got = solve(case, m)
         assert got == want, (case.tag, m)
-        assert got.free == (("beta",) if case.parametrized else ())
+        assert any(q for _, q in got.a + got.b) == case.parametrized
 
 
 PRINTED_PARAMETRIZED = {
@@ -174,17 +186,17 @@ class TestSolveParametrizedFamilies:
     def test_printed_coefficients(self, n):
         case, m, a_want, b_want = PRINTED_PARAMETRIZED[n]
         e = solve(case, m)
-        assert e.free == ("beta",)
+        assert any(q for _, q in e.a + e.b)
         assert e.fam.n == n
         for i, (const, coef) in a_want.items():
-            assert e.a[i] == AffineForm(const, {"beta": coef}), f"a[{i}]"
+            assert e.a[i] == (const, coef), f"a[{i}]"
         for i, (const, coef) in b_want.items():
-            assert e.b[i] == AffineForm(const, {"beta": coef}), f"b[{i}]"
+            assert e.b[i] == (const, coef), f"b[{i}]"
         # the forced low-order pins are part of the output
-        assert e.a[0] == AffineForm(1)
+        assert e.a[0] == (1, 0)
         d = case.d(m)
         for i in range(1, (d - 2) // 2 + 1):
-            assert e.a[i] == AffineForm(0)
+            assert e.a[i] == (0, 0)
 
 
 BETA_RANGES = {30: (1, 4), 54: (12, 43), 22: (1, 38), 46: (10, 442),
@@ -210,8 +222,8 @@ class TestBetaRange:
         ds_slot = (minimal_shadow_r(n) - fam.r) // 4
 
         def fully_admissible(beta):
-            sub = e.substitute({"beta": beta})
-            return bool(admissible(sub)) and sub.b[ds_slot].as_fraction() >= 1
+            sub = e.substitute(beta)
+            return bool(admissible(sub)) and sub.b[ds_slot][0] >= 1
 
         for beta in range(lo - 1, hi + 2):
             assert fully_admissible(beta) == (lo <= beta <= hi), beta
@@ -292,7 +304,7 @@ class TestCertificateHint:
     @pytest.mark.parametrize("case", [C2, C4, C10], ids=lambda c: c.tag)
     def test_sign_of_a2m4_from_the_exact_expansion(self, case):
         for m in range(1, 41):
-            a = solve(case, m).a[2 * m + 4].as_fraction()
+            a, _ = solve(case, m).a[2 * m + 4]
             assert sign(a) == -sign(poly_eval(g_poly(case), m)) != 0, m
 
     def test_no_poly_for_beta_families(self):
@@ -621,8 +633,8 @@ class TestAdmissibility:
         values = [Fraction(2), Fraction(0), Fraction(7, 3), Fraction(-1)]
 
         def enum(a):
-            return ParametricEnumerator(C2.params(1), tuple(map(AffineForm, a)),
-                                        (AffineForm(1),), ())
+            return ParametricEnumerator(C2.params(1), tuple((x, 0) for x in a),
+                                        ((1, 0),))
 
         assert admissible(enum(values)) \
             == Admissibility(False, "a", 2, Fraction(7, 3))
@@ -767,7 +779,8 @@ def test_solve_verification_survives_optimize_flag():
         expand = solver.enumerators_from_gleason
         def perturbed(c, fam):
             enum = expand(c, fam)
-            return dataclasses.replace(enum, a=(enum.a[0], enum.a[1] + 1) + enum.a[2:])
+            (p, q) = enum.a[1]
+            return dataclasses.replace(enum, a=(enum.a[0], (p + 1, q)) + enum.a[2:])
         solver.enumerators_from_gleason = perturbed
         try:
             solver.solve(solver.family_case("24m+2"), 1)
