@@ -85,7 +85,7 @@ def parametric_linear_solve(
                     v = coeffs.pop(c, 0) - f * y
                     if v:
                         coeffs[c] = v
-                form = [x - f * y for x, y in zip(form, pform)]
+                form = [x - f * y if y else x for x, y in zip(form, pform)]
         if not coeffs:
             if any(form):
                 raise LinearSystemError(f"no solution: 0 = {', '.join(map(str, form))}")

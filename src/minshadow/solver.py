@@ -15,13 +15,14 @@ determine the Gleason coefficients uniquely for the families 24m+2,
 
 solve() and the scan path take the Gleason coefficients from one
 derivation, _gleason: closed forms for the unique families (the code
-column, then the shadow tail in one exact ratio walk), and a linear
-solve of the shadow pins alone for the two beta families, on a
-two-column right-hand side (the constant term and the beta
-coefficient), so that each coefficient is an exact pair (p, q) for
-p + q beta.  Both expand them with the one kernel gleason.expand_scaled
-and verify the pins with one check; one loop certifies the scan by its
-first negative or non-integer coefficient.
+column, then the shadow tail in one exact ratio walk), and for the two
+beta families a linear solve of the pinned shadow rows alone, built as
+signed binomials over the tail c_{d/2}..c_K, on a two-column right-hand
+side (the constant term and the beta coefficient), so that each
+coefficient is an exact pair (p, q) for p + q beta.  Both expand them
+with the one kernel gleason.expand_scaled and verify the pins with one
+check; one loop certifies the scan by its first negative or non-integer
+coefficient.
 The closed forms for b_m, b_{m+1} and the degree-five/six integer
 polynomials f(m) controlling the sign of b_{m+1} are provided alongside.
 """
@@ -40,8 +41,7 @@ from .exact import (VerificationFailure, parametric_linear_solve, poly_eval,
                     taylor_shift)
 from .gleason import (FamilyParams, ParametricEnumerator, code_inverse_col0,
                       enumerators_from_gleason, expand_scaled,
-                      shadow_basis_column, shadow_inverse_col0,
-                      shadow_inverse_entry)
+                      shadow_inverse_col0, shadow_inverse_entry)
 
 
 class EmptyBetaRangeError(ValueError):
@@ -172,10 +172,14 @@ def _gleason(case: FamilyCase, m: int) -> list:
     slot d/2 comes from the coincidence (closed_form_a2m1).  The shadow
     pins and the coincidence are triangular in c_{d/2}..c_K, so the pin
     check of solve and admissible_at still meets every tail entry.
-    The beta families solve the shadow pins and the beta row in
-    c_{d/2}..c_K, with c_{K-s} = beta times entry (K-s, s) of the inverse
-    shadow block, s the free shadow slot, on a two-column right-hand side:
-    every coefficient comes back as a (constant, beta coefficient) pair.
+    The beta families solve the pinned shadow rows and the beta row, with
+    c_{K-s} = beta times entry (K-s, s) of the inverse shadow block, s the
+    free shadow slot, on a two-column right-hand side: every coefficient
+    comes back as a (constant, beta coefficient) pair.  The unknowns are
+    y_j = (-1)^j 2^(n/2-6j) c_j, j = d/2..K, so shadow row i holds the
+    integer (-1)^t C(2j, t) at t = i - K + j >= 0, with lead 1 at
+    j = K - i; in ascending i each row meets only the stored unit rows
+    of its later columns, so the elimination sees no fill-in.
     """
     fam = case.params(m)
     h = case.d(m) // 2
@@ -185,16 +189,19 @@ def _gleason(case: FamilyCase, m: int) -> list:
         if case.l == 1:
             c[h] = col[h] + (c[h] - col[h]) / 3
         return c
-    tail = range(h, fam.c_count)
+    k_top, tail = fam.c_count - 1, range(h, fam.c_count)
+    unit = [(-1) ** j * Fraction(2) ** (6 * j - fam.half) for j in tail]  # c_j / y_j
     cs = minimal_shadow_constraints(case, m)
-    shadow_cols = [shadow_basis_column(j, fam) for j in tail]
-    rows = [[sc[i] for sc in shadow_cols] for i in cs.pinned_b]
-    rhs = [(v, 0) for v in cs.pinned_b.values()]
+    pins = sorted(cs.pinned_b.items())
+    rows = [[(-1) ** t * math.comb(2 * j, t) if t >= 0 else 0
+             for j, t in zip(tail, range(i - k_top + h, i + 1))] for i, _ in pins]
+    rhs = [(v, 0) for _, v in pins]
     slot = cs.beta_slot
-    istar = fam.c_count - 1 - slot
+    istar = k_top - slot
     rows.append([int(j == istar) for j in tail])
-    rhs.append((0, shadow_inverse_entry(istar, slot, fam)))
-    return [(x, 0) for x in col[:h]] + parametric_linear_solve(rows, rhs)
+    rhs.append((0, shadow_inverse_entry(istar, slot, fam) / unit[istar - h]))
+    y = parametric_linear_solve(rows, rhs)
+    return [(x, 0) for x in col[:h]] + [(p * u, q * u) for u, (p, q) in zip(unit, y)]
 
 
 def solve(case: FamilyCase, m: int) -> ParametricEnumerator:
@@ -468,7 +475,7 @@ def beta_range(case: FamilyCase, m: int) -> tuple[int, int]:
     enum = solve(case, m)
     fam = enum.fam
     ds_slot = (minimal_shadow_r(fam.n) - fam.r) // 4
-    lo, hi = None, None
+    lows, highs = [], []    # (bound on beta, side, index) of each coefficient
     for side, vec in (("a", enum.a), ("b", enum.b)):
         for i, (p, q) in enumerate(vec):
             need = 1 if (side == "b" and i == ds_slot) else 0
@@ -481,15 +488,14 @@ def beta_range(case: FamilyCase, m: int) -> tuple[int, int]:
                 raise EmptyBetaRangeError(
                     f"coefficient {side}[{i}] = {p} + {q}*beta is not integral "
                     "on integer beta")
-            bound = (need - p) / q
-            if q > 0:
-                b = math.ceil(bound)
-                lo = b if lo is None else max(lo, b)
-            else:
-                b = math.floor(bound)
-                hi = b if hi is None else min(hi, b)
-    if lo is None or hi is None:
+            (lows if q > 0 else highs).append(((need - p) / q, side, i))
+    if not lows or not highs:
         raise VerificationFailure(f"beta is unbounded for {case.tag}, m={m}")
+    lo, lo_side, lo_i = max(lows, key=lambda x: x[0])
+    hi, hi_side, hi_i = min(highs, key=lambda x: x[0])
+    lo, hi = math.ceil(lo), math.floor(hi)
     if lo > hi:
-        raise EmptyBetaRangeError(f"empty beta interval for {case.tag}, m={m}")
+        raise EmptyBetaRangeError(
+            f"empty beta interval for {case.tag}, m={m}: {lo_side}[{lo_i}] "
+            f"needs beta >= {lo}, {hi_side}[{hi_i}] needs beta <= {hi}")
     return lo, hi

@@ -447,7 +447,10 @@ def pinned_system_gleason(case: FamilyCase, m: int) -> list[Pair]:
     coincidence rows and the beta row, over the full code block and all
     K + 1 shadow columns, through the parametric linear solve with a
     two-column right-hand side.  Beta is normalized as in solver.solve:
-    c_{K-s} equals beta times entry (K-s, s) of the inverse shadow block."""
+    c_{K-s} equals beta times entry (K-s, s) of the inverse shadow block.
+    The shadow rows are read off the dense basis columns
+    (shadow_basis_column) in the c_j themselves, so they check the
+    signed-binomial rows in y_j that solver._gleason builds."""
     fam = case.params(m)
     cs = minimal_shadow_constraints(case, m)
     k = fam.c_count

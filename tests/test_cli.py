@@ -142,6 +142,12 @@ class TestBetaRangeCommand:
         doc = run_json(capsys, "beta-range", "--family", "24m+22", "--m", "2")
         assert (doc["beta_min"], doc["beta_max"]) == ("104", "4841")
 
+    def test_empty_interval_exits_2(self, capsys):
+        # m = 159 is the first 24m+22 with no admissible beta
+        code, out, err = run(capsys, "beta-range", "--family", "24m+22", "--m", "159")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: empty beta interval for 24m+22, m=159: ")
+
 
 SRC = Path(minshadow.__file__).resolve().parents[1]
 

@@ -4,6 +4,7 @@ import dis
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -17,8 +18,8 @@ from minshadow import gleason, solver
 from minshadow.exact import VerificationFailure, poly_eval, taylor_shift
 from minshadow.gleason import (ParametricEnumerator, enumerators_from_gleason,
                                expand_scaled)
-from minshadow.solver import (FAMILY_CASES, Admissibility, admissible_at,
-                              beta_family_for_length, beta_range,
+from minshadow.solver import (FAMILY_CASES, Admissibility, EmptyBetaRangeError,
+                              admissible_at, beta_family_for_length, beta_range,
                               closed_form_a2m1, closed_form_bm, closed_form_bm1,
                               evaluate_f, f_poly, family_case, g_poly,
                               largest_root_bracket, max_admissible,
@@ -227,6 +228,38 @@ class TestBetaRange:
 
         for beta in range(lo - 1, hi + 2):
             assert fully_admissible(beta) == (lo <= beta <= hi), beta
+
+    # the beta edge: the first m whose interval is empty
+    @pytest.mark.parametrize("case,edge", [(C6, 158), (C22, 159)],
+                             ids=["24m+6", "24m+22"])
+    def test_empty_at_the_edge(self, case, edge):
+        with pytest.raises(EmptyBetaRangeError) as exc:
+            beta_range(case, edge)
+        found = re.fullmatch(
+            rf"empty beta interval for {re.escape(case.tag)}, m={edge}: "
+            r"([ab])\[(\d+)\] needs beta >= (-?\d+), "
+            r"([ab])\[(\d+)\] needs beta <= (-?\d+)", str(exc.value))
+        assert found, str(exc.value)
+        lo_side, lo_i, lo, hi_side, hi_i, hi = found.groups()
+        lo, hi = int(lo), int(hi)
+        assert lo > hi
+        # each named coefficient binds: admissible at its bound, not one
+        # step past it
+        e = solve(case, edge)
+        ds_slot = (minimal_shadow_r(e.fam.n) - e.fam.r) // 4
+
+        def slack(side, i, beta):
+            p, q = getattr(e, side)[int(i)]
+            return p + q * beta - (side == "b" and int(i) == ds_slot)
+
+        assert slack(lo_side, lo_i, lo) >= 0 > slack(lo_side, lo_i, lo - 1)
+        assert slack(hi_side, hi_i, hi) >= 0 > slack(hi_side, hi_i, hi + 1)
+
+    @pytest.mark.parametrize("case,m", [(C6, 157), (C22, 158)],
+                             ids=["24m+6", "24m+22"])
+    def test_nonempty_below_the_edge(self, case, m):
+        lo, hi = beta_range(case, m)
+        assert 0 < lo <= hi
 
 
 class TestNonexistencePolynomials:
@@ -516,21 +549,21 @@ class TestAdmissibleVerdictsByDirectSum:
 
 
 class TestBetaTailClosedForm:
-    """The beta families' Gleason coefficients from _gleason's linear solve
-    equal their closed form: oracles.beta_tail_gleason."""
+    """The beta families' Gleason coefficients from _gleason's solve of the
+    pinned shadow rows equal their closed form: oracles.beta_tail_gleason."""
 
     @pytest.mark.parametrize("case", [C6, C22], ids=lambda c: c.tag)
     def test_every_m_to_40(self, case):
         for m in range(case.min_m, 41):
             assert solver._gleason(case, m) == beta_tail_gleason(case, m), m
 
-    # slow: the linear solve takes about 4 s at the beta edge, the first m
-    # whose beta range is empty
+    # slow: every fifth m up to the beta edge, the first m whose beta range
+    # is empty; _gleason takes about 0.1 s there
     @pytest.mark.slow
     @pytest.mark.parametrize("case,edge", [(C6, 158), (C22, 159)],
                              ids=["24m+6", "24m+22"])
     def test_stride_to_the_beta_edge(self, case, edge):
-        for m in [*range(case.min_m, edge, 20), edge]:
+        for m in [*range(case.min_m, edge, 5), edge]:
             assert solver._gleason(case, m) == beta_tail_gleason(case, m), m
 
 
@@ -796,32 +829,39 @@ def test_solve_verification_survives_optimize_flag():
     assert "raised: 24m+2, m=1: a[1] = 1, expected 0" in proc.stdout
 
 
-def _perturbed_column_run(call: str, entry: int = 1) -> subprocess.CompletedProcess:
-    """Run call under python -O with the given entry of
-    solver.code_inverse_col0 off by one; it prints "raised: <message>" on
-    VerificationFailure."""
+def _optimized_run(patch: str, call: str) -> subprocess.CompletedProcess:
+    """Run patch, then call, under python -O; it prints "raised: <message>"
+    on VerificationFailure and exits 1 if call returns."""
     script = textwrap.dedent("""
         import sys
         from minshadow import solver
         from minshadow.exact import VerificationFailure
         if not sys.flags.optimize:
             sys.exit("asserts are still enabled")
+    """) + textwrap.dedent(patch) + textwrap.dedent("""
+        try:
+            %s
+        except VerificationFailure as exc:
+            print("raised:", exc)
+        else:
+            sys.exit("accepted a perturbed input")
+    """) % call
+    return subprocess.run([sys.executable, "-O", "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+
+
+def _perturbed_column_run(call: str, entry: int = 1) -> subprocess.CompletedProcess:
+    """_optimized_run of call with the given entry of
+    solver.code_inverse_col0 off by one."""
+    return _optimized_run("""
         column = solver.code_inverse_col0
         def perturbed(fam, top=None):
             col = column(fam, top)
             col[%d] += 1
             return col
         solver.code_inverse_col0 = perturbed
-        try:
-            %s
-        except VerificationFailure as exc:
-            print("raised:", exc)
-        else:
-            sys.exit("accepted a perturbed code column")
-    """) % (entry, call)
-    return subprocess.run([sys.executable, "-O", "-c", script],
-                          env={**os.environ, "PYTHONPATH": str(SRC)},
-                          capture_output=True, text=True, timeout=120)
+    """ % entry, call)
 
 
 def test_admissible_at_verification_survives_optimize_flag():
@@ -853,31 +893,16 @@ def test_window_tail_verification_survives_optimize_flag():
 
 
 def _perturbed_shadow_entry_run(call: str, i: int) -> subprocess.CompletedProcess:
-    """Run call under python -O with entry (i, 0) of
-    solver.shadow_inverse_col0 off by one; it prints "raised: <message>"
-    on VerificationFailure."""
-    script = textwrap.dedent("""
-        import sys
-        from minshadow import solver
-        from minshadow.exact import VerificationFailure
-        if not sys.flags.optimize:
-            sys.exit("asserts are still enabled")
+    """_optimized_run of call with entry (i, 0) of
+    solver.shadow_inverse_col0 off by one."""
+    return _optimized_run("""
         column = solver.shadow_inverse_col0
         def perturbed(fam, start):
             col = column(fam, start)
             col[%d - start] += 1
             return col
         solver.shadow_inverse_col0 = perturbed
-        try:
-            %s
-        except VerificationFailure as exc:
-            print("raised:", exc)
-        else:
-            sys.exit("accepted a perturbed shadow entry")
-    """) % (i, call)
-    return subprocess.run([sys.executable, "-O", "-c", script],
-                          env={**os.environ, "PYTHONPATH": str(SRC)},
-                          capture_output=True, text=True, timeout=120)
+    """ % i, call)
 
 
 @pytest.mark.parametrize("tag,m,i,label", [
@@ -901,6 +926,23 @@ def test_solve_checks_its_code_column_under_optimize_flag():
     proc = _perturbed_column_run('solver.solve(solver.family_case("24m+22"), 2)')
     assert proc.returncode == 0, proc.stderr
     assert "raised: 24m+22, m=2: a[1] = 1, expected 0" in proc.stdout
+
+
+@pytest.mark.parametrize("tag,label", [("24m+6", "b[3]"), ("24m+22", "b[4]")])
+def test_beta_rows_verification_survives_optimize_flag(tag, label):
+    # _gleason builds the beta families' pinned shadow rows itself, in
+    # y_j = (-1)^j 2^(n/2-6j) c_j; with the last pinned row's entry at c_K
+    # off by one its lead unknown absorbs y_K = 1, and the pin check of
+    # solve reads that row's b as -1 under -O
+    proc = _optimized_run("""
+        solve_rows = solver.parametric_linear_solve
+        def perturbed(rows, rhs):
+            rows[-2][-1] += 1      # rows[-1] is the beta row
+            return solve_rows(rows, rhs)
+        solver.parametric_linear_solve = perturbed
+    """, f'solver.solve(solver.family_case("{tag}"), 5)')
+    assert proc.returncode == 0, proc.stderr
+    assert f"raised: {tag}, m=5: {label} = -1, expected 0" in proc.stdout
 
 
 class TestFamilyLookup:
