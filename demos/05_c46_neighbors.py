@@ -4,10 +4,10 @@ its ten recorded self-dual neighbors with minimal shadow.
 
 Each neighbor comes from one even-weight vector x: the new code is
 spanned by the x-orthogonal subcode together with x itself.  Every
-neighbor is enumerated exhaustively (2^23 codewords plus a coset for the
-shadow, each counted from 2^22 words since the code holds the all-ones
-word) and matched against the one-parameter length-46 enumerator, which
-pins its beta.
+neighbor is enumerated exhaustively (2^23 codewords, counted from 2^22
+words since the code holds the all-ones word), its shadow distribution
+is the exact transform of that enumeration, and both are matched
+against the one-parameter length-46 enumerator, which pins its beta.
 """
 
 import time

@@ -9,6 +9,10 @@ the all-ones word 1 lies in the code, as it does in every self-dual code,
 only half of them are walked: C = C' + {0, 1} for C' spanned by all RREF
 rows but one, and wt(x + 1) = n - wt(x), so the counts of the other half
 are those of the first reversed.  The same holds for a coset offset + C.
+A shadow is not enumerated: its distribution is an exact transform of
+the code's, so a singly even self-dual code costs one enumeration, and
+the coset enumeration of the shadow stays only as the check of that
+transform.
 The XOR runs in blocks of BLOCK_WORDS words (512 KB), so a block, its
 uint8 popcounts and their per-codeword sums (uint8, or uint16 past
 n = 255) stay in a core's L2 cache on the way to the weight count,
@@ -250,6 +254,30 @@ class ShadowPartition:
         return next(w for w, c in enumerate(self.shadow_weights) if c)
 
 
+def _shadow_weights(dist: Sequence[int], n: int) -> list[int]:
+    """The shadow's weight counts S_j from the code's counts A_w, by
+    2^(n/2) sum_j S_j y^j = sum_w (-1)^(w/2) A_w (1-y)^w (1+y)^(n-w)
+    (Conway and Sloane, IEEE Trans. IT 36, 1990), one Horner step in w at
+    a time; raises unless every coefficient is a non-negative multiple
+    of 2^(n/2), as a true distribution gives."""
+    acc: list[int] = []  # sum over w' < w of the terms, times (1+y)^(w-1-w')
+    minus = [1]          # (1-y)^w
+    for w, count in enumerate(dist):
+        acc = [x + y for x, y in zip(acc + [0], [0] + acc)]
+        if count:
+            # (-1)^(w/2); an odd w, never counted in an even code, would
+            # add -count at y^0, where a true transform holds 2^(n/2) S_0 = 0
+            c = -count if w % 4 else count
+            acc = [x + c * m for x, m in zip(acc, minus)]
+        minus = [x - y for x, y in zip(minus + [0], [0] + minus)]
+    half = n // 2
+    bad = next((j for j, x in enumerate(acc) if x < 0 or x % (1 << half)), None)
+    if bad is not None:
+        raise VerificationFailure(f"shadow count at weight {bad} is "
+                                  f"{acc[bad]} / 2^{half}, not a count")
+    return [x >> half for x in acc]
+
+
 def shadow(code: BinaryCode) -> ShadowPartition:
     """Shadow of a singly even self-dual code.
 
@@ -257,11 +285,15 @@ def shadow(code: BinaryCode) -> ShadowPartition:
     wt/2 mod 2, which is linear on a self-orthogonal code).  The dual of
     C0 splits into four cosets of C0, two of which form the code; the
     shadow is the other two, i.e. the coset t + C for any t in the dual
-    of C0 outside C, so its distribution comes from one coset enumeration,
-    folded to half the words since the all-ones word lies in C.
+    of C0 outside C.  Its distribution is not enumerated: it is an exact
+    transform of the code's own (`_shadow_weights`), so the one code
+    enumeration serves both.  `weight_distribution(code, t)` enumerates
+    the coset itself and stays as the check of that transform.
     Such a t is read off the RREF: the sum of the pivot unit vectors of
     the rows g_i with wt(g_i)/2 odd meets each g_i in wt(g_i)/2 (mod 2)
-    positions, so t is orthogonal to C0 but not to C = C^perp.
+    positions, so t is orthogonal to C0 but not to C = C^perp.  The two
+    representatives t and t + g must fall on weights the transform
+    counts, else VerificationFailure is raised.
     """
     if code._shadow is not None:
         return code._shadow
@@ -278,7 +310,12 @@ def shadow(code: BinaryCode) -> ShadowPartition:
         raise VerificationFailure(f"doubly even subcode has dimension {c0.k}, "
                                   f"expected {code.k - 1}")
     t = sum(1 << p for p, f in zip(code.pivots, par) if f)
-    weights = weight_distribution(code, offset=t)
+    weights = _shadow_weights(code_weight_distribution(code), code.n)
+    for rep in (t, t ^ g):
+        if not weights[rep.bit_count()]:
+            raise VerificationFailure(
+                f"shadow vector of weight {rep.bit_count()} where the "
+                f"shadow distribution counts none")
     code._shadow = ShadowPartition(c0, (t, t ^ g), weights)
     return code._shadow
 

@@ -1,11 +1,19 @@
 """GF(2) code engine: duals, parity, shadows, neighbors, and the bundled
 length-46 code."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import minshadow
+from minshadow import cli, gf2
+from minshadow.exact import VerificationFailure
 from minshadow.gf2 import (LENGTH_CAP, BetaMismatchError, BinaryCode,
                            EnumerationCapError, GeneratorFileError,
                            NEIGHBOR_TABLE, circulant,
@@ -14,7 +22,8 @@ from minshadow.gf2 import (LENGTH_CAP, BetaMismatchError, BinaryCode,
                            is_minimal_shadow, is_self_dual, min_weight,
                            neighbor, parity_class,
                            parse_generator_file, reference_code_46, shadow,
-                           support_mask, weight_distribution)
+                           support_mask, verify_neighbor_table,
+                           weight_distribution)
 from minshadow.gleason import (FamilyParams, build_transform_tables,
                                enumerators_from_gleason)
 from minshadow.solver import minimal_shadow_r
@@ -122,8 +131,9 @@ class TestBasics:
         assert peak < 100 * 2**20
 
     def test_distribution_memory_bounded_on_length_46(self):
-        # one code enumeration and one shadow coset, each folded to 2^22
-        # words because the code holds the all-ones word
+        # two code enumerations, each folded to 2^22 words because the
+        # code holds the all-ones word: shadow's, whose distribution it
+        # transforms into the shadow's, and weight_distribution's
         code = reference_code_46()
         tracemalloc.start()
         try:
@@ -285,6 +295,95 @@ class TestShadow:
             t = part.shadow_reps[0]
             for g in code.rows:
                 assert (t & g).bit_count() % 2 == (g.bit_count() // 2) % 2
+
+
+def _walk_codes(n: int, steps: int, seed: int):
+    """The codes a seeded walk of self-dual neighbors meets, from the
+    direct sum of n/2 copies of the [2, 1, 2] code."""
+    rng = random.Random(seed)
+    code = BinaryCode([0b11 << i for i in range(0, n, 2)], n)
+    for _ in range(steps):
+        while True:
+            support = rng.sample(range(1, n + 1), 2 * rng.randint(1, n // 2))
+            if not code.contains(support_mask(support, n)):
+                break
+        code = neighbor(code, support)
+        yield code
+
+
+class TestShadowFromCode:
+    # shadow() transforms the code's weight distribution instead of
+    # enumerating the shadow coset; the coset enumeration checks it
+    @pytest.mark.parametrize("n", range(4, 26, 2))
+    def test_neighbor_walks_match_coset_count(self, n):
+        # every residue of n mod 8, singly even codes of several shadow
+        # minimum weights on the way
+        checked = 0
+        for code in _walk_codes(n, 24, seed=n):
+            if parity_class(code) != "singly even":
+                continue
+            part = shadow(code)
+            assert part.shadow_weights == weight_distribution_naive(
+                code, part.shadow_reps[0])
+            checked += 1
+        assert checked
+
+    def test_one_enumeration_per_code(self, monkeypatch, tmp_path, capsys):
+        # the bundled code and its ten neighbors are enumerated once each
+        calls = []
+        enumerate_ = gf2.weight_distribution
+        monkeypatch.setattr(gf2, "weight_distribution",
+                            lambda code, offset=0: calls.append(offset)
+                            or enumerate_(code, offset))
+        verify_neighbor_table()
+        assert len(calls) == 11
+        calls.clear()
+        path = tmp_path / "c46.txt"
+        path.write_text(format_generator_file(reference_code_46()))
+        support = ",".join(map(str, NEIGHBOR_TABLE[0][0]))
+        assert cli.main(["code", "neighbor", "--gen-file", str(path),
+                         "--support", support]) == 0
+        assert '"beta": "36"' in capsys.readouterr().out
+        assert calls == [0]
+
+    def test_representatives_must_be_counted(self, monkeypatch):
+        # a transform that counts nothing at the weight of a shadow
+        # representative (weight 1 in the [2, 1, 2] code) is refused
+        monkeypatch.setattr(gf2, "_shadow_weights", lambda dist, n: [2, 0, 0])
+        with pytest.raises(VerificationFailure, match="weight 1"):
+            shadow(BinaryCode([0b11], 2))
+
+    def test_perturbed_distribution_raises_under_optimize_flag(self):
+        # one word too many at weight 0 adds (1+y)^n to the transform:
+        # every coefficient stays non-negative, only the divisibility
+        # by 2^(n/2) catches it, also under -O
+        script = textwrap.dedent("""
+            import sys
+            from minshadow import gf2
+            from minshadow.exact import VerificationFailure
+            if not sys.flags.optimize:
+                sys.exit("asserts are still enabled")
+            enumerate_ = gf2.weight_distribution
+            def perturbed(code, offset=0):
+                dist = enumerate_(code, offset)
+                dist[0] += 1
+                return dist
+            gf2.weight_distribution = perturbed
+            code = gf2.neighbor(gf2.BinaryCode([3, 12, 48, 192, 768], 10),
+                                (1, 3))
+            try:
+                gf2.shadow(code)
+            except VerificationFailure as exc:
+                print("raised:", exc)
+            else:
+                sys.exit("accepted a perturbed distribution")
+        """)
+        src = Path(minshadow.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "raised: shadow count at weight 0 is 1 / 2^5" in proc.stdout
 
 
 class TestNeighbor:
