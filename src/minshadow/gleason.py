@@ -22,10 +22,11 @@ This module expands Gleason coefficients into (a, b) coefficient
 vectors, builds the four blocks and provides closed forms for the
 inverse entries, which serve both the solver and the inverse blocks:
 column 0 of the code inverse by a three-term recurrence checked for
-exact division at every step, its columns j > 0 by the Catalan peel,
-each shadow inverse entry as one Fraction of integers, and a run of
-column 0 of the shadow inverse by a ratio walk from one binomial, again
-checked for exact division at every step.
+exact division at every step, its polynomials stepped by forward
+differences, its columns j > 0 by the Catalan peel, each shadow inverse
+entry as one Fraction of integers, and a run of column 0 of the shadow
+inverse by a ratio walk from one binomial, again checked for exact
+division at every step, each entry a plain int where it is integral.
 An enumerator coefficient is an exact pair (p, q), the value p + q beta
 in the one free parameter beta, q = 0 in the unique families; a pair of
 Gleason vectors expands as two vectors.  Every expansion of Gleason
@@ -47,12 +48,13 @@ carry every 14 pass-2 and 28 pass-1 steps keeps every limb below 2^63,
 so the int64 sums are exact, and the entries come back as Python ints
 through int.from_bytes.  An object step costs about 35-170 ns per entry
 (30 to 3000 bits); a limb step costs a few ns per entry but more ufunc
-calls, and the conversions about 1 us per entry, so limbs gain on long
-passes only: on the scan inputs of 24m+2 both formats took the same
-time at 100 to 120 steps (m = 25-30 on the code side's second pass,
-35-40 on its first, 50-60 on the shadow side), and limbs never gained
-on the window's three-step pass.  Every full expansion checks its sum
-at z = 1, so a limb that overflowed shows as VerificationFailure.
+calls, and the conversions about 0.8 us per entry each way at 900 bits
+(1.3 us at 3000), so limbs gain on long passes only: on the scan inputs
+of 24m+2 both formats took the same time at 100 to 120 steps (m = 25-30
+on the code side's second pass, 35-40 on its first, 50-60 on the shadow
+side), and limbs never gained on the window's three-step pass.  Every
+full expansion checks its sum at z = 1, so a limb that overflowed shows
+as VerificationFailure.
 """
 
 from __future__ import annotations
@@ -198,6 +200,15 @@ def _col0_recurrence(i: int, n_half: int) -> tuple[int, int, int]:
             (i + 1) * (i + 2) * (2 * i + 3) * (i + 2 - n))
 
 
+def _forward_differences(values: Sequence[int]) -> list[int]:
+    """[f(0), (Delta f)(0), ..., (Delta^k f)(0)] from f(0), ..., f(k)."""
+    table = []
+    while values:
+        table.append(values[0])
+        values = list(map(sub, values[1:], values[:-1]))
+    return table
+
+
 def code_inverse_col0(fam: FamilyParams, top: int | None = None,
                       j: int = 0) -> list[int]:
     """Column j (default 0) of the inverse code-side block, entries
@@ -210,8 +221,11 @@ def code_inverse_col0(fam: FamilyParams, top: int | None = None,
     c_0 = 1, c_1 = -N and the polynomials of _col0_recurrence.  That
     recurrence was guessed from the sum (an exact nullspace), not proven,
     so every division must be exact, else VerificationFailure; P2 vanishes
-    only at i = N - 2 > K.  The cost is O(top) products of one big and one
-    small integer.
+    only at i = N - 2 > K.  Each polynomial has degree 4 in i, so a
+    forward-difference table seeded from _col0_recurrence at i = 0..4
+    steps it to i + 1 with four additions of small integers.  The cost is
+    O(top) products of one big and one small integer, and 12 small
+    additions per entry.
 
     Column j > 0 comes from the Catalan peel.  With s = z/(1+z)^2 (see
     horner_code_side) it solves P(s) = sum_i c_i (s - 4s^2)^i =
@@ -229,14 +243,19 @@ def code_inverse_col0(fam: FamilyParams, top: int | None = None,
     if j == 0:
         n_half = fam.half
         col = [1, -n_half][:top + 1]
+        (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), (c0, c1, c2, c3, c4) = (
+            _forward_differences(v)
+            for v in zip(*(_col0_recurrence(i, n_half) for i in range(5))))
         for i in range(top - 1):
-            p0, p1, p2 = _col0_recurrence(i, n_half)
-            c, rem = divmod(-p0 * col[i] - p1 * col[i + 1], p2)
+            c, rem = divmod(-a0 * col[i] - b0 * col[i + 1], c0)
             if rem:
                 raise VerificationFailure(
                     f"column 0 of the inverse code block of n={fam.n}: the "
                     f"recurrence does not divide exactly at entry {i + 2}")
             col.append(c)
+            a0 += a1; a1 += a2; a2 += a3; a3 += a4      # P0 to i + 1
+            b0 += b1; b1 += b2; b2 += b3; b3 += b4      # P1
+            c0 += c1; c1 += c2; c2 += c3; c3 += c4      # P2
         return col
     p = ([0] * j + _catalan_power(2 * j - fam.half, top - j))[:top + 1]
     col = []
@@ -265,19 +284,24 @@ def _shadow_col0_step(k_top: int, i: int) -> tuple[int, int]:
     return (k_top + i) * (k_top - i), 2 * i * (2 * i + 1)
 
 
-def shadow_inverse_col0(fam: FamilyParams, start: int) -> list[Fraction]:
+def shadow_inverse_col0(fam: FamilyParams, start: int) -> list[Scalar]:
     """Entries (start..K, 0) of the inverse shadow-side block, 1 <= start,
     as shadow_inverse_entry(i, 0) gives them but with one binomial in all:
     entry i is (-1)^i 2^(6i - n/2) num_i / i, num_i = K C(K+i-1, K-i), and
     after num_start the ratio walk num_(i+1) = num_i (K+i)(K-i) / (2i(2i+1))
-    (_shadow_col0_step) must divide exactly, else VerificationFailure."""
+    (_shadow_col0_step) must divide exactly, else VerificationFailure.
+    An entry is a plain int where the division by i (and by 2^(n/2 - 6i)
+    when that is positive) leaves no remainder, and a Fraction only
+    otherwise."""
     k_top, n_half, col = fam.c_count - 1, fam.half, []
     if not 1 <= start <= k_top:
         raise ValueError(f"start row {start} out of range 1..{k_top}")
     num = k_top * math.comb(k_top + start - 1, k_top - start)
     for i in range(start, k_top + 1):
         e = 6 * i - n_half
-        col.append(Fraction((-num if i % 2 else num) << max(e, 0), i << max(-e, 0)))
+        n_i, d_i = (-num if i % 2 else num) << max(e, 0), i << max(-e, 0)
+        q, rem = divmod(n_i, d_i)
+        col.append(Fraction(n_i, d_i) if rem else q)
         step, den = _shadow_col0_step(k_top, i)
         num, rem = divmod(num * step, den)
         if rem:
@@ -390,8 +414,9 @@ def _entries(x: np.ndarray, w: np.ndarray, n: int) -> list[int]:
     every limb but the last in [-2^31, 2^32 + 2^31), biased by 2^31 per
     limb so that none is negative, and carried until every such limb is
     below 2^32; the bound of _work_buffers leaves the spare limb at -1, 0
-    or 1, else VerificationFailure.  Then each row is one int.from_bytes
-    of the low halves of its limbs, minus the bias."""
+    or 1, else VerificationFailure.  Then the low halves of all limbs are
+    copied out in one tobytes() buffer, and each row is one int.from_bytes
+    of its memoryview slice, minus the bias."""
     if x.ndim == 1:
         return x[1:n + 1].tolist()
     x, c = x[1:n + 1], w[1:n + 1]
@@ -402,8 +427,10 @@ def _entries(x: np.ndarray, w: np.ndarray, n: int) -> list[int]:
     if (abs(x[:, -1]) > 1).any():
         raise VerificationFailure("a Horner entry outgrew its limb bound")
     bias = ((1 << 32 * x.shape[1] - 32) - 1) // _MASK << 31
-    return [int.from_bytes(row.tobytes(), "little", signed=True) - bias
-            for row in x.view("<u4")[:, ::2]]
+    size = 4 * x.shape[1]
+    low = memoryview(x.view("<u4")[:, ::2].tobytes())
+    return [int.from_bytes(low[k:k + size], "little", signed=True) - bias
+            for k in range(0, len(low), size)]
 
 
 def _palindromic_horner(p: list[int], top: int, e: int) -> list[int]:
@@ -550,10 +577,12 @@ def horner_shadow_side(coeffs: Sequence[int], fam: FamilyParams,
     coefficients: shadow coefficients 0..top (default 2K, the full vector;
     indexed by i, exponent 4i+r) times 2^s, all integers.  In w = -y^4 and
     i = K - j the sum is (-1)^K y^r sum_i q_i w^i (1+w)^(2(K-i)) with
-    q_i = coeffs[K-i] 2^(n/2+s-6(K-i)), _palindromic_horner with e = 2K;
-    on the window to b_m, d has at most one nonzero entry and no step
-    runs.  It runs on q / 2^v, v the least 2-adic valuation of a nonzero
-    q_i (s in the unique families), and shifts back.  The full vector
+    q_i = coeffs[K-i] 2^(n/2+s-6(K-i)), _palindromic_horner with e = 2K,
+    which reads q_0..q_min(top, K) only, so only those are built; on the
+    window to b_m, that is m + 1 of the K + 1, d has at most one nonzero
+    entry and no step runs.  It runs on q / 2^v, v the least 2-adic
+    valuation of a nonzero q_i among those built (s in the unique
+    families), and shifts back.  The full vector
     (top = 2K) must sum to coeffs[0] 2^(n/2+s), W_S(1) scaled, else
     VerificationFailure."""
     k_top = fam.c_count - 1
@@ -561,7 +590,8 @@ def horner_shadow_side(coeffs: Sequence[int], fam: FamilyParams,
     if not 0 <= top <= 2 * k_top:
         raise ValueError(f"top index {top} out of range 0..{2 * k_top}")
     scale = fam.half + _shadow_shift(fam)
-    q = [coeffs[k_top - i] << (scale - 6 * (k_top - i)) for i in range(k_top + 1)]
+    q = [coeffs[k_top - i] << (scale - 6 * (k_top - i))
+         for i in range(min(top, k_top) + 1)]
     v2 = min(((v & -v).bit_length() - 1 for v in q if v), default=0)
     x = _palindromic_horner([v >> v2 for v in q], top, 2 * k_top)
     x = [(-v if (k_top + i) % 2 else v) << v2 for i, v in enumerate(x)]

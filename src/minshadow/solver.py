@@ -187,7 +187,7 @@ def _gleason(case: FamilyCase, m: int) -> list:
     if not case.parametrized:
         c = col[:h] + shadow_inverse_col0(fam, h)
         if case.l == 1:
-            c[h] = col[h] + (c[h] - col[h]) / 3
+            c[h] = col[h] + Fraction(c[h] - col[h], 3)    # int / 3 would be a float
         return c
     k_top, tail = fam.c_count - 1, range(h, fam.c_count)
     unit = [(-1) ** j * Fraction(2) ** (6 * j - fam.half) for j in tail]  # c_j / y_j

@@ -350,11 +350,16 @@ class TestShadowInverseCol0:
 
     @pytest.mark.parametrize("m", [155, 156, 160, 231, 236])
     def test_from_the_code_pins_at_large_m(self, m):
-        # start 2m+1 is the tail that solver._gleason reads
+        # start 2m+1 is the tail that solver._gleason reads: an entry is an
+        # int exactly when it is integral, as every entry is in the three
+        # scanned families (l, r) = (0, 1), (0, 2) and (1, 1)
         for l, r in product(range(3), range(4)):
             fam = FamilyParams(m, l, r)
             col = shadow_inverse_col0(fam, 2 * m + 1)
-            assert all(type(x) is Fraction for x in col)
+            assert all(type(x) is (int if x.denominator == 1 else Fraction)
+                       for x in col), fam
+            if (l, r) in {(0, 1), (0, 2), (1, 1)}:
+                assert all(type(x) is int for x in col), fam
             assert col == [shadow_inverse_entry(i, 0, fam)
                            for i in range(2 * m + 1, fam.c_count)], fam
 
@@ -968,6 +973,34 @@ class TestBothKernelFormats:
             with pytest.raises(VerificationFailure,
                                match="a Horner entry outgrew its limb bound"):
                 gleason._entries(x, w, 2)
+
+    @pytest.mark.parametrize("limbs", [5, 6])
+    def test_entries_read_back_at_limb_edges(self, limbs):
+        # 0, +-1 and +-(2^(32k) - 1), +-2^(32k), +-(2^(32k) + 1) for
+        # k = 1..4, once as _work_buffers writes them (the limbs of |v|,
+        # negated for v < 0) and once with a seeded amount below 2^29
+        # moved between each pair of neighbouring limbs, as a lazy step
+        # leaves them; every row reads back as its value.  L = 6 is the
+        # count of _work_buffers for these values; at L = 5, 2^128 reaches
+        # the spare limb, and -2^128 leaves it at -1 after the bias
+        values = [0, 1, -1] + [s * ((1 << 32 * k) + t) for k in range(1, 5)
+                               for s in (1, -1) for t in (-1, 0, 1)]
+        rng = random.Random(limbs)
+        rows = []
+        for v in values:
+            row = [(abs(v) >> 32 * j & gleason._MASK) * (-1 if v < 0 else 1)
+                   for j in range(limbs)]
+            rows.append(row[:])
+            for j in range(limbs - 1):
+                t = rng.randrange(-(1 << 29), 1 << 29)
+                row[j] += t << 32
+                row[j + 1] -= t
+            rows.append(row)
+        want = [v for v in values for _ in range(2)]
+        assert [sum(v << 32 * j for j, v in enumerate(r)) for r in rows] == want
+        x, w = np.zeros((2, len(rows) + 1, limbs), dtype="<i8")
+        x[1:] = rows
+        assert gleason._entries(x, w, len(rows)) == want
 
     def test_sum_identities_catch_a_skipped_carry(self, monkeypatch):
         # with no pass-2 carry the int64 limbs wrap in passes of hundreds

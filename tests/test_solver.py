@@ -468,6 +468,16 @@ class TestCertificateHint:
 
     @pytest.mark.parametrize("case,m", SCAN_REJECT,
                              ids=lambda x: getattr(x, "tag", x))
+    def test_window_shadow_side_builds_only_what_it_reads(self, case, m):
+        # the same m, shadow side: the kernel gets q_0..q_top, top the last
+        # pinned index b_m (b_(m-1) for 24m+4), not all K + 1 entries
+        _, shadow = self._window_kernel_calls(case, m)
+        shadow_top = m - 1 if case is C4 else m
+        assert shadow["top"] == shadow_top
+        assert len(shadow["p"]) == shadow_top + 1
+
+    @pytest.mark.parametrize("case,m", SCAN_REJECT,
+                             ids=lambda x: getattr(x, "tag", x))
     def test_window_steps_only_past_the_pins(self, case, m):
         # the same m, code side: the pins leave d zero below a_(2m+1), so
         # pass 2 runs exactly three Horner steps, on d_(2m+1..2m+4)
@@ -565,6 +575,36 @@ class TestBetaTailClosedForm:
     def test_stride_to_the_beta_edge(self, case, edge):
         for m in [*range(case.min_m, edge, 5), edge]:
             assert solver._gleason(case, m) == beta_tail_gleason(case, m), m
+
+
+class TestExactGleasonEntries:
+    """Every entry of _gleason, and both parts of a beta family's pair, is
+    an int or a Fraction, never a float: the shadow tail holds ints where
+    they are exact, and int / 3 in the coincidence slot of 24m+10 would
+    be a float."""
+
+    @staticmethod
+    def _check(case, m):
+        c = solver._gleason(case, m)
+        parts = [x for v in c for x in (v if isinstance(v, tuple) else (v,))]
+        assert all(type(x) in (int, Fraction) for x in parts), (case.tag, m)
+        if case is C10:
+            fam, h = case.params(m), case.d(m) // 2
+            col = gleason.code_inverse_col0(fam, h)
+            tail = gleason.shadow_inverse_col0(fam, h)[0]
+            assert type(c[h]) is Fraction
+            assert c[h] == col[h] + Fraction(tail - col[h], 3), m
+
+    @pytest.mark.parametrize("case", [C2, C4, C6, C10, C22],
+                             ids=lambda c: c.tag)
+    def test_every_family_to_m12(self, case):
+        for m in range(0 if case is C22 else 1, 13):
+            self._check(case, m)
+
+    @pytest.mark.parametrize("case,m", TestCertificateHint.SCAN_REJECT,
+                             ids=lambda x: getattr(x, "tag", x))
+    def test_scan_reject_m(self, case, m):
+        self._check(case, m)
 
 
 class TestClosedFormValues:
