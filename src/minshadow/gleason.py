@@ -23,10 +23,9 @@ vectors, builds the four blocks and provides closed forms for the
 inverse entries, which serve both the solver and the inverse blocks:
 column 0 of the code inverse by a three-term recurrence checked for
 exact division at every step, its polynomials stepped by forward
-differences, its columns j > 0 by the Catalan peel, each shadow inverse
-entry as one Fraction of integers, and a run of column 0 of the shadow
-inverse by a ratio walk from one binomial, again checked for exact
-division at every step, each entry a plain int where it is integral.
+differences, its columns j > 0 by the Catalan peel, and each column of
+the shadow inverse by one ratio walk from one binomial, again checked
+for exact division at every step, each entry an int where integral.
 An enumerator coefficient is an exact pair (p, q), the value p + q beta
 in the one free parameter beta, q = 0 in the unique families; a pair of
 Gleason vectors expands as two vectors.  Every expansion of Gleason
@@ -70,7 +69,7 @@ import numpy as np
 
 from .exact import Scalar, VerificationFailure
 
-Matrix = list[list[Fraction]]
+Matrix = list[list[Scalar]]
 Pair = tuple[Fraction, Fraction]    # (p, q): the value p + q beta
 _ZERO = Fraction(0)
 
@@ -149,7 +148,7 @@ class TransformTables:
     code_basis is lower unitriangular, code_inverse its exact (integral)
     inverse; shadow_basis is anti-triangular with invertible anti-diagonal,
     shadow_inverse its exact inverse, supported on i + j <= K.  Both
-    inverses are the closed forms."""
+    inverses are the closed forms.  Entries are ints where integral."""
 
     fam: FamilyParams
     code_basis: Matrix
@@ -161,28 +160,30 @@ class TransformTables:
 def build_transform_tables(fam: FamilyParams) -> TransformTables:
     """Column j of both bases is expand_scaled of the unit Gleason vector
     e_j, expanded only to its first K + 1 entries on both sides.  The
-    inverses are the closed forms, checked in integers (else
-    VerificationFailure): code basis x code inverse = I, and (Db shadow
-    basis) x (d shadow inverse) = Db d I, d = 2^(n/2) the lcm denominator."""
+    inverses are the closed forms by columns, code_inverse_col0 and
+    _shadow_inverse_row0 over shadow_inverse_col0 from row 1, checked in
+    integers (else VerificationFailure): code basis x code inverse = I,
+    and (Db shadow basis) x (d shadow inverse) = Db d I, d the lcm."""
     k = fam.c_count
     cols = [expand_scaled([int(i == j) for i in range(k)], fam, k - 1, k - 1)
             for j in range(k)]                  # Da = 1 and Db = 2^s for all j
+    db = cols[0][3]
     code = [[a[i] for a, _, _, _ in cols] for i in range(k)]
     shadow = [[b[i] for _, _, b, _ in cols] for i in range(k)]
     code_inv = [code_inverse_col0(fam, j=j) for j in range(k)]     # columns
-    shadow_inverse = [_shadow_inverse_row(i, fam) for i in range(k)]
-    d = math.lcm(*(x.denominator for row in shadow_inverse for x in row))
-    shadow_inv = [[int(x * d) for x in col] for col in zip(*shadow_inverse)]
-    db = cols[0][3]
+    shadow_inv = [[_shadow_inverse_row0(fam, j)]
+                  + (shadow_inverse_col0(fam, 1, j) if j < k - 1 else [])
+                  + [0] * j for j in range(k)]
+    d = math.lcm(*(x.denominator for col in shadow_inv for x in col))
+    scaled = [[x.numerator * (d // x.denominator) for x in col] for col in shadow_inv]
     for i, j in product(range(k), repeat=2):
         if (sum(map(mul, code[i], code_inv[j])) != (i == j)
-                or sum(map(mul, shadow[i], shadow_inv[j])) != (i == j) * db * d):
+                or sum(map(mul, shadow[i], scaled[j])) != (i == j) * db * d):
             raise VerificationFailure(f"closed forms disagree with the bases of "
                                       f"n={fam.n} at ({i}, {j}) of basis x inverse")
-    return TransformTables(fam, [[Fraction(x) for x in row] for row in code],
-                           [[Fraction(x) for x in row] for row in zip(*code_inv)],
-                           [[Fraction(x, db) for x in row] for row in shadow],
-                           shadow_inverse)
+    return TransformTables(fam, code, [list(row) for row in zip(*code_inv)],
+                           [[_exact(x, db) for x in row] for row in shadow],
+                           [list(row) for row in zip(*shadow_inv)])
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +268,10 @@ def code_inverse_col0(fam: FamilyParams, top: int | None = None,
     return col
 
 
-def shadow_inverse_entry(i: int, j: int, fam: FamilyParams) -> Fraction:
-    """Entry (i, j) of the inverse shadow-side block, for i >= 1, i + j <= K:
-    (-1)^i 2^(6i - n/2) (K-j)/i C(K+i-j-1, K-i-j), built as one Fraction
-    of integers."""
-    k_top = fam.c_count - 1
-    if not (1 <= i and 0 <= j and i + j <= k_top):
-        raise ValueError(f"indices (i={i}, j={j}) out of range for K={k_top}")
-    num = (k_top - j) * math.comb(k_top + i - j - 1, k_top - i - j)
-    e = 6 * i - fam.half
-    return Fraction((-num if i % 2 else num) << max(e, 0), i << max(-e, 0))
+def _exact(num: int, den: int) -> Scalar:
+    """num/den as a plain int where den divides num, else as a Fraction."""
+    q, rem = divmod(num, den)
+    return Fraction(num, den) if rem else q
 
 
 def _shadow_col0_step(k_top: int, i: int) -> tuple[int, int]:
@@ -284,41 +279,44 @@ def _shadow_col0_step(k_top: int, i: int) -> tuple[int, int]:
     return (k_top + i) * (k_top - i), 2 * i * (2 * i + 1)
 
 
-def shadow_inverse_col0(fam: FamilyParams, start: int) -> list[Scalar]:
-    """Entries (start..K, 0) of the inverse shadow-side block, 1 <= start,
-    as shadow_inverse_entry(i, 0) gives them but with one binomial in all:
-    entry i is (-1)^i 2^(6i - n/2) num_i / i, num_i = K C(K+i-1, K-i), and
-    after num_start the ratio walk num_(i+1) = num_i (K+i)(K-i) / (2i(2i+1))
-    (_shadow_col0_step) must divide exactly, else VerificationFailure.
-    An entry is a plain int where the division by i (and by 2^(n/2 - 6i)
-    when that is positive) leaves no remainder, and a Fraction only
-    otherwise."""
-    k_top, n_half, col = fam.c_count - 1, fam.half, []
-    if not 1 <= start <= k_top:
-        raise ValueError(f"start row {start} out of range 1..{k_top}")
-    num = k_top * math.comb(k_top + start - 1, k_top - start)
-    for i in range(start, k_top + 1):
-        e = 6 * i - n_half
-        n_i, d_i = (-num if i % 2 else num) << max(e, 0), i << max(-e, 0)
-        q, rem = divmod(n_i, d_i)
-        col.append(Fraction(n_i, d_i) if rem else q)
-        step, den = _shadow_col0_step(k_top, i)
+def _shadow_walk(fam: FamilyParams, start: int, j: int):
+    """The entries of shadow_inverse_col0(fam, start, j), one at a time."""
+    k = fam.c_count - 1 - j
+    if not (0 <= j and 1 <= start <= k):
+        raise ValueError(f"entry ({start}, {j}) out of range for K={fam.c_count - 1}")
+    num = k * math.comb(k + start - 1, k - start)
+    for i in range(start, k + 1):
+        e = 6 * i - fam.half
+        yield _exact((-num if i % 2 else num) << max(e, 0), i << max(-e, 0))
+        step, den = _shadow_col0_step(k, i)
         num, rem = divmod(num * step, den)
         if rem:
             raise VerificationFailure(
-                f"column 0 of the inverse shadow block of n={fam.n}: the "
+                f"column {j} of the inverse shadow block of n={fam.n}: the "
                 f"ratio walk does not divide exactly at entry {i + 1}")
-    return col
 
 
-def _shadow_inverse_row(i: int, fam: FamilyParams) -> list[Fraction]:
-    """Row i of the inverse shadow-side block.  Row 0 is 2^(1-n/2), and
-    2^(-n/2) at j = K: sum_i b_i = W_S(1) = 2^(n/2) c_0, b palindromic."""
-    k_top = fam.c_count - 1
-    if i == 0:
-        return [Fraction(2, 1 << fam.half)] * k_top + [Fraction(1, 1 << fam.half)]
-    return [shadow_inverse_entry(i, j, fam) if i + j <= k_top else Fraction(0)
-            for j in range(k_top + 1)]
+def _shadow_inverse_row0(fam: FamilyParams, j: int) -> Fraction:
+    """Entry (0, j) of the inverse shadow-side block: 2^(1-n/2), and
+    2^(-n/2) at j = K, as sum_i b_i = W_S(1) = 2^(n/2) c_0, b palindromic."""
+    return Fraction(2 - (j == fam.c_count - 1), 1 << fam.half)
+
+
+def shadow_inverse_entry(i: int, j: int, fam: FamilyParams) -> Fraction:
+    """Entry (i, j) of the inverse shadow-side block, for i >= 1, i + j <= K:
+    the first of shadow_inverse_col0(fam, i, j), one binomial, no step."""
+    x = next(_shadow_walk(fam, i, j))
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def shadow_inverse_col0(fam: FamilyParams, start: int, j: int = 0) -> list[Scalar]:
+    """Entries (start..K-j, j) of column j (default 0) of the inverse
+    shadow-side block, 1 <= start <= K - j.  With k = K - j, entry i is
+    (-1)^i 2^(6i - n/2) num_i / i: one binomial gives num_start =
+    k C(k+start-1, k-start), and each step num_(i+1) = num_i (k+i)(k-i) /
+    (2i(2i+1)) (_shadow_col0_step) must divide exactly, else
+    VerificationFailure.  Each entry is an int where it is integral."""
+    return list(_shadow_walk(fam, start, j))
 
 
 # ---------------------------------------------------------------------------

@@ -50,18 +50,15 @@ class EmptyBetaRangeError(ValueError):
 
 def minimal_shadow_r(n: int) -> int:
     """Required shadow minimum weight for a minimal-shadow code of length n:
-    4, 1, 2, 3 according to n = 0, 2, 4, 6 (mod 8)."""
-    if n <= 0 or n % 2:
-        raise ValueError(f"length must be a positive even integer, got {n}")
-    return {0: 4, 2: 1, 4: 2, 6: 3}[n % 8]
+    4, 1, 2, 3 according to n = 0, 2, 4, 6 (mod 8), that is r, or 4 at r = 0."""
+    return FamilyParams.from_length(n).r or 4
 
 
 def rains_bound(n: int) -> int:
     """Upper bound on the minimum weight of a self-dual code of length n:
     4 floor(n/24) + 4, raised to +6 when n = 22 (mod 24)."""
-    if n <= 0 or n % 2:
-        raise ValueError(f"length must be a positive even integer, got {n}")
-    return 4 * (n // 24) + (6 if n % 24 == 22 else 4)
+    fam = FamilyParams.from_length(n)
+    return 4 * fam.m + (6 if (fam.l, fam.r) == (2, 3) else 4)
 
 
 @dataclass(frozen=True)
@@ -126,8 +123,8 @@ def beta_family_for_length(n: int) -> tuple[FamilyCase, int]:
 class ConstraintSet:
     """Pinned coefficients and couplings defining a minimal-shadow system."""
 
-    pinned_a: dict[int, Fraction]
-    pinned_b: dict[int, Fraction]
+    pinned_a: dict[int, int]                    # index -> pinned 0 or 1
+    pinned_b: dict[int, int]
     equalities: tuple[tuple[int, int], ...]     # (a index, b index) forced equal
     beta_slot: int | None                       # shadow index of beta, if any
 
@@ -148,10 +145,9 @@ def minimal_shadow_constraints(case: FamilyCase, m: int) -> ConstraintSet:
     d = case.d(m)
     ds = minimal_shadow_r(fam.n)
     s = (ds - fam.r) // 4
-    zero, one = Fraction(0), Fraction(1)
-    pinned_a = {0: one} | dict.fromkeys(range(1, d // 2), zero)
-    pinned_b = (dict.fromkeys(range(s), zero) | ({s: one} if 2 * ds < d else {})
-                | dict.fromkeys(range(s + 1, (d - ds - fam.r + 3) // 4), zero))
+    pinned_a = {0: 1} | dict.fromkeys(range(1, d // 2), 0)
+    pinned_b = (dict.fromkeys(range(s), 0) | ({s: 1} if 2 * ds < d else {})
+                | dict.fromkeys(range(s + 1, (d - ds - fam.r + 3) // 4), 0))
     equalities: tuple[tuple[int, int], ...] = ()
     if fam.n % 8 == 2 and d % 4 == 2:
         equalities = ((d // 2, (d - 2) // 4),)
@@ -168,10 +164,13 @@ def _gleason(case: FamilyCase, m: int) -> list:
     code_inverse_col0.  The shadow block is anti-triangular, so every
     pinned shadow row and the beta slot touch only c_{d/2}..c_K.  The
     unique families take those from column 0 of the inverse shadow block,
-    rows d/2..K, in one ratio walk (shadow_inverse_col0), and for l = 1
-    slot d/2 comes from the coincidence (closed_form_a2m1).  The shadow
-    pins and the coincidence are triangular in c_{d/2}..c_K, so the pin
-    check of solve and admissible_at still meets every tail entry.
+    rows d/2..K, in one ratio walk (shadow_inverse_col0).  For l = 1 the
+    coincidence a_{d/2} = b_m sets c_{d/2} = col[d/2] + a_{d/2}, which the
+    shadow side makes walk_{d/2} + S b_m, S = -2 the entry (d/2, m) of the
+    inverse shadow block: a_{d/2} = (walk_{d/2} - col[d/2]) / (1 - S), and
+    1 - S = 3.  The shadow pins and the coincidence are triangular in
+    c_{d/2}..c_K, so the pin check of solve and admissible_at still meets
+    every tail entry.
     The beta families solve the pinned shadow rows and the beta row, with
     c_{K-s} = beta times entry (K-s, s) of the inverse shadow block, s the
     free shadow slot, on a two-column right-hand side: every coefficient
@@ -223,19 +222,21 @@ def solve(case: FamilyCase, m: int) -> ParametricEnumerator:
 def _check_pins(case: FamilyCase, m: int, cs: ConstraintSet, a: Sequence, da: int,
                 b: Sequence, db: int, beta_part: bool = False) -> None:
     """Raise VerificationFailure unless a[i]/da and b[i]/db meet every pin
-    and coincidence of cs: x dy = y dx, or x = y for solve's unscaled
-    values.  The beta part of a pinned coefficient is pinned to 0."""
-    checks = [(s, i, vec[i], den, 0 if beta_part else v.numerator, v.denominator)
-              for s, vec, den, pins in (("a", a, da, cs.pinned_a),
-                                        ("b", b, db, cs.pinned_b))
-              for i, v in pins.items()]
-    checks += [("a", ai, a[ai], da, b[bi], db) for ai, bi in cs.equalities]
-    for s, i, x, dx, y, dy in checks:
-        if x != y if dx == dy == 1 else x * dy != y * dx:
-            got, want = (v if d == 1 else Fraction(v, d) for v, d in ((x, dx), (y, dy)))
-            part = "beta part of " if beta_part else ""
-            raise VerificationFailure(
-                f"{case.tag}, m={m}: {part}{s}[{i}] = {got}, expected {want}")
+    and coincidence of cs: x = v dx for an entry x/dx pinned to v (0 in
+    the beta part), x dy = y dx for a coincidence x/dx = y/dy.  Only a
+    failure builds a Fraction, for its message."""
+    def fail(s, i, x, dx, y, dy):
+        part = "beta part of " if beta_part else ""
+        raise VerificationFailure(f"{case.tag}, m={m}: {part}{s}[{i}] = "
+                                  f"{Fraction(x, dx)}, expected {Fraction(y, dy)}")
+
+    for s, vec, dx, pins in (("a", a, da, cs.pinned_a), ("b", b, db, cs.pinned_b)):
+        for i, v in (dict.fromkeys(pins, 0) if beta_part else pins).items():
+            if vec[i] != v * dx:
+                fail(s, i, vec[i], dx, v, 1)
+    for ai, bi in cs.equalities:
+        if a[ai] * db != b[bi] * da:
+            fail("a", ai, a[ai], da, b[bi], db)
 
 
 # ---------------------------------------------------------------------------

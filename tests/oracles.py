@@ -196,11 +196,11 @@ def code_basis_block(fam: FamilyParams) -> list[list[int]]:
 
 def lower_inverse(low: Matrix) -> Matrix:
     """Exact inverse of an invertible lower-triangular matrix, by forward
-    substitution."""
+    substitution, in Fractions for int and Fraction entries alike."""
     k = len(low)
     inv = [[Fraction(0)] * k for _ in range(k)]
     for j in range(k):
-        inv[j][j] = 1 / low[j][j]
+        inv[j][j] = 1 / Fraction(low[j][j])
         for i in range(j + 1, k):
             s = Fraction(0)
             for t in range(j, i):

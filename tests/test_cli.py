@@ -164,13 +164,10 @@ PERTURBED_CLOSED_FORMS = {
         gleason.code_inverse_col0 = perturbed
     """,
     "shadow_row_0": """
-        row = gleason._shadow_inverse_row
-        def perturbed(i, fam):
-            r = row(i, fam)
-            if i == 0:
-                r[-1] *= 2
-            return r
-        gleason._shadow_inverse_row = perturbed
+        row0 = gleason._shadow_inverse_row0
+        def perturbed(fam, j):
+            return row0(fam, 0)
+        gleason._shadow_inverse_row0 = perturbed
     """,
 }
 
@@ -318,6 +315,11 @@ class TestBoundsCommand:
         doc = run_json(capsys, "bounds", "--n", "22")
         assert doc["rains_bound"] == "6"
         assert doc["minimal_shadow_weight"] == "3"
+
+    def test_odd_length_exits_2(self, capsys):
+        # the one length check, FamilyParams.from_length, words the error
+        assert run(capsys, "bounds", "--n", "3") == (
+            2, "", "error: length must be a positive even integer, got 3\n")
 
 
 class TestCodeCommands:

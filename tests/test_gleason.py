@@ -135,6 +135,17 @@ class TestTransformTables:
         assert matrix_product(t.shadow_inverse, t.shadow_basis) == eye
         assert matrix_product(t.shadow_basis, t.shadow_inverse) == eye
 
+    @pytest.mark.parametrize("fam", ALL_SMALL_FAMILIES, ids=lambda f: f"n{f.n}")
+    def test_entries_are_ints_where_integral(self, fam):
+        # no block goes through Fraction and back: an entry is an int
+        # exactly when it is integral, a Fraction otherwise
+        t = build_transform_tables(fam)
+        for block in (t.code_basis, t.code_inverse, t.shadow_basis,
+                      t.shadow_inverse):
+            for x in (x for row in block for x in row):
+                assert type(x) is (int if x.denominator == 1 else Fraction), fam
+        assert all(type(x) is int for row in t.code_inverse for x in row)
+
     @pytest.mark.parametrize("fam", CLOSED_FORM_FAMILIES, ids=lambda f: f"n{f.n}")
     def test_closed_forms_match_matrices(self, fam):
         # the closed-form inverses against forward substitution on the
@@ -312,12 +323,15 @@ class TestShadowInverseEntry:
             k_top = fam.c_count - 1
             for i in range(1, k_top + 1):
                 for j in range(k_top - i + 1):
-                    assert (shadow_inverse_entry(i, j, fam)
-                            == shadow_inverse_entry_product(i, j, fam)), (fam, i, j)
+                    x = shadow_inverse_entry(i, j, fam)
+                    assert type(x) is Fraction, (fam, i, j)
+                    assert x == shadow_inverse_entry_product(i, j, fam), (fam, i, j)
 
     def test_sampled_entries_at_m155(self):
         # both signs of 6i - n/2, the anti-diagonal and column 0 near the
-        # pins, in all three scanned families
+        # pins, in all three scanned families; each entry also as the
+        # first of its column's walk, and the walk's last entry, on the
+        # anti-diagonal, against the product
         for fam in (FamilyParams(155, 0, 1), FamilyParams(155, 0, 2),
                     FamilyParams(155, 1, 1)):
             k_top = fam.c_count - 1
@@ -328,16 +342,24 @@ class TestShadowInverseEntry:
                 i = rng.randrange(1, k_top + 1)
                 pairs.add((i, rng.randrange(k_top - i + 1)))
             for i, j in pairs:
-                assert (shadow_inverse_entry(i, j, fam)
-                        == shadow_inverse_entry_product(i, j, fam)), (fam, i, j)
+                want = shadow_inverse_entry_product(i, j, fam)
+                assert shadow_inverse_entry(i, j, fam) == want, (fam, i, j)
+                walk = shadow_inverse_col0(fam, i, j)
+                assert walk[0] == want, (fam, i, j)
+                assert walk[-1] == shadow_inverse_entry_product(
+                    k_top - j, j, fam), (fam, i, j)
 
 
 class TestShadowInverseCol0:
-    """Column 0 of the inverse shadow block by the ratio walk against the
-    one-Fraction closed form of shadow_inverse_entry."""
+    """The columns of the inverse shadow block by the ratio walk against
+    the walk's first entry, shadow_inverse_entry, and against the product
+    of three Fractions in the oracles."""
 
     @pytest.mark.parametrize("m", range(41))
     def test_every_family_to_m40(self, m):
+        # column 0 from three starts; at m <= 12 also every column j > 0
+        # of every (l, r), walked from row 1 to the anti-diagonal and
+        # from the anti-diagonal itself, entry by entry against the product
         for l, r in product(range(3), range(4)):
             if 24 * m + 8 * l + 2 * r == 0:
                 continue
@@ -347,6 +369,14 @@ class TestShadowInverseCol0:
                 assert shadow_inverse_col0(fam, start) == [
                     shadow_inverse_entry(i, 0, fam)
                     for i in range(start, k_top + 1)], (fam, start)
+            for j in range(1, k_top if m <= 12 else 0):
+                want = [shadow_inverse_entry_product(i, j, fam)
+                        for i in range(1, k_top - j + 1)]
+                col = shadow_inverse_col0(fam, 1, j)
+                assert col == want, (fam, j)
+                assert all(type(x) is (int if x.denominator == 1 else Fraction)
+                           for x in col), (fam, j)
+                assert shadow_inverse_col0(fam, k_top - j, j) == want[-1:], (fam, j)
 
     @pytest.mark.parametrize("m", [155, 156, 160, 231, 236])
     def test_from_the_code_pins_at_large_m(self, m):
@@ -369,6 +399,11 @@ class TestShadowInverseCol0:
             shadow_inverse_col0(fam, 0)
         with pytest.raises(ValueError):
             shadow_inverse_col0(fam, fam.c_count)
+        # column j ends at row K - j, and column K has no row below 0
+        k_top = fam.c_count - 1
+        for start, j in ((k_top, 1), (1, k_top), (1, -1)):
+            with pytest.raises(ValueError):
+                shadow_inverse_col0(fam, start, j)
 
     def test_inexact_step_raises_under_optimize_flag(self):
         # a ratio off by one leaves a remainder within the first steps of
@@ -398,6 +433,31 @@ class TestShadowInverseCol0:
         assert proc.returncode == 0, proc.stderr
         assert ("raised: column 0 of the inverse shadow block of n=3722: the "
                 "ratio walk does not divide exactly at entry 314") in proc.stdout
+
+    def test_inexact_step_in_a_later_column_raises_under_optimize_flag(self):
+        # tables walks every column j < K; a ratio off by one in the
+        # columns j > 0 only (K - j < K = 11 at n = 94) leaves a remainder
+        # at the first step of column 1, which the walk reports before the
+        # identity check runs, under python -O too
+        script = textwrap.dedent("""
+            import sys
+            from minshadow import cli, gleason
+            if not sys.flags.optimize:
+                sys.exit("asserts are still enabled")
+            step = gleason._shadow_col0_step
+            def perturbed(k_top, i):
+                num, den = step(k_top, i)
+                return (num + 1 if k_top < 11 else num), den
+            gleason._shadow_col0_step = perturbed
+            sys.exit(cli.main(["tables", "--family", "24m+22", "--m", "3"]))
+        """)
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+        assert proc.stderr == (
+            "verification failure: column 1 of the inverse shadow block of "
+            "n=94: the ratio walk does not divide exactly at entry 2\n")
 
 
 class TestConversions:

@@ -16,8 +16,8 @@ import pytest
 import minshadow
 from minshadow import gleason, solver
 from minshadow.exact import VerificationFailure, poly_eval, taylor_shift
-from minshadow.gleason import (ParametricEnumerator, enumerators_from_gleason,
-                               expand_scaled)
+from minshadow.gleason import (FamilyParams, ParametricEnumerator,
+                               enumerators_from_gleason, expand_scaled)
 from minshadow.solver import (FAMILY_CASES, Admissibility, EmptyBetaRangeError,
                               admissible_at, beta_family_for_length, beta_range,
                               closed_form_a2m1, closed_form_bm, closed_form_bm1,
@@ -55,6 +55,22 @@ class TestBounds:
         assert rains_bound(24) == 8
         with pytest.raises(ValueError):
             rains_bound(21)
+
+    @pytest.mark.parametrize("n", [-2, 0, 3, 7, 21])
+    def test_one_length_check(self, n):
+        # both go through FamilyParams.from_length, message and all
+        with pytest.raises(ValueError) as want:
+            FamilyParams.from_length(n)
+        for bound in (minimal_shadow_r, rains_bound):
+            with pytest.raises(ValueError) as got:
+                bound(n)
+            assert str(got.value) == str(want.value), bound
+
+    def test_against_the_residues(self):
+        # the residue forms the two bounds were first written in
+        for n in range(2, 1000, 2):
+            assert minimal_shadow_r(n) == {0: 4, 2: 1, 4: 2, 6: 3}[n % 8], n
+            assert rains_bound(n) == 4 * (n // 24) + (6 if n % 24 == 22 else 4), n
 
 
 class TestConstraints:
@@ -96,6 +112,16 @@ class TestConstraints:
             assert cs == want, m
             assert list(cs.pinned_a.items()) == list(want.pinned_a.items()), m
             assert list(cs.pinned_b.items()) == list(want.pinned_b.items()), m
+
+    @pytest.mark.parametrize("case", list(FAMILY_CASES.values()),
+                             ids=lambda c: c.tag)
+    def test_pins_are_ints(self, case):
+        # _check_pins compares x against v dx in ints: every pin is the
+        # int 0 or 1, neither a Fraction nor a bool
+        for m in [*range(case.min_m, 61), 155, 160, 236]:
+            cs = minimal_shadow_constraints(case, m)
+            for v in (*cs.pinned_a.values(), *cs.pinned_b.values()):
+                assert type(v) is int and v in (0, 1), (m, v)
 
     @pytest.mark.parametrize("m,pinned_b", [(1, {0: 0}), (2, {0: 0, 1: 1})])
     def test_pins_by_weight_at_n_0_mod_8(self, m, pinned_b):
@@ -600,6 +626,14 @@ class TestExactGleasonEntries:
     def test_every_family_to_m12(self, case):
         for m in range(0 if case is C22 else 1, 13):
             self._check(case, m)
+
+    def test_coincidence_divisor_is_one_minus_s(self):
+        # 24m+10 divides by 1 - S = 3 at slot d/2 = 2m+1, with S entry
+        # (2m+1, m) of the inverse shadow block: on the anti-diagonal
+        # (K = 3m+1), so the walk has length 1
+        for m in range(1, 401):
+            fam = C10.params(m)
+            assert gleason.shadow_inverse_col0(fam, 2 * m + 1, j=m) == [-2], m
 
     @pytest.mark.parametrize("case,m", TestCertificateHint.SCAN_REJECT,
                              ids=lambda x: getattr(x, "tag", x))
