@@ -16,13 +16,14 @@ determine the Gleason coefficients uniquely for the families 24m+2,
 solve() and the scan path take the Gleason coefficients from one
 derivation, _gleason: closed forms for the unique families (the code
 column, then the shadow tail in one exact ratio walk), and for the two
-beta families a linear solve of the pinned shadow rows alone, built as
-signed binomials over the tail c_{d/2}..c_K, on a two-column right-hand
-side (the constant term and the beta coefficient), so that each
-coefficient is an exact pair (p, q) for p + q beta.  Both expand them
-with the one kernel gleason.expand_scaled and verify the pins with one
-check; one loop certifies the scan by its first negative or non-integer
-coefficient.
+beta families a linear solve of the pinned shadow rows, built as signed
+binomials over the tail c_{d/2}..c_K, and the beta row c_{d/2} = beta
+times its anti-diagonal unit, on a two-column right-hand side (the
+constant term and the beta coefficient), so that each coefficient is an
+exact pair (p, q) for p + q beta.  Both expand them with the one kernel
+gleason.expand_scaled and verify the pins with one check; one loop
+certifies the scan by its first negative or non-integer coefficient.
+Every length splits as n = 24m + 8l + 2r through gleason.FamilyParams.
 The closed forms for b_m, b_{m+1} and the degree-five/six integer
 polynomials f(m) controlling the sign of b_{m+1} are provided alongside.
 """
@@ -41,7 +42,7 @@ from .exact import (VerificationFailure, parametric_linear_solve, poly_eval,
                     taylor_shift)
 from .gleason import (FamilyParams, ParametricEnumerator, code_inverse_col0,
                       enumerators_from_gleason, expand_scaled,
-                      shadow_inverse_col0, shadow_inverse_entry)
+                      shadow_inverse_col0)
 
 
 class EmptyBetaRangeError(ValueError):
@@ -73,7 +74,7 @@ class FamilyCase:
     parametrized: bool  # True when the enumerator keeps one free parameter
 
     def n(self, m: int) -> int:
-        return 24 * m + 8 * self.l + 2 * self.r
+        return FamilyParams(m, self.l, self.r).n
 
     def d(self, m: int) -> int:
         return 4 * m + self.d_add
@@ -107,11 +108,11 @@ def family_case(tag: str) -> FamilyCase:
 
 def beta_family_for_length(n: int) -> tuple[FamilyCase, int]:
     """The parametrized family case and m for a length n = 22, 30, 46, ..."""
+    fam = FamilyParams.from_length(n)
     for tag in BETA_FAMILIES:
         case = FAMILY_CASES[tag]
-        base = 8 * case.l + 2 * case.r
-        if (n - base) % 24 == 0 and (n - base) // 24 >= case.min_m:
-            return case, (n - base) // 24
+        if (case.l, case.r) == (fam.l, fam.r) and fam.m >= case.min_m:
+            return case, fam.m
     raise ValueError(f"length {n} is not in a parametrized family")
 
 
@@ -171,14 +172,16 @@ def _gleason(case: FamilyCase, m: int) -> list:
     1 - S = 3.  The shadow pins and the coincidence are triangular in
     c_{d/2}..c_K, so the pin check of solve and admissible_at still meets
     every tail entry.
-    The beta families solve the pinned shadow rows and the beta row, with
-    c_{K-s} = beta times entry (K-s, s) of the inverse shadow block, s the
-    free shadow slot, on a two-column right-hand side: every coefficient
-    comes back as a (constant, beta coefficient) pair.  The unknowns are
+    The beta families solve the pinned shadow rows and the beta row on a
+    two-column right-hand side, so every coefficient comes back as a
+    (constant, beta coefficient) pair.  The unknowns are
     y_j = (-1)^j 2^(n/2-6j) c_j, j = d/2..K, so shadow row i holds the
     integer (-1)^t C(2j, t) at t = i - K + j >= 0, with lead 1 at
     j = K - i; in ascending i each row meets only the stored unit rows
-    of its later columns, so the elimination sees no fill-in.
+    of its later columns, so the elimination sees no fill-in.  The pins
+    fill the shadow slots 0..K-h-1 and the beta row is y_h = beta:
+    c_h = beta (-1)^h 2^(6h - n/2), the anti-diagonal entry (h, K - h) of
+    the inverse shadow block, since the free slot is K - h.
     """
     fam = case.params(m)
     h = case.d(m) // 2
@@ -190,16 +193,11 @@ def _gleason(case: FamilyCase, m: int) -> list:
         return c
     k_top, tail = fam.c_count - 1, range(h, fam.c_count)
     unit = [(-1) ** j * Fraction(2) ** (6 * j - fam.half) for j in tail]  # c_j / y_j
-    cs = minimal_shadow_constraints(case, m)
-    pins = sorted(cs.pinned_b.items())
+    pins = sorted(minimal_shadow_constraints(case, m).pinned_b.items())
     rows = [[(-1) ** t * math.comb(2 * j, t) if t >= 0 else 0
              for j, t in zip(tail, range(i - k_top + h, i + 1))] for i, _ in pins]
-    rhs = [(v, 0) for _, v in pins]
-    slot = cs.beta_slot
-    istar = k_top - slot
-    rows.append([int(j == istar) for j in tail])
-    rhs.append((0, shadow_inverse_entry(istar, slot, fam) / unit[istar - h]))
-    y = parametric_linear_solve(rows, rhs)
+    rows.append([int(j == h) for j in tail])
+    y = parametric_linear_solve(rows, [(v, 0) for _, v in pins] + [(0, 1)])
     return [(x, 0) for x in col[:h]] + [(p * u, q * u) for u, (p, q) in zip(unit, y)]
 
 

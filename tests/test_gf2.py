@@ -1,17 +1,11 @@
 """GF(2) code engine: duals, parity, shadows, neighbors, and the bundled
 length-46 code."""
 
-import os
 import random
-import subprocess
-import sys
-import textwrap
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
-import minshadow
 from minshadow import cli, gf2
 from minshadow.exact import VerificationFailure
 from minshadow.gf2 import (LENGTH_CAP, BetaMismatchError, BinaryCode,
@@ -29,6 +23,7 @@ from minshadow.gleason import (FamilyParams, build_transform_tables,
 from minshadow.solver import minimal_shadow_r
 from oracles import (build_code, dual, gleason_from_code,
                      macwilliams_fixed_point, weight_distribution_naive)
+from optimized import run_optimized
 
 REP2 = build_code([[1, 1]])                       # the [2,1,2] code
 PAIR4 = build_code([[1, 1, 0, 0], [0, 0, 1, 1]])  # two copies side by side
@@ -357,12 +352,9 @@ class TestShadowFromCode:
         # one word too many at weight 0 adds (1+y)^n to the transform:
         # every coefficient stays non-negative, only the divisibility
         # by 2^(n/2) catches it, also under -O
-        script = textwrap.dedent("""
-            import sys
+        proc = run_optimized("""
             from minshadow import gf2
             from minshadow.exact import VerificationFailure
-            if not sys.flags.optimize:
-                sys.exit("asserts are still enabled")
             enumerate_ = gf2.weight_distribution
             def perturbed(code, offset=0):
                 dist = enumerate_(code, offset)
@@ -378,10 +370,6 @@ class TestShadowFromCode:
             else:
                 sys.exit("accepted a perturbed distribution")
         """)
-        src = Path(minshadow.__file__).resolve().parents[1]
-        proc = subprocess.run([sys.executable, "-O", "-c", script],
-                              env={**os.environ, "PYTHONPATH": str(src)},
-                              capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "raised: shadow count at weight 0 is 1 / 2^5" in proc.stdout
 

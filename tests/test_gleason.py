@@ -1,21 +1,15 @@
 """Transform tables, closed forms, and coefficient conversions."""
 
-import os
 import random
-import subprocess
-import sys
-import textwrap
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import minshadow
 from minshadow import gleason, solver
 from minshadow.exact import VerificationFailure
 from minshadow.gleason import (FamilyParams, ParametricEnumerator,
@@ -31,8 +25,7 @@ from oracles import (binomial, code_basis_block, code_basis_poly,
                      gleason_from_code, gleason_from_shadow, identity_matrix,
                      inverse_blocks, matrix_product, one_plus_z_power_steps,
                      poly_product, shadow_inverse_entry_product, window_by_delta)
-
-SRC = Path(minshadow.__file__).resolve().parents[1]
+from optimized import run_optimized
 
 # every decomposition with m <= 3 (the m <= 8 sweep lives in the
 # acceptance suite); n = 0 is excluded by validity
@@ -284,12 +277,9 @@ class TestCatalanPeelOracle:
         # a wrong recurrence polynomial leaves a remainder at the first
         # step (c_0 = 1 and |P2(0)| = 6(N - 2) > 1); the check is not an
         # assert, so the scan still stops under python -O
-        script = textwrap.dedent("""
-            import sys
+        proc = run_optimized("""
             from minshadow import gleason, solver
             from minshadow.exact import VerificationFailure
-            if not sys.flags.optimize:
-                sys.exit("asserts are still enabled")
             polys = gleason._col0_recurrence
             def perturbed(i, n_half):
                 p0, p1, p2 = polys(i, n_half)
@@ -302,9 +292,6 @@ class TestCatalanPeelOracle:
             else:
                 sys.exit("accepted an inexact recurrence")
         """)
-        proc = subprocess.run([sys.executable, "-O", "-c", script],
-                              env={**os.environ, "PYTHONPATH": str(SRC)},
-                              capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert ("raised: column 0 of the inverse code block of n=3722: the "
                 "recurrence does not divide exactly at entry 2") in proc.stdout
@@ -409,12 +396,9 @@ class TestShadowInverseCol0:
         # a ratio off by one leaves a remainder within the first steps of
         # the tail at (24m+2, 155); the check is not an assert, so the
         # scan still stops under python -O
-        script = textwrap.dedent("""
-            import sys
+        proc = run_optimized("""
             from minshadow import gleason, solver
             from minshadow.exact import VerificationFailure
-            if not sys.flags.optimize:
-                sys.exit("asserts are still enabled")
             step = gleason._shadow_col0_step
             def perturbed(k_top, i):
                 num, den = step(k_top, i)
@@ -427,9 +411,6 @@ class TestShadowInverseCol0:
             else:
                 sys.exit("accepted an inexact ratio step")
         """)
-        proc = subprocess.run([sys.executable, "-O", "-c", script],
-                              env={**os.environ, "PYTHONPATH": str(SRC)},
-                              capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert ("raised: column 0 of the inverse shadow block of n=3722: the "
                 "ratio walk does not divide exactly at entry 314") in proc.stdout
@@ -439,11 +420,8 @@ class TestShadowInverseCol0:
         # columns j > 0 only (K - j < K = 11 at n = 94) leaves a remainder
         # at the first step of column 1, which the walk reports before the
         # identity check runs, under python -O too
-        script = textwrap.dedent("""
-            import sys
+        proc = run_optimized("""
             from minshadow import cli, gleason
-            if not sys.flags.optimize:
-                sys.exit("asserts are still enabled")
             step = gleason._shadow_col0_step
             def perturbed(k_top, i):
                 num, den = step(k_top, i)
@@ -451,9 +429,6 @@ class TestShadowInverseCol0:
             gleason._shadow_col0_step = perturbed
             sys.exit(cli.main(["tables", "--family", "24m+22", "--m", "3"]))
         """)
-        proc = subprocess.run([sys.executable, "-O", "-c", script],
-                              env={**os.environ, "PYTHONPATH": str(SRC)},
-                              capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
         assert proc.stderr == (
             "verification failure: column 1 of the inverse shadow block of "
@@ -871,12 +846,9 @@ class TestBinomialTail:
         # a wrong ratio leaves a remainder at the first step of the code
         # window's tail (gamma_0 = 1, |den| = n/2 - 1 > 1); the check is
         # not an assert, so the scan still stops under python -O
-        script = textwrap.dedent("""
-            import sys
+        proc = run_optimized("""
             from minshadow import gleason, solver
             from minshadow.exact import VerificationFailure
-            if not sys.flags.optimize:
-                sys.exit("asserts are still enabled")
             step = gleason._catalan_step
             def perturbed(a, k):
                 num, den = step(a, k)
@@ -889,9 +861,6 @@ class TestBinomialTail:
             else:
                 sys.exit("accepted an inexact Catalan step")
         """)
-        proc = subprocess.run([sys.executable, "-O", "-c", script],
-                              env={**os.environ, "PYTHONPATH": str(SRC)},
-                              capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "raised: C(s)^(-1861) does not divide exactly at s^1" in proc.stdout
 
@@ -1084,12 +1053,9 @@ class TestBothKernelFormats:
         # a skipped or too rare carry lets a limb wrap at (24m+2, 154),
         # where both passes run on limbs; the sum identity is not an
         # assert, so the scan still stops under python -O
-        script = textwrap.dedent(f"""
-            import sys
+        proc = run_optimized(f"""
             from minshadow import gleason, solver
             from minshadow.exact import VerificationFailure
-            if not sys.flags.optimize:
-                sys.exit("asserts are still enabled")
             gleason.{name} = {period}
             try:
                 verdict = solver.admissible_at(solver.family_case("24m+2"), 154)
@@ -1098,9 +1064,6 @@ class TestBothKernelFormats:
             else:
                 sys.exit(f"gave a verdict: {{verdict}}")
         """)
-        proc = subprocess.run([sys.executable, "-O", "-c", script],
-                              env={**os.environ, "PYTHONPATH": str(SRC)},
-                              capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert ("raised: code coefficients of n=3698 do not sum to c_0 2^(n/2)"
                 in proc.stdout)

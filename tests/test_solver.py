@@ -2,18 +2,15 @@
 
 import dis
 import math
-import os
 import random
 import re
 import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import minshadow
 from minshadow import gleason, solver
 from minshadow.exact import VerificationFailure, poly_eval, taylor_shift
 from minshadow.gleason import (FamilyParams, ParametricEnumerator,
@@ -29,6 +26,7 @@ from minshadow.cli import M_CAP
 from oracles import (admissible, beta_tail_gleason, full_by_direct_sum,
                      minimal_shadow_constraints_loop, pinned_system_gleason,
                      window_by_delta)
+from optimized import run_optimized
 
 C2 = family_case("24m+2")
 C4 = family_case("24m+4")
@@ -58,10 +56,11 @@ class TestBounds:
 
     @pytest.mark.parametrize("n", [-2, 0, 3, 7, 21])
     def test_one_length_check(self, n):
-        # both go through FamilyParams.from_length, message and all
+        # all three go through FamilyParams.from_length, message and all
         with pytest.raises(ValueError) as want:
             FamilyParams.from_length(n)
-        for bound in (minimal_shadow_r, rains_bound):
+        assert str(want.value) == f"length must be a positive even integer, got {n}"
+        for bound in (minimal_shadow_r, rains_bound, beta_family_for_length):
             with pytest.raises(ValueError) as got:
                 bound(n)
             assert str(got.value) == str(want.value), bound
@@ -603,6 +602,23 @@ class TestBetaTailClosedForm:
             assert solver._gleason(case, m) == beta_tail_gleason(case, m), m
 
 
+class TestBetaRowFromThePins:
+    """The two facts that let _gleason write the beta row as y_h = beta,
+    right-hand side (0, 1): the free shadow slot is K - h, just past the
+    pins, and entry (h, K - h) of the inverse shadow block is the unit
+    c_h / y_h = (-1)^h 2^(6h - n/2)."""
+
+    @pytest.mark.parametrize("case", [C6, C22], ids=lambda c: c.tag)
+    def test_free_slot_and_anti_diagonal_entry(self, case):
+        for m in [*range(case.min_m, 61), *range(155, 160), 400]:
+            fam, h = case.params(m), case.d(m) // 2
+            k_top = fam.c_count - 1
+            cs = minimal_shadow_constraints(case, m)
+            assert cs.beta_slot == k_top - h == len(cs.pinned_b), m
+            assert (gleason.shadow_inverse_entry(h, k_top - h, fam)
+                    == (-1) ** h * Fraction(2) ** (6 * h - fam.half)), m
+
+
 class TestExactGleasonEntries:
     """Every entry of _gleason, and both parts of a beta family's pair, is
     an int or a Fraction, never a float: the shadow tail holds ints where
@@ -871,18 +887,13 @@ class TestPlainIntOutputs:
         assert [args[2] for name, args in calls if name == "expand_scaled"] == tops
 
 
-SRC = Path(minshadow.__file__).resolve().parents[1]
-
-
 def test_solve_verification_survives_optimize_flag():
     # under python -O asserts vanish; a perturbed expansion must still be
     # caught by solve's own pin check
-    script = textwrap.dedent("""
-        import dataclasses, sys
+    proc = run_optimized("""
+        import dataclasses
         from minshadow import solver
         from minshadow.exact import VerificationFailure
-        if not sys.flags.optimize:
-            sys.exit("asserts are still enabled")
         expand = solver.enumerators_from_gleason
         def perturbed(c, fam):
             enum = expand(c, fam)
@@ -896,9 +907,6 @@ def test_solve_verification_survives_optimize_flag():
         else:
             sys.exit("solve accepted a perturbed enumerator")
     """)
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          env={**os.environ, "PYTHONPATH": str(SRC)},
-                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "raised: 24m+2, m=1: a[1] = 1, expected 0" in proc.stdout
 
@@ -906,12 +914,9 @@ def test_solve_verification_survives_optimize_flag():
 def _optimized_run(patch: str, call: str) -> subprocess.CompletedProcess:
     """Run patch, then call, under python -O; it prints "raised: <message>"
     on VerificationFailure and exits 1 if call returns."""
-    script = textwrap.dedent("""
-        import sys
+    return run_optimized(textwrap.dedent("""
         from minshadow import solver
         from minshadow.exact import VerificationFailure
-        if not sys.flags.optimize:
-            sys.exit("asserts are still enabled")
     """) + textwrap.dedent(patch) + textwrap.dedent("""
         try:
             %s
@@ -919,10 +924,7 @@ def _optimized_run(patch: str, call: str) -> subprocess.CompletedProcess:
             print("raised:", exc)
         else:
             sys.exit("accepted a perturbed input")
-    """) % call
-    return subprocess.run([sys.executable, "-O", "-c", script],
-                          env={**os.environ, "PYTHONPATH": str(SRC)},
-                          capture_output=True, text=True, timeout=120)
+    """) % call)
 
 
 def _perturbed_column_run(call: str, entry: int = 1) -> subprocess.CompletedProcess:
@@ -1029,6 +1031,26 @@ class TestFamilyLookup:
         assert beta_family_for_length(46) == (C22, 1)
         with pytest.raises(ValueError):
             beta_family_for_length(26)
+
+    @staticmethod
+    def _by_residue(n):
+        # the residue form the lookup was first written in
+        for case in (C6, C22):
+            base = 8 * case.l + 2 * case.r
+            if (n - base) % 24 == 0 and (n - base) // 24 >= case.min_m:
+                return case, (n - base) // 24
+        raise ValueError(f"length {n} is not in a parametrized family")
+
+    def test_against_the_residues(self):
+        for n in range(2, 2001, 2):
+            try:
+                want = self._by_residue(n)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    beta_family_for_length(n)
+                assert str(got.value) == str(exc), n
+            else:
+                assert beta_family_for_length(n) == want, n
 
     def test_registry_targets(self):
         assert FAMILY_CASES["24m+2"].d(1) == 6
