@@ -13,16 +13,17 @@ Scanning everything up to the brackets takes a few minutes; this demo
 reproduces the boundary rows and the brackets only.
 """
 
-from minshadow import (admissible_at, evaluate_f, f_poly, family_case,
-                       largest_root_bracket)
+from minshadow import admissible_at, f_poly, family_case, largest_root_bracket
+from minshadow.exact import poly_eval
 
 for tag, boundary in (("24m+2", 154), ("24m+4", 155), ("24m+10", 159)):
     case = family_case(tag)
-    lo, hi = largest_root_bracket(case)
+    f = f_poly(case)
+    lo, hi = largest_root_bracket(f)
     print(f"family {tag}")
-    print(f"   f coefficients (ascending): {f_poly(case)}")
+    print(f"   f coefficients (ascending): {f}")
     print(f"   largest root of f in ({lo}, {hi}); "
-          f"f({lo}) = {evaluate_f(case, lo)}, f({hi}) = {evaluate_f(case, hi)}")
+          f"f({lo}) = {poly_eval(f, lo)}, f({hi}) = {poly_eval(f, hi)}")
     for m in (boundary - 1, boundary, boundary + 1, boundary + 2):
         res = admissible_at(case, m)
         if res.ok:

@@ -16,9 +16,8 @@ from .gleason import (FamilyParams, ParametricEnumerator, TransformTables,
                       enumerators_from_gleason, shadow_basis_column,
                       shadow_inverse_entry)
 from .solver import (FAMILY_CASES, Admissibility, ConstraintSet, FamilyCase,
-                     admissible_at, beta_range, closed_form_a2m1,
-                     closed_form_bm, closed_form_bm1, evaluate_f, f_poly,
-                     family_case, largest_root_bracket, max_admissible,
+                     admissible_at, beta_range, f_poly, family_case,
+                     largest_root_bracket, max_admissible,
                      minimal_shadow_constraints, minimal_shadow_r,
                      nonexistence_scan, rains_bound, solve)
 

@@ -24,8 +24,8 @@ exact pair (p, q) for p + q beta.  Both expand them with the one kernel
 gleason.expand_scaled and verify the pins with one check; one loop
 certifies the scan by its first negative or non-integer coefficient.
 Every length splits as n = 24m + 8l + 2r through gleason.FamilyParams.
-The closed forms for b_m, b_{m+1} and the degree-five/six integer
-polynomials f(m) controlling the sign of b_{m+1} are provided alongside.
+The integer polynomials f(m) and g(m), whose signs decide b_{m+1} and
+a_{2m+4}, share one exact root locator, largest_root_bracket.
 """
 
 from __future__ import annotations
@@ -127,7 +127,6 @@ class ConstraintSet:
     pinned_a: dict[int, int]                    # index -> pinned 0 or 1
     pinned_b: dict[int, int]
     equalities: tuple[tuple[int, int], ...]     # (a index, b index) forced equal
-    beta_slot: int | None                       # shadow index of beta, if any
 
 
 def minimal_shadow_constraints(case: FamilyCase, m: int) -> ConstraintSet:
@@ -139,8 +138,7 @@ def minimal_shadow_constraints(case: FamilyCase, m: int) -> ConstraintSet:
     (d(S) - r)/4, exactly when two distinct minimal shadow vectors would
     sum to a nonzero codeword below the minimum weight (2 d(S) < d),
     else that slot stays free; and b = 0 strictly between weights d(S)
-    and d - d(S).  For the parametrized families the first unpinned
-    shadow slot carries the free parameter beta.
+    and d - d(S).
     """
     fam = case.params(m)
     d = case.d(m)
@@ -152,10 +150,7 @@ def minimal_shadow_constraints(case: FamilyCase, m: int) -> ConstraintSet:
     equalities: tuple[tuple[int, int], ...] = ()
     if fam.n % 8 == 2 and d % 4 == 2:
         equalities = ((d // 2, (d - 2) // 4),)
-    beta_slot = None
-    if case.parametrized:
-        beta_slot = next(i for i in range(fam.b_count) if i not in pinned_b)
-    return ConstraintSet(pinned_a, pinned_b, equalities, beta_slot)
+    return ConstraintSet(pinned_a, pinned_b, equalities)
 
 
 def _gleason(case: FamilyCase, m: int) -> list:
@@ -238,53 +233,6 @@ def _check_pins(case: FamilyCase, m: int, cs: ConstraintSet, a: Sequence, da: in
 
 
 # ---------------------------------------------------------------------------
-# closed forms
-
-
-def _check_unique(case: FamilyCase, m: int) -> None:
-    if case.tag not in UNIQUE_FAMILIES:
-        raise ValueError(f"no closed form for family {case.tag}")
-    if m < 1:
-        raise ValueError(f"closed forms require m >= 1, got {m}")
-
-
-def closed_form_bm(case: FamilyCase, m: int) -> Fraction:
-    """The forced shadow coefficient b_m at weight 4m + r."""
-    _check_unique(case, m)
-    if case.tag == "24m+2":
-        return Fraction(4 * (24 * m + 1), 5 * m) * math.comb(5 * m, m - 1)
-    if case.tag == "24m+4":
-        return (Fraction(2 * (12 * m + 1) * (38 * m + 7), 5 * m * (2 * m + 1))
-                * math.comb(5 * m, m - 1))
-    return Fraction(math.comb(5 * m + 1, m))
-
-
-def closed_form_bm1(case: FamilyCase, m: int) -> Fraction:
-    """The forced shadow coefficient b_{m+1}, as prefactor times f(m)."""
-    _check_unique(case, m)
-    fm = evaluate_f(case, m)
-    if case.tag == "24m+2":
-        pre = Fraction(-64 * (24 * m + 1),
-                       (5 * m - 1) * (4 * m + 2) * (4 * m + 3)
-                       * (4 * m + 4) * (4 * m + 5)) * math.comb(5 * m, m - 1)
-    elif case.tag == "24m+4":
-        pre = Fraction(-128 * (12 * m + 1),
-                       (5 * m - 1) * (4 * m + 2) * (4 * m + 3)
-                       * (4 * m + 4) * (4 * m + 5) * (4 * m + 6)) * math.comb(5 * m, m - 1)
-    else:
-        pre = Fraction(-16 * (5 * m + 2),
-                       (4 * m + 1) * (4 * m + 2) * (4 * m + 3)
-                       * (4 * m + 4) * (4 * m + 5)) * math.comb(5 * m, m)
-    return pre * fm
-
-
-def closed_form_a2m1(m: int) -> Fraction:
-    """The forced code coefficient a_{2m+1} in the 24m+10 family: the
-    coincidence a_{2m+1} = b_m makes it closed_form_bm there."""
-    return closed_form_bm(FAMILY_CASES["24m+10"], m)
-
-
-# ---------------------------------------------------------------------------
 # nonexistence polynomials
 
 
@@ -297,14 +245,11 @@ _F_POLYS = {
 
 def f_poly(case: FamilyCase) -> tuple[int, ...]:
     """Coefficients, in ascending powers of m, of the integer polynomial f
-    with sign(b_{m+1}) = -sign(f(m)) (see closed_form_bm1)."""
+    with sign(b_{m+1}) = -sign(f(m)): b_{m+1} is a negative prefactor
+    times f(m) (its closed form is a test oracle)."""
     if case.tag not in _F_POLYS:
         raise ValueError(f"no nonexistence polynomial for family {case.tag}")
     return _F_POLYS[case.tag]
-
-
-def evaluate_f(case: FamilyCase, m: int) -> int:
-    return poly_eval(f_poly(case), m)
 
 
 _G_POLYS = {
@@ -331,22 +276,24 @@ def g_poly(case: FamilyCase) -> tuple[int, ...]:
     return _G_POLYS[case.tag]
 
 
-def largest_root_bracket(case: FamilyCase) -> tuple[int, int]:
-    """The unit interval (t-1, t) around the largest real root of f.
+def largest_root_bracket(poly: Sequence[int]) -> tuple[int, int]:
+    """The unit interval (t-1, t) around the largest real root of the
+    integer polynomial p with coefficients poly, in ascending powers: f's
+    bracket for f_poly, g's threshold t for g_poly.
 
-    t is the least integer with every coefficient of f(t + x) positive,
-    so f(t + x) > 0 for every x >= 0, and f(t-1) < 0 is required: a root
+    t is the least t >= 0 with every coefficient of p(t + x) positive,
+    so p(t + x) > 0 for every x >= 0, and p(t-1) < 0 is required: a root
     lies in (t-1, t) and none beyond.  Both facts are exact integer
     arithmetic; VerificationFailure if either fails.
     """
-    poly = f_poly(case)
-    if poly[-1] <= 0:
-        raise VerificationFailure(f"f has no positive leading coefficient for {case.tag}")
+    if not poly or poly[-1] <= 0:
+        raise VerificationFailure(f"no positive leading coefficient in {poly}")
     t = 0
     while min(taylor_shift(poly, t)) <= 0:
         t += 1
-    if poly_eval(poly, t - 1) >= 0:
-        raise VerificationFailure(f"f({t - 1}) is not negative for {case.tag}")
+    below = poly_eval(poly, t - 1)
+    if below >= 0:
+        raise VerificationFailure(f"p({t - 1}) = {below} is not negative")
     return (t - 1, t)
 
 

@@ -21,7 +21,8 @@ term, the code basis by the same multiply-and-divide recurrence carried
 to degree n/2, replay the admissible verdicts; the whole pinned
 linear system in all K + 1 Gleason coefficients, and for the beta
 families the same coefficients in closed form, check the solver's
-derivation; admissibility read off the exact coefficients of a
+derivation; the closed forms of b_m, b_{m+1} (a prefactor times f(m))
+and a_{2m+1} check the unique enumerators; admissibility read off the exact coefficients of a
 concrete enumerator one by one checks the scaled-integer certificates of
 admissible_at and the beta ranges; the dual code, the MacWilliams
 fixed-point identity and a codeword-by-codeword count check the GF(2)
@@ -34,14 +35,15 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from minshadow.exact import LinearSystemError, Scalar, parametric_linear_solve
+from minshadow.exact import (LinearSystemError, Scalar, parametric_linear_solve,
+                            poly_eval)
 from minshadow.gf2 import BinaryCode, code_weight_distribution
 from minshadow.gleason import (FamilyParams, Matrix, Pair, ParametricEnumerator,
                                TransformTables, code_inverse_col0,
                                shadow_basis_column, shadow_inverse_entry)
-from minshadow.solver import (Admissibility, ConstraintSet, FamilyCase,
-                              _gleason, minimal_shadow_constraints,
-                              minimal_shadow_r)
+from minshadow.solver import (FAMILY_CASES, UNIQUE_FAMILIES, Admissibility,
+                              ConstraintSet, FamilyCase, _gleason, f_poly,
+                              minimal_shadow_constraints, minimal_shadow_r)
 
 
 class SingularMatrixError(ValueError):
@@ -415,8 +417,8 @@ def minimal_shadow_constraints_loop(case: FamilyCase, m: int) -> ConstraintSet:
     """The pins of solver.minimal_shadow_constraints built one entry at a
     time, each its own Fraction, by weight w: a_0 = 1, a_i = 0 for
     0 < 2i < d; b = 0 at w < d(S) and at d(S) < w < d - d(S), b = 1 at
-    w = d(S) when 2 d(S) < d; the coincidence at n = 2 (mod 8),
-    d = 2 (mod 4), and beta at the first unpinned shadow slot."""
+    w = d(S) when 2 d(S) < d; and the coincidence at n = 2 (mod 8),
+    d = 2 (mod 4)."""
     fam = case.params(m)
     d = case.d(m)
     ds = minimal_shadow_r(fam.n)
@@ -433,12 +435,7 @@ def minimal_shadow_constraints_loop(case: FamilyCase, m: int) -> ConstraintSet:
     equalities: tuple[tuple[int, int], ...] = ()
     if fam.n % 8 == 2 and d % 4 == 2:
         equalities = ((d // 2, (d - 2) // 4),)
-    beta_slot = None
-    if case.parametrized:
-        beta_slot = 0
-        while beta_slot in pinned_b:
-            beta_slot += 1
-    return ConstraintSet(pinned_a, pinned_b, equalities, beta_slot)
+    return ConstraintSet(pinned_a, pinned_b, equalities)
 
 
 def pinned_system_gleason(case: FamilyCase, m: int) -> list[Pair]:
@@ -446,8 +443,9 @@ def pinned_system_gleason(case: FamilyCase, m: int) -> list[Pair]:
     pairs from every pin at once: the code rows, the shadow rows, the
     coincidence rows and the beta row, over the full code block and all
     K + 1 shadow columns, through the parametric linear solve with a
-    two-column right-hand side.  Beta is normalized as in solver.solve:
-    c_{K-s} equals beta times entry (K-s, s) of the inverse shadow block.
+    two-column right-hand side.  Beta sits at the first unpinned shadow
+    slot s and is normalized as in solver.solve: c_{K-s} equals beta
+    times entry (K-s, s) of the inverse shadow block.
     The shadow rows are read off the dense basis columns
     (shadow_basis_column) in the c_j themselves, so they check the
     signed-binomial rows in y_j that solver._gleason builds."""
@@ -467,10 +465,13 @@ def pinned_system_gleason(case: FamilyCase, m: int) -> list[Pair]:
     for ai, bi in cs.equalities:
         rows.append([code_cols[j][ai] - shadow_cols[j][bi] for j in range(k)])
         rhs.append((0, 0))
-    if cs.beta_slot is not None:
-        istar = k - 1 - cs.beta_slot
+    if case.parametrized:
+        slot = 0
+        while slot in cs.pinned_b:
+            slot += 1
+        istar = k - 1 - slot
         rows.append([int(j == istar) for j in range(k)])
-        rhs.append((0, shadow_inverse_entry(istar, cs.beta_slot, fam)))
+        rhs.append((0, shadow_inverse_entry(istar, slot, fam)))
     return parametric_linear_solve(rows, rhs)
 
 
@@ -486,6 +487,57 @@ def beta_tail_gleason(case: FamilyCase, m: int) -> list[Pair]:
     return ([(x, 0) for x in code_inverse_col0(fam, h)[:h]]
             + [(0, shadow_inverse_entry(h, k_top - h, fam))]
             + [(shadow_inverse_entry(j, 0, fam), 0) for j in range(h + 1, k_top + 1)])
+
+
+# ---------------------------------------------------------------------------
+# closed forms
+
+
+def _check_unique(case: FamilyCase, m: int) -> None:
+    if case.tag not in UNIQUE_FAMILIES:
+        raise ValueError(f"no closed form for family {case.tag}")
+    if m < 1:
+        raise ValueError(f"closed forms require m >= 1, got {m}")
+
+
+def closed_form_bm(case: FamilyCase, m: int) -> Fraction:
+    """The forced shadow coefficient b_m at weight 4m + r."""
+    _check_unique(case, m)
+    if case.tag == "24m+2":
+        return Fraction(4 * (24 * m + 1), 5 * m) * math.comb(5 * m, m - 1)
+    if case.tag == "24m+4":
+        return (Fraction(2 * (12 * m + 1) * (38 * m + 7), 5 * m * (2 * m + 1))
+                * math.comb(5 * m, m - 1))
+    return Fraction(math.comb(5 * m + 1, m))
+
+
+def closed_form_bm1(case: FamilyCase, m: int) -> Fraction:
+    """The forced shadow coefficient b_{m+1}, as prefactor times f(m)."""
+    _check_unique(case, m)
+    fm = evaluate_f(case, m)
+    if case.tag == "24m+2":
+        pre = Fraction(-64 * (24 * m + 1),
+                       (5 * m - 1) * (4 * m + 2) * (4 * m + 3)
+                       * (4 * m + 4) * (4 * m + 5)) * math.comb(5 * m, m - 1)
+    elif case.tag == "24m+4":
+        pre = Fraction(-128 * (12 * m + 1),
+                       (5 * m - 1) * (4 * m + 2) * (4 * m + 3)
+                       * (4 * m + 4) * (4 * m + 5) * (4 * m + 6)) * math.comb(5 * m, m - 1)
+    else:
+        pre = Fraction(-16 * (5 * m + 2),
+                       (4 * m + 1) * (4 * m + 2) * (4 * m + 3)
+                       * (4 * m + 4) * (4 * m + 5)) * math.comb(5 * m, m)
+    return pre * fm
+
+
+def closed_form_a2m1(m: int) -> Fraction:
+    """The forced code coefficient a_{2m+1} in the 24m+10 family: the
+    coincidence a_{2m+1} = b_m makes it closed_form_bm there."""
+    return closed_form_bm(FAMILY_CASES["24m+10"], m)
+
+
+def evaluate_f(case: FamilyCase, m: int) -> int:
+    return poly_eval(f_poly(case), m)
 
 
 # ---------------------------------------------------------------------------

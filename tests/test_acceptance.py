@@ -16,11 +16,11 @@ from minshadow.gf2 import (NEIGHBOR_TABLE, enumerator_vectors, extract_beta,
                            reference_code_46, shadow)
 from minshadow.gleason import (FamilyParams, build_transform_tables,
                                enumerators_from_gleason)
-from minshadow.solver import (admissible_at, beta_range, closed_form_a2m1,
-                              closed_form_bm, closed_form_bm1, family_case,
+from minshadow.solver import (admissible_at, beta_range, f_poly, family_case,
                               largest_root_bracket, max_admissible,
                               minimal_shadow_r, nonexistence_scan, solve)
-from oracles import (build_code, gleason_from_code, gleason_from_shadow,
+from oracles import (build_code, closed_form_a2m1, closed_form_bm,
+                     closed_form_bm1, gleason_from_code, gleason_from_shadow,
                      inverse_blocks, macwilliams_fixed_point,
                      pinned_system_gleason)
 
@@ -81,9 +81,9 @@ def test_criterion_1_full_scans():
 
 
 def test_criterion_2_root_brackets():
-    assert largest_root_bracket(C2) == (231, 232)
-    assert largest_root_bracket(C4) == (174, 175)
-    assert largest_root_bracket(C10) == (236, 237)
+    assert largest_root_bracket(f_poly(C2)) == (231, 232)
+    assert largest_root_bracket(f_poly(C4)) == (174, 175)
+    assert largest_root_bracket(f_poly(C10)) == (236, 237)
     print("ACCEPTANCE 2: PASS  brackets (231,232) (174,175) (236,237)")
 
 

@@ -17,15 +17,15 @@ from minshadow.gleason import (FamilyParams, ParametricEnumerator,
                                enumerators_from_gleason, expand_scaled)
 from minshadow.solver import (FAMILY_CASES, Admissibility, EmptyBetaRangeError,
                               admissible_at, beta_family_for_length, beta_range,
-                              closed_form_a2m1, closed_form_bm, closed_form_bm1,
-                              evaluate_f, f_poly, family_case, g_poly,
-                              largest_root_bracket, max_admissible,
-                              minimal_shadow_constraints, minimal_shadow_r,
-                              nonexistence_scan, rains_bound, solve)
+                              f_poly, family_case, g_poly, largest_root_bracket,
+                              max_admissible, minimal_shadow_constraints,
+                              minimal_shadow_r, nonexistence_scan, rains_bound,
+                              solve)
 from minshadow.cli import M_CAP
-from oracles import (admissible, beta_tail_gleason, full_by_direct_sum,
-                     minimal_shadow_constraints_loop, pinned_system_gleason,
-                     window_by_delta)
+from oracles import (admissible, beta_tail_gleason, closed_form_a2m1,
+                     closed_form_bm, closed_form_bm1, evaluate_f,
+                     full_by_direct_sum, minimal_shadow_constraints_loop,
+                     pinned_system_gleason, window_by_delta)
 from optimized import run_optimized
 
 C2 = family_case("24m+2")
@@ -33,6 +33,12 @@ C4 = family_case("24m+4")
 C6 = family_case("24m+6")
 C10 = family_case("24m+10")
 C22 = family_case("24m+22")
+
+
+def first_free_slot(cs) -> int:
+    """The first shadow index not in cs.pinned_b: beta's slot in a beta
+    family."""
+    return next(i for i in range(len(cs.pinned_b) + 1) if i not in cs.pinned_b)
 
 
 class TestBounds:
@@ -78,7 +84,6 @@ class TestConstraints:
         assert cs.pinned_a == {0: 1, 1: 0, 2: 0, 3: 0, 4: 0}
         assert cs.pinned_b == {0: 1, 1: 0}
         assert cs.equalities == ((5, 2),)
-        assert cs.beta_slot is None
 
     def test_family_24m4_no_equality(self):
         cs = minimal_shadow_constraints(C4, 2)
@@ -88,18 +93,18 @@ class TestConstraints:
     def test_family_24m6_m1_free_slot0(self):
         cs = minimal_shadow_constraints(C6, 1)
         assert cs.pinned_b == {}
-        assert cs.beta_slot == 0
+        assert first_free_slot(cs) == 0
 
     def test_family_24m6_m2_pins_b0(self):
         cs = minimal_shadow_constraints(C6, 2)
         assert cs.pinned_b == {0: 1}
-        assert cs.beta_slot == 1
+        assert first_free_slot(cs) == 1
 
     def test_family_24m22_m2_zero_gap(self):
         cs = minimal_shadow_constraints(C22, 2)
         assert cs.pinned_a == {i: (1 if i == 0 else 0) for i in range(6)}
         assert cs.pinned_b == {0: 1, 1: 0}
-        assert cs.beta_slot == 2
+        assert first_free_slot(cs) == 2
 
     @pytest.mark.parametrize("case", list(FAMILY_CASES.values()),
                              ids=lambda c: c.tag)
@@ -131,11 +136,11 @@ class TestConstraints:
         assert minimal_shadow_r(case.n(m)) == 4
         assert list(cs.pinned_b.items()) == list(pinned_b.items())
         assert cs.pinned_a == {i: int(i == 0) for i in range(2 * m + 2)}
-        assert (cs.equalities, cs.beta_slot) == ((), None)
+        assert cs.equalities == ()
         assert cs == minimal_shadow_constraints_loop(case, m)
 
     def test_m_zero_only_for_24m22(self):
-        assert minimal_shadow_constraints(C22, 0).beta_slot == 0
+        assert first_free_slot(minimal_shadow_constraints(C22, 0)) == 0
         with pytest.raises(ValueError):
             minimal_shadow_constraints(C2, 0)
 
@@ -293,9 +298,9 @@ class TestNonexistencePolynomials:
         assert evaluate_f(C10, 1) == -42552
 
     def test_brackets(self):
-        assert largest_root_bracket(C2) == (231, 232)
-        assert largest_root_bracket(C4) == (174, 175)
-        assert largest_root_bracket(C10) == (236, 237)
+        assert largest_root_bracket(f_poly(C2)) == (231, 232)
+        assert largest_root_bracket(f_poly(C4)) == (174, 175)
+        assert largest_root_bracket(f_poly(C10)) == (236, 237)
 
     @pytest.mark.parametrize("case,t,f_below", [
         (C2, 232, -56452419407), (C4, 175, -111899916659934),
@@ -305,19 +310,21 @@ class TestNonexistencePolynomials:
         # f(t-1) < 0, so t is least with that property and a root lies in
         # (t-1, t)
         poly = f_poly(case)
-        assert largest_root_bracket(case) == (t - 1, t)
+        assert largest_root_bracket(poly) == (t - 1, t)
         assert all(c > 0 for c in taylor_shift(poly, t))
         assert min(taylor_shift(poly, t - 1)) <= 0
         assert evaluate_f(case, t - 1) == f_below < 0 < evaluate_f(case, t)
 
-    @pytest.mark.parametrize("poly,why", [
-        ((1, 1, 1), "f\\(-1\\) is not negative"),   # search stops at t = 0
-        ((1, 1, -1), "no positive leading coefficient"),
+    @pytest.mark.parametrize("poly,message", [
+        ((1, 1, 1), "p(-1) = 1 is not negative"),   # search stops at t = 0
+        ((1, 1, -1), "no positive leading coefficient in (1, 1, -1)"),
+        ((-1, 1), "p(1) = 0 is not negative"),      # the root is exactly 1
+        ((), "no positive leading coefficient in ()"),
     ])
-    def test_bracket_is_certified(self, monkeypatch, poly, why):
-        monkeypatch.setitem(solver._F_POLYS, "24m+2", poly)
-        with pytest.raises(VerificationFailure, match=why):
-            largest_root_bracket(C2)
+    def test_bracket_is_certified(self, poly, message):
+        with pytest.raises(VerificationFailure) as err:
+            largest_root_bracket(poly)
+        assert str(err.value) == message
 
     def test_no_poly_for_beta_families(self):
         with pytest.raises(ValueError):
@@ -356,7 +363,7 @@ class TestCertificateHint:
         # g(t + x) has only positive coefficients from t on, and g(t-1) < 0:
         # given the closed form, a_{2m+4} < 0 for every m >= t
         g = g_poly(case)
-        assert next(s for s in range(t + 1) if min(taylor_shift(g, s)) > 0) == t
+        assert largest_root_bracket(g) == (t - 1, t)
         assert poly_eval(g, t - 1) < 0
 
     @pytest.mark.parametrize("case", [C2, C4, C10], ids=lambda c: c.tag)
@@ -614,7 +621,7 @@ class TestBetaRowFromThePins:
             fam, h = case.params(m), case.d(m) // 2
             k_top = fam.c_count - 1
             cs = minimal_shadow_constraints(case, m)
-            assert cs.beta_slot == k_top - h == len(cs.pinned_b), m
+            assert first_free_slot(cs) == k_top - h == len(cs.pinned_b), m
             assert (gleason.shadow_inverse_entry(h, k_top - h, fam)
                     == (-1) ** h * Fraction(2) ** (6 * h - fam.half)), m
 
