@@ -4,9 +4,10 @@ its ten recorded self-dual neighbors with minimal shadow.
 
 Each neighbor comes from one even-weight vector x: the new code is
 spanned by the x-orthogonal subcode together with x itself.  Every
-neighbor is enumerated exhaustively (2^23 codewords, counted from 2^22
-words since the code holds the all-ones word), its shadow distribution
-is the exact transform of that enumeration, and both are matched
+neighbor's words of weight at most 10 are counted from two information
+sets (44 552 combinations of at most 5 rows each, not 2^23 codewords),
+Gleason's theorem rebuilds its weight distribution from them, its
+shadow distribution is the exact transform of that one, and both are matched
 against the one-parameter length-46 enumerator, which pins its beta.
 """
 

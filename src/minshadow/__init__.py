@@ -2,8 +2,8 @@
 with minimal shadow: Gleason-type expansions with exact rational
 transforms, minimal-shadow constraint solving (unique and one-parameter
 families), nonexistence scans by coefficient nonnegativity and
-integrality, and an exhaustive GF(2) code engine for cross-checking
-against real codes."""
+integrality, and a GF(2) code engine for cross-checking against real
+codes."""
 
 from .exact import (LinearSystemError, VerificationFailure,
                     parametric_linear_solve)

@@ -8,7 +8,8 @@ nonzero terms.  `main` alone prints the chosen one and maps exceptions
 to exit codes: 0 success, 1 a verification failed to reproduce, 2
 usage, parse or input-domain errors, including an input above one of
 the caps M_CAP and PRINT_CAP here or the GF(2) enumeration caps that
-`gf2.parse_generator_file` and `gf2.weight_distribution` check.
+`gf2.parse_generator_file`, `gf2.weight_distribution` and
+`gf2.low_weight_distribution` check.
 """
 
 from __future__ import annotations

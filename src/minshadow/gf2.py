@@ -3,16 +3,26 @@
 Generator rows are stored as Python ints (bit i = coordinate i, zero
 based internally; support sets at the API boundary are 1-based).  Codes
 are canonicalized to reduced row echelon form so equal codes compare
-equal.  Exhaustive weight enumeration packs rows into numpy uint64 words
-and walks the 2^k codewords by a vectorized meet-in-the-middle XOR.  When
-the all-ones word 1 lies in the code, as it does in every self-dual code,
-only half of them are walked: C = C' + {0, 1} for C' spanned by all RREF
-rows but one, and wt(x + 1) = n - wt(x), so the counts of the other half
-are those of the first reversed.  The same holds for a coset offset + C.
-A shadow is not enumerated: its distribution is an exact transform of
-the code's, so a singly even self-dual code costs one enumeration, and
-the coset enumeration of the shadow stays only as the check of that
-transform.
+equal.
+
+A self-dual code's weight distribution is not enumerated: by Gleason's
+theorem it is fixed by a_0..a_K, its counts of the weights up to
+2K = 2 floor(n/8), and low_weight_distribution counts those exactly from
+two information sets, the pivots of the RREF generator and their
+complement, by XORing at most K rows of each side's generator, which
+takes sum_(t <= K) C(n/2, t) combinations per side instead of 2^(n/2)
+codewords.  The inverse code block and the code-side Horner expansion of
+gleason rebuild the rest, checked.  A shadow is not enumerated either:
+its distribution is an exact transform of the code's, and the coset
+enumeration of the shadow stays only as the check of that transform.
+
+Every other code, and every coset offset + C, is enumerated
+exhaustively: weight_distribution packs rows into numpy uint64 words and
+walks the 2^k codewords by a vectorized meet-in-the-middle XOR.  When
+the all-ones word 1 lies in the code, only half of them are walked:
+C = C' + {0, 1} for C' spanned by all RREF rows but one, and
+wt(x + 1) = n - wt(x), so the counts of the other half are those of the
+first reversed.  The same holds for a coset offset + C.
 The XOR runs in blocks of BLOCK_WORDS words (512 KB), so a block, its
 uint8 popcounts and their per-codeword sums (uint8, or uint16 past
 n = 255) stay in a core's L2 cache on the way to the weight count,
@@ -30,6 +40,7 @@ with minimal shadow, together with their enumerator parameters beta.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import xor
@@ -38,12 +49,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exact import VerificationFailure
-from .gleason import FamilyParams
+from .gleason import FamilyParams, code_inverse_col0, horner_code_side
 from .solver import beta_family_for_length, minimal_shadow_r, solve
 
 ENUMERATION_CAP = 28    # dimension k: 2^k codewords
 LENGTH_CAP = 4096       # length n: each half of the XOR table is <= 8 MB
 BLOCK_WORDS = 1 << 16   # uint64 words per XOR block (512 KB), or one half
+COMBO_CAP = 1 << 22     # combinations of at most w/2 rows per information set
 
 
 class EnumerationCapError(ValueError):
@@ -222,9 +234,127 @@ def weight_distribution(code: BinaryCode, offset: int = 0) -> list[int]:
     return [int(x) for x in counts]
 
 
+# ---------------------------------------------------------------------------
+# low weights of self-dual codes
+
+
+def _level_counts(rows: np.ndarray, top: int) -> np.ndarray:
+    """counts[t, p]: how many XORs of t of the packed rows, t <= top, have
+    p bits set.
+
+    The t-row combinations are built level by level, each level into one
+    preallocated array: those whose last row is j are row j XORed onto
+    the (t-1)-row combinations of the rows before j, which are the first
+    C(j, t-1) entries of the level before, as that level lies in the same
+    order.  Each level is counted in slices of BLOCK_WORDS words."""
+    k = len(rows)
+    counts = np.zeros((top + 1, 65), dtype=np.int64)   # popcounts 0..64
+    counts[0, 0] = 1
+    level = np.zeros(1, dtype=np.uint64)    # the empty combination
+    for t in range(1, top + 1):
+        nxt = np.empty(math.comb(k, t), dtype=np.uint64)
+        pos = 0
+        for j in range(t - 1, k):
+            size = math.comb(j, t - 1)
+            np.bitwise_xor(level[:size], rows[j], out=nxt[pos:pos + size])
+            pos += size
+        level = nxt
+        for s in range(0, level.size, BLOCK_WORDS):
+            counts[t] += np.bincount(np.bitwise_count(level[s:s + BLOCK_WORDS]),
+                                     minlength=65)
+    return counts
+
+
+def low_weight_distribution(code: BinaryCode, w: int) -> list[int]:
+    """Exact counts of the weights 0..w in a self-dual code C.
+
+    The RREF generator [I | A] is systematic on the pivots P; as C is its
+    own dual, the parity-check matrix [A^T | I] generates C too and is
+    systematic on the complement Q: its row q is e_q + sum_i A[i,q] e_(p_i).
+    A word of weight at most w has at most w/2 ones on P or on Q, so it
+    is the XOR of at most w/2 rows of one of the two.  Both are walked:
+    a combination of t rows has t ones on its own side, and the XOR of
+    the rows' other halves (rows, then columns of A, as k-bit words) has
+    the rest.  A Q-side combination is counted only when its P half has
+    more than w/2 ones, so no word is counted twice.
+
+    Each side walks sum_(t <= w/2) C(k, t) combinations, capped at
+    COMBO_CAP = 2^22 before any allocation (EnumerationCapError); so is
+    k > 64, which does not fit the halves into one uint64 word.  At
+    w = 2 floor(n/8), as code_weight_distribution asks, the cap admits
+    every self-dual code up to n = 62 (3 572 224 combinations) and
+    refuses n = 64 (15 033 173), so every code it admits fits.
+    """
+    if not is_self_dual(code):
+        raise ValueError("low-weight counts require a self-dual code")
+    if w < 0:
+        raise ValueError(f"weight bound {w} is negative")
+    k, h = code.k, w // 2
+    top = min(h, k)
+    combos = sum(math.comb(k, t) for t in range(top + 1))
+    if combos > COMBO_CAP:
+        raise EnumerationCapError(f"{combos} combinations of at most {h} rows "
+                                  f"exceed the combination cap {COMBO_CAP}")
+    if k > 64:
+        raise EnumerationCapError(f"dimension {k} exceeds 64, one uint64 word")
+    nbytes = (code.n + 7) // 8
+    bits = np.unpackbits(np.frombuffer(b"".join(r.to_bytes(nbytes, "little")
+                                                for r in code.rows), np.uint8)
+                         .reshape(k, nbytes), axis=1, count=code.n,
+                         bitorder="little")
+    a = np.delete(bits, list(code.pivots), axis=1)  # A: the columns off P
+
+    def words(m):   # each row of the 0/1 matrix m as one little-endian uint64
+        out = np.zeros((k, 8), dtype=np.uint8)
+        out[:, :(k + 7) // 8] = np.packbits(m, axis=1, bitorder="little")
+        return out.view("<u8").ravel()
+
+    p_side = _level_counts(words(a), top)       # [t, q]: t on P, q on Q
+    q_side = _level_counts(words(a.T), top)     # [t, p]: t on Q, p on P
+    q_side[:, :h + 1] = 0
+    dist = np.zeros(w + 65, dtype=np.int64)
+    for t, row in enumerate(p_side + q_side):       # weight t + x at column x
+        dist[t:t + 65] += row
+    return [int(x) for x in dist[:w + 1]]
+
+
+def _gleason_distribution(code: BinaryCode) -> list[int]:
+    """The weight distribution of a self-dual code from its counts of the
+    weights 0..2K, K = floor(n/8), by Gleason's theorem (Conway and Sloane,
+    IEEE Trans. IT 36, 1990): W_C = sum_j c_j (1+z)^(n/2-4j) (z(1-z)^2)^j,
+    z = y^2, and the inverse code block turns a_0..a_K into c.  Raises
+    VerificationFailure unless a_0 = 1, every rebuilt coefficient is a
+    non-negative integer, the rebuilt a_0..a_K (and the zero odd weights
+    up to 2K) equal the counts, and the coefficients sum to 2^k: the sum
+    is horner_code_side's own check at z = 1, c_0 2^(n/2), as c_0 = a_0."""
+    fam = FamilyParams.from_length(code.n)
+    k_top = fam.c_count - 1
+    low = low_weight_distribution(code, 2 * k_top)
+    if low[0] != 1:
+        raise VerificationFailure(f"{low[0]} words of weight 0 counted, not 1")
+    cols = [code_inverse_col0(fam, j=j) for j in range(k_top + 1)]
+    c = [sum(col[i] * a for col, a in zip(cols, low[::2]))
+         for i in range(k_top + 1)]
+    dist = [0] * (code.n + 1)
+    dist[::2] = horner_code_side(c, fam)
+    bad = next((w for w, x in enumerate(dist) if x < 0), None)
+    if bad is not None:
+        raise VerificationFailure(f"Gleason rebuild of n={code.n} counts "
+                                  f"{dist[bad]} words of weight {bad}")
+    bad = next((w for w, x in enumerate(low) if x != dist[w]), None)
+    if bad is not None:
+        raise VerificationFailure(f"Gleason rebuild of n={code.n} counts "
+                                  f"{dist[bad]} words of weight {bad}, "
+                                  f"{low[bad]} were counted")
+    return dist
+
+
 def code_weight_distribution(code: BinaryCode) -> list[int]:
+    """The code's weight distribution, computed once: by low weights and
+    Gleason's theorem for a self-dual code, else exhaustively."""
     if code._dist is None:
-        code._dist = weight_distribution(code)
+        code._dist = (_gleason_distribution(code) if is_self_dual(code)
+                      else weight_distribution(code))
     return code._dist
 
 
@@ -286,8 +416,8 @@ def shadow(code: BinaryCode) -> ShadowPartition:
     C0 splits into four cosets of C0, two of which form the code; the
     shadow is the other two, i.e. the coset t + C for any t in the dual
     of C0 outside C.  Its distribution is not enumerated: it is an exact
-    transform of the code's own (`_shadow_weights`), so the one code
-    enumeration serves both.  `weight_distribution(code, t)` enumerates
+    transform of the code's own (`_shadow_weights`), so the code's one
+    distribution serves both.  `weight_distribution(code, t)` enumerates
     the coset itself and stays as the check of that transform.
     Such a t is read off the RREF: the sum of the pivot unit vectors of
     the rows g_i with wt(g_i)/2 odd meets each g_i in wt(g_i)/2 (mod 2)

@@ -37,7 +37,7 @@ from typing import Sequence
 
 from minshadow.exact import (LinearSystemError, Scalar, parametric_linear_solve,
                             poly_eval)
-from minshadow.gf2 import BinaryCode, code_weight_distribution
+from minshadow.gf2 import BinaryCode, weight_distribution
 from minshadow.gleason import (FamilyParams, Matrix, Pair, ParametricEnumerator,
                                TransformTables, code_inverse_col0,
                                shadow_basis_column, shadow_inverse_entry)
@@ -604,10 +604,12 @@ def weight_distribution_naive(code: BinaryCode, offset: int = 0) -> list[int]:
 
 def macwilliams_fixed_point(code: BinaryCode) -> bool:
     """Exact MacWilliams self-duality check on the weight distribution:
-    2^(n/2) W(y) = (1+y)^n W((1-y)/(1+y)) after clearing denominators."""
+    2^(n/2) W(y) = (1+y)^n W((1-y)/(1+y)) after clearing denominators.
+    It reads the exhaustive enumeration: the library's distribution of a
+    self-dual code is a Gleason polynomial, a fixed point by construction."""
     if 2 * code.k != code.n:
         raise ValueError("MacWilliams fixed point applies to self-dual sizes")
-    dist = code_weight_distribution(code)
+    dist = weight_distribution(code)
     n = code.n
     rhs: list = []
     one_minus = [1, -1]

@@ -1,6 +1,7 @@
 """GF(2) code engine: duals, parity, shadows, neighbors, and the bundled
 length-46 code."""
 
+import math
 import random
 import tracemalloc
 
@@ -8,12 +9,13 @@ import pytest
 
 from minshadow import cli, gf2
 from minshadow.exact import VerificationFailure
-from minshadow.gf2 import (LENGTH_CAP, BetaMismatchError, BinaryCode,
-                           EnumerationCapError, GeneratorFileError,
+from minshadow.gf2 import (COMBO_CAP, LENGTH_CAP, BetaMismatchError,
+                           BinaryCode, EnumerationCapError, GeneratorFileError,
                            NEIGHBOR_TABLE, circulant,
                            code_weight_distribution, enumerator_vectors,
                            extract_beta, format_generator_file,
-                           is_minimal_shadow, is_self_dual, min_weight,
+                           is_minimal_shadow, is_self_dual,
+                           low_weight_distribution, min_weight,
                            neighbor, parity_class,
                            parse_generator_file, reference_code_46, shadow,
                            support_mask, verify_neighbor_table,
@@ -126,9 +128,9 @@ class TestBasics:
         assert peak < 100 * 2**20
 
     def test_distribution_memory_bounded_on_length_46(self):
-        # two code enumerations, each folded to 2^22 words because the
-        # code holds the all-ones word: shadow's, whose distribution it
-        # transforms into the shadow's, and weight_distribution's
+        # shadow's code distribution, from the low weights by Gleason's
+        # theorem, and one exhaustive enumeration, weight_distribution's,
+        # folded to 2^22 words because the code holds the all-ones word
         code = reference_code_46()
         tracemalloc.start()
         try:
@@ -218,9 +220,11 @@ class TestComplementFold:
 
     @pytest.mark.parametrize("index", range(len(NEIGHBOR_TABLE) + 1))
     def test_bundled_codes_and_shadows(self, index):
-        # index 0 is the bundled code, 1..10 its recorded neighbors; one
-        # more zero coordinate gives the same weights from a code without
-        # the all-ones word, enumerated unfolded over all 2^23 words
+        # index 0 is the bundled code, 1..10 its recorded neighbors, whose
+        # distributions come from their low weights by Gleason's theorem;
+        # one more zero coordinate gives the same weights from a code that
+        # is not self-dual and lacks the all-ones word, enumerated unfolded
+        # over all 2^23 words
         code = reference_code_46()
         if index:
             code = neighbor(code, NEIGHBOR_TABLE[index - 1][0])
@@ -324,14 +328,17 @@ class TestShadowFromCode:
         assert checked
 
     def test_one_enumeration_per_code(self, monkeypatch, tmp_path, capsys):
-        # the bundled code and its ten neighbors are enumerated once each
-        calls = []
-        enumerate_ = gf2.weight_distribution
+        # the bundled code and its ten neighbors have their low weights
+        # counted once each, and none is enumerated exhaustively
+        calls, exhaustive = [], []
+        count_, enumerate_ = gf2.low_weight_distribution, gf2.weight_distribution
+        monkeypatch.setattr(gf2, "low_weight_distribution",
+                            lambda code, w: calls.append(w) or count_(code, w))
         monkeypatch.setattr(gf2, "weight_distribution",
-                            lambda code, offset=0: calls.append(offset)
+                            lambda code, offset=0: exhaustive.append(offset)
                             or enumerate_(code, offset))
         verify_neighbor_table()
-        assert len(calls) == 11
+        assert calls == [10] * 11
         calls.clear()
         path = tmp_path / "c46.txt"
         path.write_text(format_generator_file(reference_code_46()))
@@ -339,7 +346,8 @@ class TestShadowFromCode:
         assert cli.main(["code", "neighbor", "--gen-file", str(path),
                          "--support", support]) == 0
         assert '"beta": "36"' in capsys.readouterr().out
-        assert calls == [0]
+        assert calls == [10]
+        assert exhaustive == []
 
     def test_representatives_must_be_counted(self, monkeypatch):
         # a transform that counts nothing at the weight of a shadow
@@ -355,12 +363,12 @@ class TestShadowFromCode:
         proc = run_optimized("""
             from minshadow import gf2
             from minshadow.exact import VerificationFailure
-            enumerate_ = gf2.weight_distribution
-            def perturbed(code, offset=0):
-                dist = enumerate_(code, offset)
+            rebuild = gf2._gleason_distribution
+            def perturbed(code):
+                dist = rebuild(code)
                 dist[0] += 1
                 return dist
-            gf2.weight_distribution = perturbed
+            gf2._gleason_distribution = perturbed
             code = gf2.neighbor(gf2.BinaryCode([3, 12, 48, 192, 768], 10),
                                 (1, 3))
             try:
@@ -372,6 +380,129 @@ class TestShadowFromCode:
         """)
         assert proc.returncode == 0, proc.stderr
         assert "raised: shadow count at weight 0 is 1 / 2^5" in proc.stdout
+
+
+def _pairs(count: int) -> BinaryCode:
+    """i_2^count: the direct sum of count copies of the [2, 1, 2] code,
+    whose a_i = C(count, i) words of weight 2i a hand count gives."""
+    return BinaryCode([0b11 << 2 * i for i in range(count)], 2 * count)
+
+
+def _combinations(n: int) -> int:
+    """Combinations per information set at w = 2 floor(n/8), k = n/2."""
+    return sum(math.comb(n // 2, t) for t in range(n // 8 + 1))
+
+
+class TestLowWeights:
+    # a self-dual code's distribution is rebuilt from its counts of the
+    # weights 0..2K by Gleason's theorem; the exhaustive enumeration,
+    # which no longer serves self-dual codes, is the oracle
+    # (the bundled codes: TestComplementFold.test_bundled_codes_and_shadows)
+    @pytest.mark.parametrize("code", [REP2, PAIR4, E8], ids=["REP2", "PAIR4", "E8"])
+    def test_small_codes(self, code):
+        # E8 is doubly even
+        assert gf2._gleason_distribution(code) == weight_distribution(code)
+
+    @pytest.mark.parametrize("n", range(4, 26, 2))
+    def test_neighbor_walks(self, n):
+        # the codes of TestShadowFromCode's walks, doubly even ones too
+        for code in _walk_codes(n, 24, seed=n):
+            assert is_self_dual(code)
+            assert code_weight_distribution(code) == weight_distribution(code)
+
+    @pytest.mark.parametrize("n", range(4, 18, 2))
+    def test_counts_are_the_exhaustive_prefix(self, n):
+        for code in _walk_codes(n, 4, seed=100 + n):
+            dist = weight_distribution(code)
+            for w in range(n + 1):
+                assert low_weight_distribution(code, w) == dist[:w + 1]
+
+    def test_past_the_enumeration_cap(self):
+        # k = 29 is refused by the exhaustive enumeration, not here
+        code = _pairs(29)
+        with pytest.raises(EnumerationCapError, match="dimension 29 "):
+            weight_distribution(code)
+        dist = code_weight_distribution(code)
+        assert dist[::2] == [math.comb(29, i) for i in range(30)]
+        assert not any(dist[1::2])
+        assert min_weight(code) == 2
+
+    def test_combination_cap(self):
+        # every self-dual length the exhaustive path admits (n <= 56,
+        # k <= 28) is admitted, up to n = 62; n = 64 is refused
+        assert COMBO_CAP == 1 << 22
+        assert _combinations(56) == 1683218
+        assert max(map(_combinations, range(2, 64, 2))) == _combinations(62)
+        assert _combinations(62) == 3572224 <= COMBO_CAP < _combinations(64)
+        assert _combinations(64) == 15033173
+
+    def test_memory_bounded_at_the_cap(self):
+        # levels 6 and 7 of 31 rows: (C(31, 6) + C(31, 7)) uint64 words,
+        # 26.9 MB, plus the slice being counted
+        tracemalloc.start()
+        try:
+            dist = code_weight_distribution(_pairs(31))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dist[::2] == [math.comb(31, i) for i in range(32)]
+        assert peak < 32 * 2**20
+
+    def test_refused_before_any_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapError,
+                               match="15033173 combinations of at most 8 rows"):
+                code_weight_distribution(_pairs(32))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
+
+    def test_one_word_halves(self):
+        # 66 combinations at w = 2, within the cap, but 65-bit halves
+        with pytest.raises(EnumerationCapError, match="dimension 65 exceeds 64"):
+            low_weight_distribution(_pairs(65), 2)
+        assert low_weight_distribution(_pairs(64), 2) == [1, 0, 64]
+
+    def test_bad_input(self):
+        with pytest.raises(ValueError, match="self-dual"):
+            low_weight_distribution(build_code([[1, 1, 0, 0]]), 2)
+        with pytest.raises(ValueError, match="negative"):
+            low_weight_distribution(PAIR4, -1)
+
+    def test_other_codes_are_enumerated(self, monkeypatch):
+        # a code that is not self-dual keeps the exhaustive enumeration
+        monkeypatch.setattr(gf2, "low_weight_distribution", None)
+        assert code_weight_distribution(build_code([[1, 1, 1, 1]])) == [1, 0, 0, 0, 1]
+
+    @pytest.mark.parametrize("weight, delta, message", [
+        (0, 1, "2 words of weight 0 counted, not 1"),
+        (1, 1, "counts 0 words of weight 1, 1 were counted"),
+        (2, -1, "counts -1 words of weight 2"),
+    ])
+    def test_perturbed_count_raises_under_optimize_flag(self, weight, delta,
+                                                        message):
+        # a second zero word, an odd weight, and a count that the rebuild
+        # carries into a negative coefficient
+        proc = run_optimized(f"""
+            from minshadow import gf2
+            from minshadow.exact import VerificationFailure
+            count = gf2.low_weight_distribution
+            def perturbed(code, w):
+                dist = count(code, w)
+                dist[{weight}] += {delta}
+                return dist
+            gf2.low_weight_distribution = perturbed
+            try:
+                gf2.code_weight_distribution(gf2.reference_code_46())
+            except VerificationFailure as exc:
+                print("raised:", exc)
+            else:
+                sys.exit("accepted a perturbed count")
+        """)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised: ") and message in proc.stdout
 
 
 class TestNeighbor:
