@@ -12,7 +12,9 @@ two information sets, the pivots of the RREF generator and their
 complement, by XORing at most K rows of each side's generator, which
 takes sum_(t <= K) C(n/2, t) combinations per side instead of 2^(n/2)
 codewords.  The inverse code block and the code-side Horner expansion of
-gleason rebuild the rest, checked.  A shadow is not enumerated either:
+gleason rebuild the rest, checked against the counts a_0..a_K, the
+only weights observed; the tests compare whole rebuilt distributions
+with the exhaustive enumeration.  A shadow is not enumerated either:
 its distribution is an exact transform of the code's, and the coset
 enumeration of the shadow stays only as the check of that transform.
 
@@ -55,7 +57,7 @@ from .solver import beta_family_for_length, minimal_shadow_r, solve
 ENUMERATION_CAP = 28    # dimension k: 2^k codewords
 LENGTH_CAP = 4096       # length n: each half of the XOR table is <= 8 MB
 BLOCK_WORDS = 1 << 16   # uint64 words per XOR block (512 KB), or one half
-COMBO_CAP = 1 << 22     # combinations of at most w/2 rows per information set
+COMBO_CAP = 1 << 22     # combinations of at most n/8 rows per information set
 
 
 class EnumerationCapError(ValueError):
@@ -265,38 +267,33 @@ def _level_counts(rows: np.ndarray, top: int) -> np.ndarray:
     return counts
 
 
-def low_weight_distribution(code: BinaryCode, w: int) -> list[int]:
-    """Exact counts of the weights 0..w in a self-dual code C.
+def low_weight_distribution(code: BinaryCode) -> list[int]:
+    """Exact counts of the weights 0..2K, K = floor(n/8), in a self-dual
+    code C: the counts that fix its enumerator by Gleason's theorem.
 
     The RREF generator [I | A] is systematic on the pivots P; as C is its
     own dual, the parity-check matrix [A^T | I] generates C too and is
     systematic on the complement Q: its row q is e_q + sum_i A[i,q] e_(p_i).
-    A word of weight at most w has at most w/2 ones on P or on Q, so it
-    is the XOR of at most w/2 rows of one of the two.  Both are walked:
+    A word of weight at most 2K has at most K ones on P or on Q, so it
+    is the XOR of at most K rows of one of the two.  Both are walked:
     a combination of t rows has t ones on its own side, and the XOR of
     the rows' other halves (rows, then columns of A, as k-bit words) has
     the rest.  A Q-side combination is counted only when its P half has
-    more than w/2 ones, so no word is counted twice.
+    more than K ones, so no word is counted twice.
 
-    Each side walks sum_(t <= w/2) C(k, t) combinations, capped at
-    COMBO_CAP = 2^22 before any allocation (EnumerationCapError); so is
-    k > 64, which does not fit the halves into one uint64 word.  At
-    w = 2 floor(n/8), as code_weight_distribution asks, the cap admits
-    every self-dual code up to n = 62 (3 572 224 combinations) and
-    refuses n = 64 (15 033 173), so every code it admits fits.
+    Each side walks sum_(t <= K) C(k, t) combinations, capped at
+    COMBO_CAP = 2^22 before any allocation (EnumerationCapError).  The
+    cap admits every self-dual code up to n = 62 (3 572 224 combinations)
+    and refuses n = 64 (15 033 173), so every admitted code has k <= 31
+    and its halves fit in one uint64 word.
     """
     if not is_self_dual(code):
         raise ValueError("low-weight counts require a self-dual code")
-    if w < 0:
-        raise ValueError(f"weight bound {w} is negative")
-    k, h = code.k, w // 2
-    top = min(h, k)
-    combos = sum(math.comb(k, t) for t in range(top + 1))
+    k, h = code.k, code.n // 8
+    combos = sum(math.comb(k, t) for t in range(h + 1))
     if combos > COMBO_CAP:
         raise EnumerationCapError(f"{combos} combinations of at most {h} rows "
                                   f"exceed the combination cap {COMBO_CAP}")
-    if k > 64:
-        raise EnumerationCapError(f"dimension {k} exceeds 64, one uint64 word")
     nbytes = (code.n + 7) // 8
     bits = np.unpackbits(np.frombuffer(b"".join(r.to_bytes(nbytes, "little")
                                                 for r in code.rows), np.uint8)
@@ -309,13 +306,13 @@ def low_weight_distribution(code: BinaryCode, w: int) -> list[int]:
         out[:, :(k + 7) // 8] = np.packbits(m, axis=1, bitorder="little")
         return out.view("<u8").ravel()
 
-    p_side = _level_counts(words(a), top)       # [t, q]: t on P, q on Q
-    q_side = _level_counts(words(a.T), top)     # [t, p]: t on Q, p on P
+    p_side = _level_counts(words(a), h)         # [t, q]: t on P, q on Q
+    q_side = _level_counts(words(a.T), h)       # [t, p]: t on Q, p on P
     q_side[:, :h + 1] = 0
-    dist = np.zeros(w + 65, dtype=np.int64)
+    dist = np.zeros(2 * h + 65, dtype=np.int64)
     for t, row in enumerate(p_side + q_side):       # weight t + x at column x
         dist[t:t + 65] += row
-    return [int(x) for x in dist[:w + 1]]
+    return [int(x) for x in dist[:2 * h + 1]]
 
 
 def _gleason_distribution(code: BinaryCode) -> list[int]:
@@ -329,7 +326,7 @@ def _gleason_distribution(code: BinaryCode) -> list[int]:
     is horner_code_side's own check at z = 1, c_0 2^(n/2), as c_0 = a_0."""
     fam = FamilyParams.from_length(code.n)
     k_top = fam.c_count - 1
-    low = low_weight_distribution(code, 2 * k_top)
+    low = low_weight_distribution(code)
     if low[0] != 1:
         raise VerificationFailure(f"{low[0]} words of weight 0 counted, not 1")
     cols = [code_inverse_col0(fam, j=j) for j in range(k_top + 1)]
@@ -515,7 +512,14 @@ def enumerator_vectors(code: BinaryCode) -> tuple[list[int], list[int]]:
 def extract_beta(code: BinaryCode) -> int:
     """The unique integer beta matching the code's exact weight data
     against the enumerator of the one-parameter family of its length;
-    every code and shadow coefficient is verified at that beta."""
+    every code and shadow coefficient is compared at that beta.
+
+    Of a self-dual code's data only a_0..a_K (the weights up to 2K) are
+    counted; the rest of a comes from them by the Gleason rebuild and b
+    by the shadow transform, so once a_0..a_K match, the comparisons past
+    them check the rebuild and the transform against solve's enumerator,
+    not against the code.  The full distributions of the bundled n = 46
+    codes are compared with their exhaustive enumeration in the tests."""
     enum = solve(*beta_family_for_length(code.n))
     a_obs, b_obs = enumerator_vectors(code)
     beta = next(((obs - p) / q for (p, q), obs in zip(enum.a + enum.b, a_obs + b_obs)

@@ -333,12 +333,12 @@ class TestShadowFromCode:
         calls, exhaustive = [], []
         count_, enumerate_ = gf2.low_weight_distribution, gf2.weight_distribution
         monkeypatch.setattr(gf2, "low_weight_distribution",
-                            lambda code, w: calls.append(w) or count_(code, w))
+                            lambda code: calls.append(code.n) or count_(code))
         monkeypatch.setattr(gf2, "weight_distribution",
                             lambda code, offset=0: exhaustive.append(offset)
                             or enumerate_(code, offset))
         verify_neighbor_table()
-        assert calls == [10] * 11
+        assert calls == [46] * 11
         calls.clear()
         path = tmp_path / "c46.txt"
         path.write_text(format_generator_file(reference_code_46()))
@@ -346,7 +346,7 @@ class TestShadowFromCode:
         assert cli.main(["code", "neighbor", "--gen-file", str(path),
                          "--support", support]) == 0
         assert '"beta": "36"' in capsys.readouterr().out
-        assert calls == [10]
+        assert calls == [46]
         assert exhaustive == []
 
     def test_representatives_must_be_counted(self, monkeypatch):
@@ -410,12 +410,13 @@ class TestLowWeights:
             assert is_self_dual(code)
             assert code_weight_distribution(code) == weight_distribution(code)
 
-    @pytest.mark.parametrize("n", range(4, 18, 2))
+    @pytest.mark.parametrize("n", range(4, 26, 2))
     def test_counts_are_the_exhaustive_prefix(self, n):
+        # the counts of the weights 0..2 floor(n/8) themselves, before the
+        # rebuild checks them
         for code in _walk_codes(n, 4, seed=100 + n):
-            dist = weight_distribution(code)
-            for w in range(n + 1):
-                assert low_weight_distribution(code, w) == dist[:w + 1]
+            low = low_weight_distribution(code)
+            assert low == weight_distribution(code)[:2 * (n // 8) + 1]
 
     def test_past_the_enumeration_cap(self):
         # k = 29 is refused by the exhaustive enumeration, not here
@@ -459,17 +460,9 @@ class TestLowWeights:
             tracemalloc.stop()
         assert peak < 64 * 2**10
 
-    def test_one_word_halves(self):
-        # 66 combinations at w = 2, within the cap, but 65-bit halves
-        with pytest.raises(EnumerationCapError, match="dimension 65 exceeds 64"):
-            low_weight_distribution(_pairs(65), 2)
-        assert low_weight_distribution(_pairs(64), 2) == [1, 0, 64]
-
     def test_bad_input(self):
         with pytest.raises(ValueError, match="self-dual"):
-            low_weight_distribution(build_code([[1, 1, 0, 0]]), 2)
-        with pytest.raises(ValueError, match="negative"):
-            low_weight_distribution(PAIR4, -1)
+            low_weight_distribution(build_code([[1, 1, 0, 0]]))
 
     def test_other_codes_are_enumerated(self, monkeypatch):
         # a code that is not self-dual keeps the exhaustive enumeration
@@ -489,8 +482,8 @@ class TestLowWeights:
             from minshadow import gf2
             from minshadow.exact import VerificationFailure
             count = gf2.low_weight_distribution
-            def perturbed(code, w):
-                dist = count(code, w)
+            def perturbed(code):
+                dist = count(code)
                 dist[{weight}] += {delta}
                 return dist
             gf2.low_weight_distribution = perturbed
