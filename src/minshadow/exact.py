@@ -5,10 +5,11 @@ free parameter beta, the constant term and the beta coefficient.
 
 Integers are Python ints, rationals are fractions.Fraction, a polynomial
 is a coefficient list indexed by exponent, and a matrix is a rectangular
-list of rows.  Every routine is a pure function over
-immutable-by-convention values; nothing here ever touches floating
-point.  str() is the one serialization of an exact number: decimal for
-an int or a Fraction over 1, "p/q" for any other Fraction.
+list of rows; a value stays an int where it is integral (exact_div).
+Every routine is a pure function over immutable-by-convention values;
+nothing here ever touches floating point.  str() is the one
+serialization of an exact number: decimal for an int or a Fraction over
+1, "p/q" for any other Fraction.
 """
 
 from __future__ import annotations
@@ -26,6 +27,12 @@ class LinearSystemError(ValueError):
 class VerificationFailure(Exception):
     """An identity the library checks, or a recorded value, failed to
     hold; the command line exits with status 1."""
+
+
+def exact_div(num: Scalar, den: Scalar) -> Scalar:
+    """num/den as a plain int where den divides num, else as a Fraction."""
+    q, rem = divmod(num, den)
+    return Fraction(num, den) if rem else q
 
 
 def poly_eval(p: Sequence[Scalar], x: Scalar) -> Scalar:
@@ -48,15 +55,16 @@ def taylor_shift(p: Sequence[Scalar], t: Scalar) -> list[Scalar]:
 def parametric_linear_solve(
     a: Sequence[Sequence[Scalar]],
     rhs: Sequence[Sequence[Scalar]],
-) -> list[tuple[Fraction, ...]]:
+) -> list[tuple[Scalar, ...]]:
     """Solve a x = rhs exactly for every column of rhs at once.
 
     Every right-hand side row has the same width, one number per
     parameter column (the library's two: the constant term and the beta
     coefficient).  Returns one tuple of that width per unknown, in column
-    order of a.  Extra consistent equations are fine; an inconsistent
-    system, or an unknown whose column acquires no pivot, raises
-    LinearSystemError.
+    order of a, an int where it is integral: no entry is made a Fraction,
+    and a non-unit lead divides its row through exact_div.  Extra
+    consistent equations are fine; an inconsistent system, or an unknown
+    whose column acquires no pivot, raises LinearSystemError.
 
     Sparse row echelon: each row, in the given order, is cleared of the
     stored pivot columns in ascending lead order (a stored row with lead
@@ -73,10 +81,10 @@ def parametric_linear_solve(
         raise ValueError("right-hand side rows do not match the matrix")
 
     # pivots: lead column -> (sparse row right of the unit lead, right-hand side)
-    pivots: dict[int, tuple[dict[int, Fraction], list[Fraction]]] = {}
+    pivots: dict[int, tuple[dict[int, Scalar], list[Scalar]]] = {}
     for row, r in zip(a, rhs):
-        coeffs = {c: Fraction(x) for c, x in enumerate(row) if x}
-        form = list(map(Fraction, r))
+        coeffs = {c: x for c, x in enumerate(row) if x}
+        form = list(r)
         for t in sorted(pivots):
             f = coeffs.pop(t, None)
             if f is not None:
@@ -93,14 +101,14 @@ def parametric_linear_solve(
         lead = min(coeffs)
         f = coeffs.pop(lead)
         if f != 1:
-            coeffs = {c: x / f for c, x in coeffs.items()}
-            form = [x / f for x in form]
+            coeffs = {c: exact_div(x, f) for c, x in coeffs.items()}
+            form = [exact_div(x, f) for x in form]
         pivots[lead] = (coeffs, form)
     if len(pivots) < ncols:
         missing = min(set(range(ncols)) - set(pivots))
         raise LinearSystemError(f"rank deficient: unknown {missing} has no pivot")
 
-    solution: list[tuple[Fraction, ...]] = [()] * ncols
+    solution: list[tuple[Scalar, ...]] = [()] * ncols
     for t in sorted(pivots, reverse=True):
         prow, expr = pivots[t]
         for c, y in prow.items():

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from operator import xor
 from typing import Iterable, Sequence
@@ -51,7 +52,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exact import VerificationFailure
-from .gleason import FamilyParams, code_inverse_col0, horner_code_side
+from .gleason import (FamilyParams, ParametricEnumerator, code_inverse_col0,
+                      horner_code_side)
 from .solver import beta_family_for_length, minimal_shadow_r, solve
 
 ENUMERATION_CAP = 28    # dimension k: 2^k codewords
@@ -520,10 +522,14 @@ def extract_beta(code: BinaryCode) -> int:
     them check the rebuild and the transform against solve's enumerator,
     not against the code.  The full distributions of the bundled n = 46
     codes are compared with their exhaustive enumeration in the tests."""
-    enum = solve(*beta_family_for_length(code.n))
+    return _match_beta(code, solve(*beta_family_for_length(code.n)))
+
+
+def _match_beta(code: BinaryCode, enum: ParametricEnumerator) -> int:
+    """extract_beta against the family enumerator enum of the code's length."""
     a_obs, b_obs = enumerator_vectors(code)
-    beta = next(((obs - p) / q for (p, q), obs in zip(enum.a + enum.b, a_obs + b_obs)
-                 if q), None)
+    beta = next((Fraction(obs - p, q)
+                 for (p, q), obs in zip(enum.a + enum.b, a_obs + b_obs) if q), None)
     if beta is None or beta.denominator != 1:
         raise BetaMismatchError(f"no integer beta fits (got {beta})")
     beta = int(beta)
@@ -597,16 +603,18 @@ class NeighborCheck:
 def verify_neighbor_table() -> list[NeighborCheck]:
     """Build the bundled code, apply the ten neighbor constructions, and
     verify each result is a singly even self-dual [46,23,8] code with
-    minimal shadow carrying the recorded beta."""
+    minimal shadow carrying the recorded beta.  The ten share one
+    solve of the n = 46 family."""
     base = reference_code_46()
     if not (is_self_dual(base) and parity_class(base) == "singly even"
             and min_weight(base) == 8):
         raise VerificationFailure("bundled length-46 code failed validation")
+    enum = solve(*beta_family_for_length(base.n))
     out = []
     for idx, (supp, beta_expect) in enumerate(NEIGHBOR_TABLE, start=1):
         nb = neighbor(base, supp)
         sh = shadow(nb)
-        beta = extract_beta(nb)
+        beta = _match_beta(nb, enum)
         check = NeighborCheck(
             index=idx, support=supp, beta=beta, code=nb,
             self_dual=is_self_dual(nb),

@@ -27,8 +27,9 @@ differences, its columns j > 0 by the Catalan peel, and each column of
 the shadow inverse by one ratio walk from one binomial, again checked
 for exact division at every step, each entry an int where integral.
 An enumerator coefficient is an exact pair (p, q), the value p + q beta
-in the one free parameter beta, q = 0 in the unique families; a pair of
-Gleason vectors expands as two vectors.  Every expansion of Gleason
+in the one free parameter beta, each an int where it is integral, q = 0
+in the unique families; a pair of Gleason vectors expands as two
+vectors.  Every expansion of Gleason
 coefficients goes through expand_scaled: both Horner passes on two
 numpy work buffers used in turn, so that a step is one or two ufunc
 calls, pass 1 of the code side in sigma = 4s, and pass 2 on the
@@ -67,11 +68,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import Scalar, VerificationFailure
+from .exact import Scalar, VerificationFailure, exact_div
 
 Matrix = list[list[Scalar]]
-Pair = tuple[Fraction, Fraction]    # (p, q): the value p + q beta
-_ZERO = Fraction(0)
+Pair = tuple[Scalar, Scalar]    # (p, q): the value p + q beta, ints where integral
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ def build_transform_tables(fam: FamilyParams) -> TransformTables:
             raise VerificationFailure(f"closed forms disagree with the bases of "
                                       f"n={fam.n} at ({i}, {j}) of basis x inverse")
     return TransformTables(fam, code, [list(row) for row in zip(*code_inv)],
-                           [[_exact(x, db) for x in row] for row in shadow],
+                           [[exact_div(x, db) for x in row] for row in shadow],
                            [list(row) for row in zip(*shadow_inv)])
 
 
@@ -268,12 +268,6 @@ def code_inverse_col0(fam: FamilyParams, top: int | None = None,
     return col
 
 
-def _exact(num: int, den: int) -> Scalar:
-    """num/den as a plain int where den divides num, else as a Fraction."""
-    q, rem = divmod(num, den)
-    return Fraction(num, den) if rem else q
-
-
 def _shadow_col0_step(k_top: int, i: int) -> tuple[int, int]:
     """(num, den) with K C(K+i, K-i-1) = K C(K+i-1, K-i) num/den."""
     return (k_top + i) * (k_top - i), 2 * i * (2 * i + 1)
@@ -287,7 +281,7 @@ def _shadow_walk(fam: FamilyParams, start: int, j: int):
     num = k * math.comb(k + start - 1, k - start)
     for i in range(start, k + 1):
         e = 6 * i - fam.half
-        yield _exact((-num if i % 2 else num) << max(e, 0), i << max(-e, 0))
+        yield exact_div((-num if i % 2 else num) << max(e, 0), i << max(-e, 0))
         step, den = _shadow_col0_step(k, i)
         num, rem = divmod(num * step, den)
         if rem:
@@ -329,8 +323,10 @@ class ParametricEnumerator:
     coefficient for the value p + q beta.
 
     a[i] is the coefficient of y^(2i) for i = 0..n/2; b[i] is the
-    coefficient of y^(4i+r) for i = 0..6m+2l.  q = 0 throughout in the
-    unique families and after substitute.
+    coefficient of y^(4i+r) for i = 0..6m+2l.  Each of p and q is an int
+    where it is integral and a Fraction otherwise, so entries compare
+    equal to Fractions but print as ints; q is the int 0 throughout in
+    the unique families and after substitute.
     """
 
     fam: FamilyParams
@@ -340,7 +336,7 @@ class ParametricEnumerator:
     def substitute(self, beta: Scalar) -> "ParametricEnumerator":
         """The concrete enumerator at beta: every pair (p + q beta, 0)."""
         def at(vec):
-            return tuple((p + q * beta, _ZERO) for p, q in vec)
+            return tuple((p + q * beta, 0) for p, q in vec)
         return ParametricEnumerator(self.fam, at(self.a), at(self.b))
 
 
@@ -627,7 +623,8 @@ def enumerators_from_gleason(c: Sequence[Scalar] | Sequence[tuple[Scalar, Scalar
 
     c holds exact numbers, or (constant, beta coefficient) pairs of them.
     Each component goes through expand_scaled once, every entry is
-    divided back exactly once, and a plain number has beta coefficient 0.
+    divided back exactly once, an int where it is integral (exact_div),
+    and a plain number has beta coefficient 0.
     """
     k = fam.c_count
     if len(c) != k:
@@ -636,7 +633,7 @@ def enumerators_from_gleason(c: Sequence[Scalar] | Sequence[tuple[Scalar, Scalar
              for part in (zip(*c) if isinstance(c[0], tuple) else [c])]
 
     def pairs(side):  # 0 picks (a_hat, Da), 2 picks (b_hat, Db)
-        vecs = [[Fraction(v, x[side + 1]) for v in x[side]] for x in parts]
-        return tuple(zip(vecs[0], vecs[1] if len(vecs) > 1 else repeat(_ZERO)))
+        vecs = [[exact_div(v, x[side + 1]) for v in x[side]] for x in parts]
+        return tuple(zip(vecs[0], vecs[1] if len(vecs) > 1 else repeat(0)))
 
     return ParametricEnumerator(fam, pairs(0), pairs(2))

@@ -33,13 +33,12 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exact import (VerificationFailure, parametric_linear_solve, poly_eval,
-                    taylor_shift)
+from .exact import (VerificationFailure, exact_div, parametric_linear_solve,
+                    poly_eval, taylor_shift)
 from .gleason import (FamilyParams, ParametricEnumerator, code_inverse_col0,
                       enumerators_from_gleason, expand_scaled,
                       shadow_inverse_col0)
@@ -187,7 +186,8 @@ def _gleason(case: FamilyCase, m: int) -> list:
             c[h] = col[h] + Fraction(c[h] - col[h], 3)    # int / 3 would be a float
         return c
     k_top, tail = fam.c_count - 1, range(h, fam.c_count)
-    unit = [(-1) ** j * Fraction(2) ** (6 * j - fam.half) for j in tail]  # c_j / y_j
+    unit = [exact_div((-1) ** j << max(e, 0), 1 << max(-e, 0))   # c_j / y_j
+            for j in tail for e in (6 * j - fam.half,)]
     pins = sorted(minimal_shadow_constraints(case, m).pinned_b.items())
     rows = [[(-1) ** t * math.comb(2 * j, t) if t >= 0 else 0
              for j, t in zip(tail, range(i - k_top + h, i + 1))] for i, _ in pins]
@@ -393,6 +393,8 @@ def nonexistence_scan(case: FamilyCase, m_max: int,
             else os.cpu_count() or 1)
     workers = min(jobs or 1, cpus, len(ms))
     if workers > 1:
+        # imported here: concurrent.futures costs every process about 2 MB
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(check, ms, chunksize=4))
     else:
@@ -434,7 +436,8 @@ def beta_range(case: FamilyCase, m: int) -> tuple[int, int]:
                 raise EmptyBetaRangeError(
                     f"coefficient {side}[{i}] = {p} + {q}*beta is not integral "
                     "on integer beta")
-            (lows if q > 0 else highs).append(((need - p) / q, side, i))
+            # p and q are ints here, and int / int would be a float
+            (lows if q > 0 else highs).append((Fraction(need - p, q), side, i))
     if not lows or not highs:
         raise VerificationFailure(f"beta is unbounded for {case.tag}, m={m}")
     lo, lo_side, lo_i = max(lows, key=lambda x: x[0])

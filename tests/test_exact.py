@@ -236,6 +236,22 @@ class TestParametricSolve:
         with pytest.raises(LinearSystemError, match="rank deficient: unknown 1"):
             parametric_linear_solve([[1, 1]], [(1,)])
 
+    def test_ints_where_integral(self):
+        # an integer system with unit leads is solved in ints; a non-unit
+        # lead gives a Fraction only where its division is not even
+        rng = random.Random(14)
+        for n in range(1, 9):
+            a = [[rng.randrange(-4, 5) if j > i else int(i == j)
+                  for j in range(n)] for i in range(n)]
+            x_true = [(rng.randrange(-9, 10), rng.randrange(-9, 10))
+                      for _ in range(n)]
+            sol = parametric_linear_solve(*_shuffled(rng, a, x_true))
+            assert sol == x_true
+            assert all(type(x) is int for row in sol for x in row), sol
+        sol = parametric_linear_solve([[2, 0], [0, 3]], [(4, 1), (3, 6)])
+        assert sol == [(2, Fraction(1, 2)), (1, 2)]
+        assert [type(x) for row in sol for x in row] == [int, Fraction, int, int]
+
     def test_overdetermined_consistent(self):
         sol = parametric_linear_solve([[1, 0], [0, 1], [1, 1]], [(2,), (3,), (5,)])
         assert sol == [(2,), (3,)]

@@ -298,7 +298,11 @@ class TestShadow:
 
 def _walk_codes(n: int, steps: int, seed: int):
     """The codes a seeded walk of self-dual neighbors meets, from the
-    direct sum of n/2 copies of the [2, 1, 2] code."""
+    direct sum of n/2 copies of the [2, 1, 2] code.  n >= 4: at n = 2 the
+    one even-weight support {1, 2} lies in the start code, so no step
+    could be taken."""
+    if n < 4:
+        raise ValueError(f"a neighbor walk needs n >= 4, got {n}")
     rng = random.Random(seed)
     code = BinaryCode([0b11 << i for i in range(0, n, 2)], n)
     for _ in range(steps):
@@ -308,6 +312,13 @@ def _walk_codes(n: int, steps: int, seed: int):
                 break
         code = neighbor(code, support)
         yield code
+
+
+@pytest.mark.parametrize("n", [-2, 0, 2])
+def test_walk_codes_refuses_short_lengths(n):
+    # raised at the first next(), before any resampling loop can spin
+    with pytest.raises(ValueError, match="n >= 4"):
+        next(_walk_codes(n, 1, seed=0))
 
 
 class TestShadowFromCode:
@@ -326,6 +337,22 @@ class TestShadowFromCode:
                 code, part.shadow_reps[0])
             checked += 1
         assert checked
+
+    def test_table1_solves_the_family_once(self, monkeypatch):
+        # the ten neighbors are matched against one n = 46 enumerator, and
+        # each match gives what extract_beta gives on its own
+        calls = []
+        solve_ = gf2.solve
+        monkeypatch.setattr(gf2, "solve",
+                            lambda case, m: calls.append((case.tag, m))
+                            or solve_(case, m))
+        checks = verify_neighbor_table()
+        assert calls == [("24m+22", 1)]
+        base = reference_code_46()
+        assert ([extract_beta(neighbor(base, supp)) for supp, _ in NEIGHBOR_TABLE]
+                == [c.beta for c in checks] == [b for _, b in NEIGHBOR_TABLE]
+                == [36, 42, 44, 46, 48, 50, 52, 54, 56, 58])
+        assert all(type(c.beta) is int for c in checks)
 
     def test_one_enumeration_per_code(self, monkeypatch, tmp_path, capsys):
         # the bundled code and its ten neighbors have their low weights

@@ -1,7 +1,10 @@
 """Minimal-shadow solver, closed forms, scans, and beta ranges."""
 
+import concurrent.futures
 import dis
+import hashlib
 import math
+import os
 import random
 import re
 import subprocess
@@ -26,7 +29,7 @@ from oracles import (admissible, beta_tail_gleason, closed_form_a2m1,
                      closed_form_bm, closed_form_bm1, evaluate_f,
                      full_by_direct_sum, minimal_shadow_constraints_loop,
                      pinned_system_gleason, window_by_delta)
-from optimized import run_optimized
+from optimized import SRC, run_optimized
 
 C2 = family_case("24m+2")
 C4 = family_case("24m+4")
@@ -290,6 +293,21 @@ class TestBetaRange:
     def test_nonempty_below_the_edge(self, case, m):
         lo, hi = beta_range(case, m)
         assert 0 < lo <= hi
+
+    def test_both_edges_by_digest(self):
+        # the intervals below both edges and the messages at them, whose
+        # bounds run to 170 digits, hashed; recorded when every enumerator
+        # entry was a Fraction, so ints where integral moved no bound
+        lines = []
+        for case, m in [(C6, 157), (C22, 158), (C6, 158), (C22, 159)]:
+            try:
+                lo, hi = beta_range(case, m)
+                assert type(lo) is int and type(hi) is int
+                lines.append(f"{case.tag} {m} {(lo, hi)}")
+            except EmptyBetaRangeError as exc:
+                lines.append(f"{case.tag} {m} {exc}")
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "20076c398128a2b83c5bd8271ad63a01386a670cbf2286a09562821b3f28ce0a")
 
 
 class TestNonexistencePolynomials:
@@ -650,6 +668,17 @@ class TestExactGleasonEntries:
         for m in range(0 if case is C22 else 1, 13):
             self._check(case, m)
 
+    @pytest.mark.parametrize("case", [C2, C4, C6, C10, C22],
+                             ids=lambda c: c.tag)
+    def test_enumerator_ints_where_integral(self, case):
+        # both parts of every pair of solve: an int, or a Fraction that
+        # is not one, never a float and never a Fraction over 1
+        for m in range(case.min_m, 13):
+            e = solve(case, m)
+            for x in (x for pair in e.a + e.b for x in pair):
+                assert type(x) is int or (
+                    type(x) is Fraction and x.denominator > 1), (m, x)
+
     def test_coincidence_divisor_is_one_minus_s(self):
         # 24m+10 divides by 1 - S = 3 at slot d/2 = 2m+1, with S entry
         # (2m+1, m) of the inverse shadow block: on the anti-diagonal
@@ -807,7 +836,7 @@ class TestAdmissibility:
                 submitted.extend(items)
                 return map(fn, submitted)
 
-        monkeypatch.setattr(solver, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
         # a platform without an affinity mask: the cap is cpu_count
         monkeypatch.delattr(solver.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(solver.os, "cpu_count", lambda: cpus)
@@ -841,13 +870,25 @@ class TestAdmissibility:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(solver, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
         monkeypatch.setattr(solver.os, "cpu_count", lambda: 64)
         monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: mask,
                             raising=False)
         scan = nonexistence_scan(C4, 10, jobs=jobs)
         assert [m for m, a in scan if a.ok] == list(range(1, 11))
         assert started == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize("module", ["minshadow", "minshadow.cli"])
+    def test_pool_module_imported_only_for_workers(self, module):
+        # concurrent.futures costs each process about 2 MB, so only a scan
+        # with more than one worker imports it
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys, {module}; "
+             "print('concurrent.futures' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestPlainIntOutputs:
