@@ -9,7 +9,9 @@ to exit codes: 0 success, 1 a verification failed to reproduce, 2
 usage, parse or input-domain errors, including an input above one of
 the caps M_CAP and PRINT_CAP here or the GF(2) enumeration caps that
 `gf2.parse_generator_file`, `gf2.weight_distribution` and
-`gf2.low_weight_distribution` check.
+`gf2.low_weight_distribution` check, and 141 (128 + SIGPIPE, as a shell
+reports a writer that the signal ended) when the reader of stdout closes
+it before the output is written, as `| head -1` does, with no traceback.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .exact import VerificationFailure
@@ -404,7 +407,13 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(doc, lines, args.format)
+    try:
+        _emit(doc, lines, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: the flush at exit must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0
 
 

@@ -11,12 +11,12 @@ theorem it is fixed by a_0..a_K, its counts of the weights up to
 two information sets, the pivots of the RREF generator and their
 complement, by XORing at most K rows of each side's generator, which
 takes sum_(t <= K) C(n/2, t) combinations per side instead of 2^(n/2)
-codewords.  The inverse code block and the code-side Horner expansion of
-gleason rebuild the rest, checked against the counts a_0..a_K, the
-only weights observed; the tests compare whole rebuilt distributions
-with the exhaustive enumeration.  A shadow is not enumerated either:
-its distribution is an exact transform of the code's, and the coset
-enumeration of the shadow stays only as the check of that transform.
+codewords.  The inverse code block turns a_0..a_K into the Gleason
+coefficients c, which fix the shadow's distribution as well as the
+code's: one gleason.enumerators_from_gleason call, as in solve, expands
+c into both, checked against a_0..a_K, the only weights observed.  The
+tests compare both with the exhaustive enumeration of the code and of
+the shadow coset.
 
 Every other code, and every coset offset + C, is enumerated
 exhaustively: weight_distribution packs rows into numpy uint64 words and
@@ -53,7 +53,7 @@ import numpy as np
 
 from .exact import VerificationFailure
 from .gleason import (FamilyParams, ParametricEnumerator, code_inverse_col0,
-                      horner_code_side)
+                      enumerators_from_gleason)
 from .solver import beta_family_for_length, minimal_shadow_r, solve
 
 ENUMERATION_CAP = 28    # dimension k: 2^k codewords
@@ -96,7 +96,7 @@ def _rref(rows: Iterable[int], n: int) -> tuple[tuple[int, ...], tuple[int, ...]
 class BinaryCode:
     """A binary linear [n, k] code held as a canonical RREF generator matrix."""
 
-    __slots__ = ("n", "rows", "pivots", "_dist", "_shadow")
+    __slots__ = ("n", "rows", "pivots", "_dist", "_shadow_dist", "_shadow")
 
     def __init__(self, rows: Iterable[int], n: int):
         if n <= 0:
@@ -107,6 +107,7 @@ class BinaryCode:
         self.rows, self.pivots = _rref(rows, n)
         self.n = n
         self._dist: list[int] | None = None
+        self._shadow_dist: list[int] | None = None
         self._shadow: "ShadowPartition | None" = None
 
     @property
@@ -317,42 +318,48 @@ def low_weight_distribution(code: BinaryCode) -> list[int]:
     return [int(x) for x in dist[:2 * h + 1]]
 
 
-def _gleason_distribution(code: BinaryCode) -> list[int]:
-    """The weight distribution of a self-dual code from its counts of the
-    weights 0..2K, K = floor(n/8), by Gleason's theorem (Conway and Sloane,
-    IEEE Trans. IT 36, 1990): W_C = sum_j c_j (1+z)^(n/2-4j) (z(1-z)^2)^j,
-    z = y^2, and the inverse code block turns a_0..a_K into c.  Raises
-    VerificationFailure unless a_0 = 1, every rebuilt coefficient is a
-    non-negative integer, the rebuilt a_0..a_K (and the zero odd weights
-    up to 2K) equal the counts, and the coefficients sum to 2^k: the sum
-    is horner_code_side's own check at z = 1, c_0 2^(n/2), as c_0 = a_0."""
-    fam = FamilyParams.from_length(code.n)
-    k_top = fam.c_count - 1
-    low = low_weight_distribution(code)
-    if low[0] != 1:
-        raise VerificationFailure(f"{low[0]} words of weight 0 counted, not 1")
-    cols = [code_inverse_col0(fam, j=j) for j in range(k_top + 1)]
-    c = [sum(col[i] * a for col, a in zip(cols, low[::2]))
-         for i in range(k_top + 1)]
-    dist = [0] * (code.n + 1)
-    dist[::2] = horner_code_side(c, fam)
-    bad = next((w for w, x in enumerate(dist) if x < 0), None)
-    if bad is not None:
-        raise VerificationFailure(f"Gleason rebuild of n={code.n} counts "
-                                  f"{dist[bad]} words of weight {bad}")
-    bad = next((w for w, x in enumerate(low) if x != dist[w]), None)
-    if bad is not None:
-        raise VerificationFailure(f"Gleason rebuild of n={code.n} counts "
-                                  f"{dist[bad]} words of weight {bad}, "
-                                  f"{low[bad]} were counted")
-    return dist
+def _gleason_enumerators(code: BinaryCode) -> tuple[list[int], list[int]]:
+    """The weight distributions of a self-dual code and of its shadow,
+    computed once and cached on the code.  By Gleason's theorem (Conway
+    and Sloane, IEEE Trans. IT 36, 1990; see gleason) the counts a_0..a_K
+    of the weights 0..2K, K = floor(n/8), fix the Gleason coefficients c
+    through the inverse code block, and one enumerators_from_gleason call
+    expands c into both.  Raises VerificationFailure unless a_0 = 1, every
+    a_i and b_i is a non-negative int, and the rebuilt a_0..a_K (and the
+    zero odd weights up to 2K) equal the counts; the expansion checks
+    both sums at 1, c_0 2^(n/2) = 2^k, as c_0 = a_0."""
+    if code._shadow_dist is None:
+        fam = FamilyParams.from_length(code.n)
+        low = low_weight_distribution(code)
+        if low[0] != 1:
+            raise VerificationFailure(f"{low[0]} words of weight 0 counted, not 1")
+        cols = [code_inverse_col0(fam, j=j) for j in range(fam.c_count)]
+        c = [sum(col[i] * a for col, a in zip(cols, low[::2]))
+             for i in range(fam.c_count)]
+        enum = enumerators_from_gleason(c, fam)
+        dist, weights = [0] * (code.n + 1), [0] * (code.n + 1)
+        dist[::2] = (p for p, _ in enum.a)
+        weights[fam.r::4] = (p for p, _ in enum.b)
+        for vec, what in ((dist, "words"), (weights, "shadow vectors")):
+            bad = next((w for w, x in enumerate(vec)
+                        if type(x) is not int or x < 0), None)
+            if bad is not None:
+                raise VerificationFailure(f"Gleason rebuild of n={code.n} counts "
+                                          f"{vec[bad]} {what} of weight {bad}")
+        bad = next((w for w, x in enumerate(low) if x != dist[w]), None)
+        if bad is not None:
+            raise VerificationFailure(f"Gleason rebuild of n={code.n} counts "
+                                      f"{dist[bad]} words of weight {bad}, "
+                                      f"{low[bad]} were counted")
+        code._dist, code._shadow_dist = dist, weights
+    return code._dist, code._shadow_dist
 
 
 def code_weight_distribution(code: BinaryCode) -> list[int]:
     """The code's weight distribution, computed once: by low weights and
     Gleason's theorem for a self-dual code, else exhaustively."""
     if code._dist is None:
-        code._dist = (_gleason_distribution(code) if is_self_dual(code)
+        code._dist = (_gleason_enumerators(code)[0] if is_self_dual(code)
                       else weight_distribution(code))
     return code._dist
 
@@ -383,30 +390,6 @@ class ShadowPartition:
         return next(w for w, c in enumerate(self.shadow_weights) if c)
 
 
-def _shadow_weights(dist: Sequence[int], n: int) -> list[int]:
-    """The shadow's weight counts S_j from the code's counts A_w, by
-    2^(n/2) sum_j S_j y^j = sum_w (-1)^(w/2) A_w (1-y)^w (1+y)^(n-w)
-    (Conway and Sloane, IEEE Trans. IT 36, 1990), one Horner step in w at
-    a time; raises unless every coefficient is a non-negative multiple
-    of 2^(n/2), as a true distribution gives."""
-    acc: list[int] = []  # sum over w' < w of the terms, times (1+y)^(w-1-w')
-    minus = [1]          # (1-y)^w
-    for w, count in enumerate(dist):
-        acc = [x + y for x, y in zip(acc + [0], [0] + acc)]
-        if count:
-            # (-1)^(w/2); an odd w, never counted in an even code, would
-            # add -count at y^0, where a true transform holds 2^(n/2) S_0 = 0
-            c = -count if w % 4 else count
-            acc = [x + c * m for x, m in zip(acc, minus)]
-        minus = [x - y for x, y in zip(minus + [0], [0] + minus)]
-    half = n // 2
-    bad = next((j for j, x in enumerate(acc) if x < 0 or x % (1 << half)), None)
-    if bad is not None:
-        raise VerificationFailure(f"shadow count at weight {bad} is "
-                                  f"{acc[bad]} / 2^{half}, not a count")
-    return [x >> half for x in acc]
-
-
 def shadow(code: BinaryCode) -> ShadowPartition:
     """Shadow of a singly even self-dual code.
 
@@ -414,14 +397,13 @@ def shadow(code: BinaryCode) -> ShadowPartition:
     wt/2 mod 2, which is linear on a self-orthogonal code).  The dual of
     C0 splits into four cosets of C0, two of which form the code; the
     shadow is the other two, i.e. the coset t + C for any t in the dual
-    of C0 outside C.  Its distribution is not enumerated: it is an exact
-    transform of the code's own (`_shadow_weights`), so the code's one
-    distribution serves both.  `weight_distribution(code, t)` enumerates
-    the coset itself and stays as the check of that transform.
+    of C0 outside C.  Its distribution is not enumerated: the expansion
+    that gives the code's gives it too (`_gleason_enumerators`), and the
+    tests compare it with `weight_distribution(code, t)`, the coset's.
     Such a t is read off the RREF: the sum of the pivot unit vectors of
     the rows g_i with wt(g_i)/2 odd meets each g_i in wt(g_i)/2 (mod 2)
     positions, so t is orthogonal to C0 but not to C = C^perp.  The two
-    representatives t and t + g must fall on weights the transform
+    representatives t and t + g must fall on weights the expansion
     counts, else VerificationFailure is raised.
     """
     if code._shadow is not None:
@@ -439,7 +421,7 @@ def shadow(code: BinaryCode) -> ShadowPartition:
         raise VerificationFailure(f"doubly even subcode has dimension {c0.k}, "
                                   f"expected {code.k - 1}")
     t = sum(1 << p for p, f in zip(code.pivots, par) if f)
-    weights = _shadow_weights(code_weight_distribution(code), code.n)
+    weights = _gleason_enumerators(code)[1]
     for rep in (t, t ^ g):
         if not weights[rep.bit_count()]:
             raise VerificationFailure(
@@ -497,18 +479,11 @@ def neighbor(code: BinaryCode, support: Iterable[int]) -> BinaryCode:
 
 def enumerator_vectors(code: BinaryCode) -> tuple[list[int], list[int]]:
     """Observed (a, b) coefficient vectors: a_i = #codewords of weight 2i,
-    b_i = #shadow vectors of weight 4i + r."""
-    fam = FamilyParams.from_length(code.n)
-    dist = code_weight_distribution(code)
-    if any(dist[w] for w in range(1, code.n + 1, 2)):
-        raise ValueError("code has odd-weight words; not self-orthogonal")
-    a = [dist[2 * i] for i in range(fam.half + 1)]
-    sh = shadow(code).shadow_weights
-    for w, cnt in enumerate(sh):
-        if cnt and (w - fam.r) % 4:
-            raise ValueError(f"shadow weight {w} incompatible with r={fam.r}")
-    b = [sh[fam.shadow_exponent(i)] for i in range(fam.b_count)]
-    return a, b
+    b_i = #shadow vectors of weight 4i + r.  A code that is not singly
+    even and self-dual raises ValueError before anything is counted."""
+    weights = shadow(code).shadow_weights
+    r = FamilyParams.from_length(code.n).r
+    return code_weight_distribution(code)[::2], weights[r::4]
 
 
 def extract_beta(code: BinaryCode) -> int:
@@ -517,11 +492,12 @@ def extract_beta(code: BinaryCode) -> int:
     every code and shadow coefficient is compared at that beta.
 
     Of a self-dual code's data only a_0..a_K (the weights up to 2K) are
-    counted; the rest of a comes from them by the Gleason rebuild and b
-    by the shadow transform, so once a_0..a_K match, the comparisons past
-    them check the rebuild and the transform against solve's enumerator,
-    not against the code.  The full distributions of the bundled n = 46
-    codes are compared with their exhaustive enumeration in the tests."""
+    counted; the rest of a, and b, come from them by one expansion of the
+    code's Gleason coefficients, so once a_0..a_K match, the comparisons
+    past them check that expansion against solve's enumerator, not
+    against the code.  The full distributions of the bundled n = 46 codes
+    and their shadows are compared with their exhaustive enumeration in
+    the tests."""
     return _match_beta(code, solve(*beta_family_for_length(code.n)))
 
 

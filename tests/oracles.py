@@ -26,7 +26,9 @@ and a_{2m+1} check the unique enumerators; admissibility read off the exact coef
 concrete enumerator one by one checks the scaled-integer certificates of
 admissible_at and the beta ranges; the dual code, the MacWilliams
 fixed-point identity and a codeword-by-codeword count check the GF(2)
-engine, on codes built from generator rows of 0/1 entries.
+engine, on codes built from generator rows of 0/1 entries, and the
+Conway-Sloane transform of a code's whole distribution checks the shadow
+distributions that the engine expands from the Gleason coefficients.
 """
 
 from __future__ import annotations
@@ -627,3 +629,27 @@ def macwilliams_fixed_point(code: BinaryCode) -> bool:
                                                                pw_plus[n - w])))
     lhs = poly_scale(1 << code.k, dist)
     return poly_trim(lhs) == poly_trim(rhs)
+
+
+def shadow_weights_transform(dist: Sequence[int], n: int) -> list[int]:
+    """The shadow's weight counts S_j from the code's whole distribution
+    A_w, by 2^(n/2) sum_j S_j y^j = sum_w (-1)^(w/2) A_w (1-y)^w (1+y)^(n-w)
+    (Conway and Sloane, IEEE Trans. IT 36, 1990), one Horner step in w at
+    a time.  Raises ValueError unless every coefficient is a non-negative
+    multiple of 2^(n/2), as a true distribution gives."""
+    acc: list[int] = []  # sum over w' < w of the terms, times (1+y)^(w-1-w')
+    minus = [1]          # (1-y)^w
+    for w, count in enumerate(dist):
+        acc = [x + y for x, y in zip(acc + [0], [0] + acc)]
+        if count:
+            # (-1)^(w/2); an odd w, never counted in an even code, would
+            # add -count at y^0, where a true transform holds 2^(n/2) S_0 = 0
+            c = -count if w % 4 else count
+            acc = [x + c * m for x, m in zip(acc, minus)]
+        minus = [x - y for x, y in zip(minus + [0], [0] + minus)]
+    half = n // 2
+    bad = next((j for j, x in enumerate(acc) if x < 0 or x % (1 << half)), None)
+    if bad is not None:
+        raise ValueError(f"shadow count at weight {bad} is "
+                         f"{acc[bad]} / 2^{half}, not a count")
+    return [x >> half for x in acc]

@@ -440,6 +440,19 @@ class TestExitCodes:
         assert code == 1
         assert "verification failure: neighbor 1 failed verification" in err
 
+    def test_closed_stdout_exits_141(self):
+        # the reader takes the first line of about 200 KB of JSON and
+        # closes the pipe: no traceback, and neither 1 (a verification
+        # failure) nor 2 (a usage error)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "minshadow.cli", "solve", "--family",
+             "24m+22", "--m", "60"], env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (141, b"")
+
 
 class TestInputCaps:
     # every cap is probed by parsing or by a tiny input; nothing above a

@@ -1,13 +1,14 @@
 """GF(2) code engine: duals, parity, shadows, neighbors, and the bundled
 length-46 code."""
 
+import dataclasses
 import math
 import random
 import tracemalloc
 
 import pytest
 
-from minshadow import cli, gf2
+from minshadow import cli, gf2, solver
 from minshadow.exact import VerificationFailure
 from minshadow.gf2 import (COMBO_CAP, LENGTH_CAP, BetaMismatchError,
                            BinaryCode, EnumerationCapError, GeneratorFileError,
@@ -24,7 +25,8 @@ from minshadow.gleason import (FamilyParams, build_transform_tables,
                                enumerators_from_gleason)
 from minshadow.solver import minimal_shadow_r
 from oracles import (build_code, dual, gleason_from_code,
-                     macwilliams_fixed_point, weight_distribution_naive)
+                     macwilliams_fixed_point, shadow_weights_transform,
+                     weight_distribution_naive)
 from optimized import run_optimized
 
 REP2 = build_code([[1, 1]])                       # the [2,1,2] code
@@ -221,10 +223,11 @@ class TestComplementFold:
     @pytest.mark.parametrize("index", range(len(NEIGHBOR_TABLE) + 1))
     def test_bundled_codes_and_shadows(self, index):
         # index 0 is the bundled code, 1..10 its recorded neighbors, whose
-        # distributions come from their low weights by Gleason's theorem;
-        # one more zero coordinate gives the same weights from a code that
-        # is not self-dual and lacks the all-ones word, enumerated unfolded
-        # over all 2^23 words
+        # distributions and shadows' come from their low weights by
+        # Gleason's theorem; one more zero coordinate gives the same weights
+        # from a code that is not self-dual and lacks the all-ones word,
+        # enumerated unfolded over all 2^23 words; the shadow's is also the
+        # Conway-Sloane transform of the code's
         code = reference_code_46()
         if index:
             code = neighbor(code, NEIGHBOR_TABLE[index - 1][0])
@@ -238,6 +241,8 @@ class TestComplementFold:
             assert dist + [0] == weight_distribution(padded, offset)
             assert dist == dist[::-1]
             assert sum(dist) == 1 << 23
+        assert part.shadow_weights == shadow_weights_transform(
+            code_weight_distribution(code), code.n)
 
 
 class TestShadow:
@@ -322,8 +327,9 @@ def test_walk_codes_refuses_short_lengths(n):
 
 
 class TestShadowFromCode:
-    # shadow() transforms the code's weight distribution instead of
-    # enumerating the shadow coset; the coset enumeration checks it
+    # shadow() expands the code's Gleason coefficients instead of
+    # enumerating the shadow coset; the coset enumeration and the
+    # Conway-Sloane transform of the code's distribution check it
     @pytest.mark.parametrize("n", range(4, 26, 2))
     def test_neighbor_walks_match_coset_count(self, n):
         # every residue of n mod 8, singly even codes of several shadow
@@ -335,6 +341,8 @@ class TestShadowFromCode:
             part = shadow(code)
             assert part.shadow_weights == weight_distribution_naive(
                 code, part.shadow_reps[0])
+            assert part.shadow_weights == shadow_weights_transform(
+                weight_distribution(code), n)
             checked += 1
         assert checked
 
@@ -356,16 +364,24 @@ class TestShadowFromCode:
 
     def test_one_enumeration_per_code(self, monkeypatch, tmp_path, capsys):
         # the bundled code and its ten neighbors have their low weights
-        # counted once each, and none is enumerated exhaustively
-        calls, exhaustive = [], []
+        # counted once each, and none is enumerated exhaustively; their
+        # Gleason coefficients are expanded once each, as are the family's
+        # in its one solve
+        calls, exhaustive, expansions = [], [], []
         count_, enumerate_ = gf2.low_weight_distribution, gf2.weight_distribution
+        expand = gf2.enumerators_from_gleason
         monkeypatch.setattr(gf2, "low_weight_distribution",
                             lambda code: calls.append(code.n) or count_(code))
         monkeypatch.setattr(gf2, "weight_distribution",
                             lambda code, offset=0: exhaustive.append(offset)
                             or enumerate_(code, offset))
+        for mod in (gf2, solver):
+            monkeypatch.setattr(mod, "enumerators_from_gleason",
+                                lambda c, fam: expansions.append(fam.n)
+                                or expand(c, fam))
         verify_neighbor_table()
         assert calls == [46] * 11
+        assert expansions == [46] * 12
         calls.clear()
         path = tmp_path / "c46.txt"
         path.write_text(format_generator_file(reference_code_46()))
@@ -377,25 +393,29 @@ class TestShadowFromCode:
         assert exhaustive == []
 
     def test_representatives_must_be_counted(self, monkeypatch):
-        # a transform that counts nothing at the weight of a shadow
-        # representative (weight 1 in the [2, 1, 2] code) is refused
-        monkeypatch.setattr(gf2, "_shadow_weights", lambda dist, n: [2, 0, 0])
-        with pytest.raises(VerificationFailure, match="weight 1"):
+        # an expansion that counts no shadow vector at the weight of a
+        # shadow representative (weight 1 in the [2, 1, 2] code) is refused
+        expand = gf2.enumerators_from_gleason
+        monkeypatch.setattr(gf2, "enumerators_from_gleason",
+                            lambda c, fam: dataclasses.replace(
+                                expand(c, fam), b=((0, 0),)))
+        with pytest.raises(VerificationFailure, match="weight 1 where"):
             shadow(BinaryCode([0b11], 2))
 
     def test_perturbed_distribution_raises_under_optimize_flag(self):
-        # one word too many at weight 0 adds (1+y)^n to the transform:
-        # every coefficient stays non-negative, only the divisibility
-        # by 2^(n/2) catches it, also under -O
+        # a Gleason coefficient off by one: c_1 of the n = 10 code moves
+        # b_0 from 0 by -2^(5-6) = -1/2, a shadow that is not a count,
+        # refused before the rebuilt a_1 is compared with its count, also
+        # under -O
         proc = run_optimized("""
             from minshadow import gf2
             from minshadow.exact import VerificationFailure
-            rebuild = gf2._gleason_distribution
-            def perturbed(code):
-                dist = rebuild(code)
-                dist[0] += 1
-                return dist
-            gf2._gleason_distribution = perturbed
+            column = gf2.code_inverse_col0
+            def perturbed(fam, top=None, j=0):
+                col = column(fam, top, j)
+                col[1] += j == 0
+                return col
+            gf2.code_inverse_col0 = perturbed
             code = gf2.neighbor(gf2.BinaryCode([3, 12, 48, 192, 768], 10),
                                 (1, 3))
             try:
@@ -403,10 +423,23 @@ class TestShadowFromCode:
             except VerificationFailure as exc:
                 print("raised:", exc)
             else:
-                sys.exit("accepted a perturbed distribution")
+                sys.exit("accepted a perturbed expansion")
         """)
         assert proc.returncode == 0, proc.stderr
-        assert "raised: shadow count at weight 0 is 1 / 2^5" in proc.stdout
+        assert ("raised: Gleason rebuild of n=10 counts -1/2 shadow vectors "
+                "of weight 1") in proc.stdout
+
+    def test_transform_oracle_refuses_a_perturbed_distribution(self):
+        # one word too many at weight 0 adds (1+y)^n to the transform:
+        # every coefficient stays non-negative, only the divisibility by
+        # 2^(n/2) catches it
+        code = neighbor(BinaryCode([3, 12, 48, 192, 768], 10), (1, 3))
+        dist = weight_distribution(code)
+        assert shadow_weights_transform(dist, 10) == shadow(code).shadow_weights
+        dist[0] += 1
+        with pytest.raises(ValueError,
+                           match=r"shadow count at weight 0 is 1 / 2\^5"):
+            shadow_weights_transform(dist, 10)
 
 
 def _pairs(count: int) -> BinaryCode:
@@ -427,8 +460,11 @@ class TestLowWeights:
     # (the bundled codes: TestComplementFold.test_bundled_codes_and_shadows)
     @pytest.mark.parametrize("code", [REP2, PAIR4, E8], ids=["REP2", "PAIR4", "E8"])
     def test_small_codes(self, code):
-        # E8 is doubly even
-        assert gf2._gleason_distribution(code) == weight_distribution(code)
+        # the shadow too; E8 is doubly even, so its shadow is the code
+        dist, weights = gf2._gleason_enumerators(code)
+        assert dist == weight_distribution(code)
+        offset = 0 if code is E8 else shadow(code).shadow_reps[0]
+        assert weights == weight_distribution(code, offset)
 
     @pytest.mark.parametrize("n", range(4, 26, 2))
     def test_neighbor_walks(self, n):
@@ -600,6 +636,15 @@ class TestReferenceCode:
         # minimal-shadow enumerator
         with pytest.raises(BetaMismatchError):
             extract_beta(reference_code_46())
+
+    def test_extract_beta_refuses_before_counting(self, monkeypatch):
+        # a length-46 code one generator short of self-dual is refused by
+        # shadow() before any weight is counted
+        monkeypatch.setattr(gf2, "weight_distribution", None)
+        monkeypatch.setattr(gf2, "low_weight_distribution", None)
+        code = BinaryCode(reference_code_46().rows[:-1], 46)
+        with pytest.raises(ValueError, match="shadow requires a self-dual code"):
+            extract_beta(code)
 
     def test_transform_consistency_one_neighbor(self):
         c46 = reference_code_46()
