@@ -87,9 +87,37 @@ def _enumerator_text(enum: ParametricEnumerator) -> list[str]:
     ]
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(x, pad: str = "\n") -> str:
+    """json.dumps(x, sort_keys=True, indent=2), byte for byte, for x nested
+    at the indentation of pad.  Non-empty dicts with str keys and
+    non-empty lists are laid out here, lists of strings and of [str, str]
+    pairs, the bulk of a document, without a call per entry; any other
+    value goes to json.dumps, its lines shifted to pad."""
+    if type(x) is str:
+        return _quote(x)
+    inner = pad + "  "
+    sep = "," + inner
+    if type(x) is dict and x and all(type(k) is str for k in x):
+        return ("{" + inner + sep.join(_quote(k) + ": " + _json_text(x[k], inner)
+                                       for k in sorted(x)) + pad + "}")
+    if type(x) is list and x:
+        if all(type(v) is str for v in x):
+            return "[" + inner + sep.join(map(_quote, x)) + pad + "]"
+        if all(type(v) is list and len(v) == 2 and type(v[0]) is str
+               and type(v[1]) is str for v in x):
+            two = inner + "  "
+            return ("[" + inner + sep.join(f"[{two}{_quote(u)},{two}{_quote(v)}{inner}]"
+                                           for u, v in x) + pad + "]")
+        return "[" + inner + sep.join(_json_text(v, inner) for v in x) + pad + "]"
+    return json.dumps(x, sort_keys=True, indent=2).replace("\n", pad)
+
+
 def _emit(doc: dict, text_lines: list[str], fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(_json_text(doc))
     else:
         for line in text_lines:
             print(line)

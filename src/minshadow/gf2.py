@@ -282,13 +282,15 @@ def low_weight_distribution(code: BinaryCode) -> list[int]:
     a combination of t rows has t ones on its own side, and the XOR of
     the rows' other halves (rows, then columns of A, as k-bit words) has
     the rest.  A Q-side combination is counted only when its P half has
-    more than K ones, so no word is counted twice.
+    more than K ones, so no word is counted twice; with t ones on Q it
+    then weighs more than K + t, so the Q side stops at t = K - 1.
 
-    Each side walks sum_(t <= K) C(k, t) combinations, capped at
-    COMBO_CAP = 2^22 before any allocation (EnumerationCapError).  The
-    cap admits every self-dual code up to n = 62 (3 572 224 combinations)
-    and refuses n = 64 (15 033 173), so every admitted code has k <= 31
-    and its halves fit in one uint64 word.
+    The P side walks sum_(t <= K) C(k, t) combinations and the Q side
+    sum_(t < K) C(k, t).  The P side's count is capped at COMBO_CAP =
+    2^22 before any allocation (EnumerationCapError).  The cap admits
+    every self-dual code up to n = 62 (3 572 224 combinations) and
+    refuses n = 64 (15 033 173), so every admitted code has k <= 31 and
+    its halves fit in one uint64 word.
     """
     if not is_self_dual(code):
         raise ValueError("low-weight counts require a self-dual code")
@@ -309,11 +311,12 @@ def low_weight_distribution(code: BinaryCode) -> list[int]:
         out[:, :(k + 7) // 8] = np.packbits(m, axis=1, bitorder="little")
         return out.view("<u8").ravel()
 
-    p_side = _level_counts(words(a), h)         # [t, q]: t on P, q on Q
-    q_side = _level_counts(words(a.T), h)       # [t, p]: t on Q, p on P
+    p_side = _level_counts(words(a), h)                 # [t, q]: t on P, q on Q
+    q_side = _level_counts(words(a.T), max(h - 1, 0))   # [t, p]: t on Q, p on P
     q_side[:, :h + 1] = 0
+    p_side[:len(q_side)] += q_side
     dist = np.zeros(2 * h + 65, dtype=np.int64)
-    for t, row in enumerate(p_side + q_side):       # weight t + x at column x
+    for t, row in enumerate(p_side):                # weight t + x at column x
         dist[t:t + 65] += row
     return [int(x) for x in dist[:2 * h + 1]]
 

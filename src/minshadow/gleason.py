@@ -26,6 +26,9 @@ exact division at every step, its polynomials stepped by forward
 differences, its columns j > 0 by the Catalan peel, and each column of
 the shadow inverse by one ratio walk from one binomial, again checked
 for exact division at every step, each entry an int where integral.
+The Catalan powers and the shadow columns share that ratio walk
+(_ratio_walk): its ratios are quadratic in the step, so after the first
+three every ratio comes from second-order forward differences.
 An enumerator coefficient is an exact pair (p, q), the value p + q beta
 in the one free parameter beta, each an int where it is integral, q = 0
 in the unique families; a pair of Gleason vectors expands as two
@@ -64,7 +67,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, repeat
 from operator import add, mul, sub
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -273,21 +276,54 @@ def _shadow_col0_step(k_top: int, i: int) -> tuple[int, int]:
     return (k_top + i) * (k_top - i), 2 * i * (2 * i + 1)
 
 
-def _shadow_walk(fam: FamilyParams, start: int, j: int):
-    """The entries of shadow_inverse_col0(fam, start, j), one at a time."""
-    k = fam.c_count - 1 - j
-    if not (0 <= j and 1 <= start <= k):
-        raise ValueError(f"entry ({start}, {j}) out of range for K={fam.c_count - 1}")
-    num = k * math.comb(k + start - 1, k - start)
-    for i in range(start, k + 1):
-        e = 6 * i - fam.half
-        yield exact_div((-num if i % 2 else num) << max(e, 0), i << max(-e, 0))
-        step, den = _shadow_col0_step(k, i)
-        num, rem = divmod(num * step, den)
+def _ratio_walk(x: int, step: Callable[[int, int], tuple[int, int]], arg: int,
+                ks: range, fail: Callable[[int], str]) -> list[int]:
+    """[x_0, ..., x_len(ks)] with x_0 = x and x_(t+1) = x_t num/den, where
+    (num, den) = step(arg, k) at k = ks[t]; each division must be exact,
+    else VerificationFailure(fail(k + 1)).  num and den are quadratic in k,
+    so only the first three pairs come from step, each when the walk
+    reaches it, and every later pair from the one before by second-order
+    forward differences: four additions of small ints and no call per
+    step.  A walk of at most three steps calls step once per step."""
+    xs = [x]
+    seen = []
+    for k in ks[:3]:
+        num, den = step(arg, k)
+        seen += num, den
+        x, rem = divmod(x * num, den)
         if rem:
-            raise VerificationFailure(
-                f"column {j} of the inverse shadow block of n={fam.n}: the "
-                f"ratio walk does not divide exactly at entry {i + 1}")
+            raise VerificationFailure(fail(k + 1))
+        xs.append(x)
+    if len(ks) > 3:
+        n0, d0, n1, d1, _, _ = seen
+        dnum, dden = num - n1, den - d1                 # Delta at ks[1]
+        ddnum, ddden = dnum - n1 + n0, dden - d1 + d0   # Delta^2, constant
+        for k in ks[3:]:
+            dnum += ddnum; num += dnum
+            dden += ddden; den += dden
+            x, rem = divmod(x * num, den)
+            if rem:
+                raise VerificationFailure(fail(k + 1))
+            xs.append(x)
+    return xs
+
+
+def _shadow_walk(fam: FamilyParams, start: int, j: int,
+                 last: int | None = None) -> list[Scalar]:
+    """Entries start..last (default K - j) of shadow_inverse_col0(fam,
+    start, j): one binomial, then last - start steps of the ratio walk."""
+    k = fam.c_count - 1 - j
+    last = k if last is None else last
+    if not (0 <= j and 1 <= start <= last <= k):
+        raise ValueError(f"entry ({start}, {j}) out of range for K={fam.c_count - 1}")
+    nums = _ratio_walk(k * math.comb(k + start - 1, k - start), _shadow_col0_step,
+                       k, range(start, last),
+                       lambda i: f"column {j} of the inverse shadow block of "
+                                 f"n={fam.n}: the ratio walk does not divide "
+                                 f"exactly at entry {i}")
+    half = fam.half
+    return [exact_div((-num if i % 2 else num) << max(e, 0), i << max(-e, 0))
+            for i, num in enumerate(nums, start) for e in (6 * i - half,)]
 
 
 def _shadow_inverse_row0(fam: FamilyParams, j: int) -> Fraction:
@@ -299,7 +335,7 @@ def _shadow_inverse_row0(fam: FamilyParams, j: int) -> Fraction:
 def shadow_inverse_entry(i: int, j: int, fam: FamilyParams) -> Fraction:
     """Entry (i, j) of the inverse shadow-side block, for i >= 1, i + j <= K:
     the first of shadow_inverse_col0(fam, i, j), one binomial, no step."""
-    x = next(_shadow_walk(fam, i, j))
+    x = _shadow_walk(fam, i, j, i)[0]
     return x if type(x) is Fraction else Fraction(x)
 
 
@@ -308,9 +344,10 @@ def shadow_inverse_col0(fam: FamilyParams, start: int, j: int = 0) -> list[Scala
     shadow-side block, 1 <= start <= K - j.  With k = K - j, entry i is
     (-1)^i 2^(6i - n/2) num_i / i: one binomial gives num_start =
     k C(k+start-1, k-start), and each step num_(i+1) = num_i (k+i)(k-i) /
-    (2i(2i+1)) (_shadow_col0_step) must divide exactly, else
-    VerificationFailure.  Each entry is an int where it is integral."""
-    return list(_shadow_walk(fam, start, j))
+    (2i(2i+1)) must divide exactly, else VerificationFailure.  The first
+    three ratios come from _shadow_col0_step, the rest by forward
+    differences (_ratio_walk).  Each entry is an int where it is integral."""
+    return _shadow_walk(fam, start, j)
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +445,10 @@ def _entries(x: np.ndarray, w: np.ndarray, n: int) -> list[int]:
     every limb but the last in [-2^31, 2^32 + 2^31), biased by 2^31 per
     limb so that none is negative, and carried until every such limb is
     below 2^32; the bound of _work_buffers leaves the spare limb at -1, 0
-    or 1, else VerificationFailure.  Then the low halves of all limbs are
-    copied out in one tobytes() buffer, and each row is one int.from_bytes
-    of its memoryview slice, minus the bias."""
+    or 1, else VerificationFailure.  Then the low halves of the limbs are
+    copied out in one tobytes() buffer per 64 rows, as _work_buffers reads
+    them in, and each row is one int.from_bytes of its memoryview slice,
+    minus the bias."""
     if x.ndim == 1:
         return x[1:n + 1].tolist()
     x, c = x[1:n + 1], w[1:n + 1]
@@ -422,9 +460,12 @@ def _entries(x: np.ndarray, w: np.ndarray, n: int) -> list[int]:
         raise VerificationFailure("a Horner entry outgrew its limb bound")
     bias = ((1 << 32 * x.shape[1] - 32) - 1) // _MASK << 31
     size = 4 * x.shape[1]
-    low = memoryview(x.view("<u4")[:, ::2].tobytes())
-    return [int.from_bytes(low[k:k + size], "little", signed=True) - bias
-            for k in range(0, len(low), size)]
+    out = []
+    for s in range(0, len(x), 64):
+        low = memoryview(x[s:s + 64].view("<u4")[:, ::2].tobytes())
+        out += [int.from_bytes(low[k:k + size], "little", signed=True) - bias
+                for k in range(0, len(low), size)]
+    return out
 
 
 def _palindromic_horner(p: list[int], top: int, e: int) -> list[int]:
@@ -483,15 +524,11 @@ def _catalan_step(a: int, k: int) -> tuple[int, int]:
 def _catalan_power(a: int, top: int) -> list[int]:
     """[s^0..s^top] C(s)^a, C(s) = 1 + s C(s)^2, for a + k + 1 != 0 (k < top):
     a/(a+2k) C(a+2k, k) by Lagrange inversion, an integer, so each step of
-    _catalan_step must divide exactly, else VerificationFailure."""
-    g = [1]
-    for k in range(top):
-        num, den = _catalan_step(a, k)
-        q, rem = divmod(g[-1] * num, den)
-        if rem:
-            raise VerificationFailure(f"C(s)^({a}) does not divide exactly at s^{k + 1}")
-        g.append(q)
-    return g
+    the ratio walk must divide exactly, else VerificationFailure.  The
+    first three ratios come from _catalan_step, the rest by forward
+    differences (_ratio_walk)."""
+    return _ratio_walk(1, _catalan_step, a, range(top),
+                       lambda k: f"C(s)^({a}) does not divide exactly at s^{k}")
 
 
 def horner_code_side(coeffs: Sequence[int], fam: FamilyParams,
@@ -606,12 +643,16 @@ def expand_scaled(c: Sequence[Scalar], fam: FamilyParams, top: int | None = None
     b_i = b_hat[i]/Db exactly.
 
     The coefficients are scaled by the lcm Da of their denominators, so
-    both Horner passes run on plain ints; the code side runs first, up
-    to degree top (default n/2), then the shadow side up to index
-    shadow_top (default 2K).
+    both Horner passes run on plain ints; Da = 1 with no rescaling when
+    every coefficient is an int.  The code side runs first, up to degree
+    top (default n/2), then the shadow side up to index shadow_top
+    (default 2K).
     """
-    da = math.lcm(*(x.denominator for x in c))
-    ch = [x.numerator * (da // x.denominator) for x in c]
+    if all(type(x) is int for x in c):
+        da, ch = 1, c
+    else:
+        da = math.lcm(*(x.denominator for x in c))
+        ch = [x.numerator * (da // x.denominator) for x in c]
     a_hat = horner_code_side(ch, fam, top)
     b_hat = horner_shadow_side(ch, fam, shadow_top)
     return a_hat, da, b_hat, da << _shadow_shift(fam)

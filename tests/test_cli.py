@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minshadow
 from minshadow import cli, gleason, solver
@@ -564,3 +566,40 @@ class TestDeterminism:
                                   env={**os.environ, "PYTHONPATH": str(SRC)},
                                   capture_output=True, text=True, timeout=120)
             assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
+# JSON documents of every shape json.dumps takes: strings with escapes and
+# non-ASCII text, lists of strings and of [str, str] pairs (the shapes that
+# _json_text lays out without a call per entry), near misses of those
+# (pairs of three, a pair holding a non-string), empty containers, None,
+# bools, numbers, tuples, and dicts with non-string keys
+_TEXT = st.text(alphabet=st.characters() | st.sampled_from('"\\\n\t/\x00\x7f'),
+                max_size=8)
+_LEAF = (st.none() | st.booleans() | st.integers() | _TEXT
+         | st.floats(allow_nan=True, allow_infinity=True))
+_SHAPES = (st.lists(_TEXT, max_size=4)
+           | st.lists(st.lists(_TEXT, min_size=2, max_size=2), max_size=4)
+           | st.lists(st.lists(_TEXT, min_size=1, max_size=3), max_size=4)
+           | st.lists(st.tuples(_TEXT, _TEXT).map(list) | st.tuples(_TEXT, _LEAF).map(list),
+                      max_size=4))
+_DOCS = st.recursive(
+    _LEAF | _SHAPES,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(_TEXT, inner, max_size=4)
+                   | st.dictionaries(st.integers(-3, 3) | st.booleans(), inner, max_size=3)),
+    max_leaves=12)
+
+
+class TestJsonText:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_DOCS)
+    def test_matches_json_dumps(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+    def test_command_documents(self, capsys):
+        for argv in (["solve", "--family", "24m+22", "--m", "1"],
+                     ["tables", "--family", "24m+2", "--m", "1"],
+                     ["scan", "--family", "24m+4", "--m-max", "3"],
+                     ["bounds", "--n", "46"]):
+            doc = run_json(capsys, *argv)
+            assert cli._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)

@@ -1,5 +1,6 @@
 """Transform tables, closed forms, and coefficient conversions."""
 
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -364,6 +365,19 @@ class TestShadowInverseCol0:
                 assert all(type(x) is (int if x.denominator == 1 else Fraction)
                            for x in col), (fam, j)
                 assert shadow_inverse_col0(fam, k_top - j, j) == want[-1:], (fam, j)
+
+    @pytest.mark.parametrize("n", range(2, 96, 2))
+    def test_every_start_and_column_to_n94(self, n):
+        # every column j < K from every start: walks of 0 to K - 1 steps,
+        # stepped by differences from their fourth step on, against the
+        # one-binomial entries
+        fam = FamilyParams.from_length(n)
+        k_top = fam.c_count - 1
+        for j in range(k_top):
+            for start in range(1, k_top - j + 1):
+                assert shadow_inverse_col0(fam, start, j) == [
+                    shadow_inverse_entry(i, j, fam)
+                    for i in range(start, k_top - j + 1)], (j, start)
 
     @pytest.mark.parametrize("m", [155, 156, 160, 231, 236])
     def test_from_the_code_pins_at_large_m(self, m):
@@ -764,6 +778,12 @@ def _catalan_series_power(a, top):
     return out
 
 
+def _catalan_closed_form(a, k):
+    """[s^k] C(s)^a = a/(a+2k) C(a+2k, k), with the factor a + 2k
+    cancelled: a (a+2k-1)(a+2k-2)...(a+k+1) / k!, defined at a + 2k = 0."""
+    return Fraction(a * math.prod(range(a + k + 1, a + 2 * k)), math.factorial(k)) if k else 1
+
+
 class TestBinomialTail:
     """The one pass-2 kernel: p[0] plus the half-vector Horner steps on
     d = p - p[0] gamma from its first nonzero entry h', one binomial
@@ -841,6 +861,30 @@ class TestBinomialTail:
         # for a < 0 the entries are valid while a + k + 1 != 0, k < top
         top = 20 if a > 0 else min(20, -a - 1)
         assert _catalan_power(a, top) == _catalan_series_power(a, top)
+
+    @pytest.mark.parametrize("a", [*range(-300, 0), 1, 2, 5, 13, 300])
+    def test_catalan_power_against_closed_form(self, a):
+        # every top 0..40 that a allows, so tops 0-3, which take no
+        # difference step, and every walk stepped by differences from its
+        # fourth step on; every entry is an int
+        want = [_catalan_closed_form(a, k) for k in range(41)]
+        for top in range(min(40, -a - 1) + 1 if a < 0 else 41):
+            got = _catalan_power(a, top)
+            assert got == want[:top + 1], (a, top)
+            assert all(type(x) is int for x in got), (a, top)
+
+    @pytest.mark.parametrize("top", range(8))
+    def test_catalan_step_called_for_the_first_three_steps_only(self, monkeypatch, top):
+        calls = []
+        step = gleason._catalan_step
+
+        def counted(a, k):
+            calls.append(k)
+            return step(a, k)
+
+        monkeypatch.setattr(gleason, "_catalan_step", counted)
+        assert _catalan_power(-100, top) == _catalan_series_power(-100, top)
+        assert calls == list(range(min(top, 3)))
 
     def test_inexact_step_raises_under_optimize_flag(self):
         # a wrong ratio leaves a remainder at the first step of the code
